@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/payload.hpp"
@@ -56,24 +57,42 @@ const char* matrix_name(int which) {
   }
 }
 
-void BM_LocalSpGemm(benchmark::State& state) {
+/// One local multiply per iteration; `hinted` passes the exact per-column
+/// counts of symbolic_column_nnz, as BatchedSUMMA3D does after Symbolic3D
+/// (computed once, outside the timed loop).
+void run_local_spgemm(benchmark::State& state, bool hinted) {
   const CscMat a = bench_matrix(static_cast<int>(state.range(1)));
   const auto kind = static_cast<SpGemmKind>(state.range(0));
   Index flops = multiply_flops(a, a);
+  const std::vector<Index> hints =
+      hinted ? symbolic_column_nnz(a, a) : std::vector<Index>{};
   for (auto _ : state) {
-    CscMat c = local_spgemm<PlusTimes>(a, a, kind);
+    CscMat c = local_spgemm<PlusTimes>(a, a, kind, /*threads=*/1, hints);
     benchmark::DoNotOptimize(c.nnz());
   }
   state.SetItemsProcessed(state.iterations() * flops);
-  state.SetLabel(std::string(to_string(kind)) + " on " +
-                 matrix_name(static_cast<int>(state.range(1))));
+  state.SetLabel(std::string(to_string(kind)) + (hinted ? "+hints" : "") +
+                 " on " + matrix_name(static_cast<int>(state.range(1))));
 }
+
+void BM_LocalSpGemm(benchmark::State& state) { run_local_spgemm(state, false); }
 BENCHMARK(BM_LocalSpGemm)
     ->ArgsProduct({{static_cast<long>(SpGemmKind::kUnsortedHash),
                     static_cast<long>(SpGemmKind::kSortedHash),
                     static_cast<long>(SpGemmKind::kHeap),
                     static_cast<long>(SpGemmKind::kHybrid),
                     static_cast<long>(SpGemmKind::kSpa)},
+                   {0, 1, 2}})
+    ->Unit(benchmark::kMillisecond);
+
+// The symbolic-sized path: the hash kernels size their output from the
+// hints and hand the buffers over uncopied.
+void BM_LocalSpGemmHinted(benchmark::State& state) {
+  run_local_spgemm(state, true);
+}
+BENCHMARK(BM_LocalSpGemmHinted)
+    ->ArgsProduct({{static_cast<long>(SpGemmKind::kUnsortedHash),
+                    static_cast<long>(SpGemmKind::kSortedHash)},
                    {0, 1, 2}})
     ->Unit(benchmark::kMillisecond);
 

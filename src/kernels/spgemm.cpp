@@ -1,6 +1,7 @@
 #include "kernels/spgemm.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <numeric>
 #include <queue>
@@ -151,14 +152,19 @@ class SpaAccumulator {
 };
 
 /// Shared output assembly: callers fill per-column slices of an
-/// upper-bound-sized buffer; compact() squeezes out the slack.
+/// upper-bound-sized buffer; compact() squeezes out the slack. A slice
+/// holds min(flops_j, nrows) entries, or — given symbolic per-column
+/// counts — min(flops_j, nrows, max(hint_j, 1)).
 struct OutputBuilder {
   template <typename MatA, typename MatB>
-  explicit OutputBuilder(const MatA& a, const MatB& b) {
+  OutputBuilder(const MatA& a, const MatB& b, std::span<const Index> hints) {
     const std::vector<Index> flops = column_flops(a, b);
     ub_ptr.resize(flops.size() + 1, 0);
-    for (std::size_t j = 0; j < flops.size(); ++j)
-      ub_ptr[j + 1] = ub_ptr[j] + std::min(flops[j], a.nrows());
+    for (std::size_t j = 0; j < flops.size(); ++j) {
+      Index cap = std::min(flops[j], a.nrows());
+      if (!hints.empty()) cap = std::min(cap, std::max<Index>(hints[j], 1));
+      ub_ptr[j + 1] = ub_ptr[j] + cap;
+    }
     rowids.resize(static_cast<std::size_t>(ub_ptr.back()));
     vals.resize(static_cast<std::size_t>(ub_ptr.back()));
     counts.assign(flops.size(), 0);
@@ -169,6 +175,11 @@ struct OutputBuilder {
     for (Index j = 0; j < ncols; ++j)
       colptr[static_cast<std::size_t>(j) + 1] =
           colptr[static_cast<std::size_t>(j)] + counts[static_cast<std::size_t>(j)];
+    // No count exceeds its slice, so equal totals mean every slice is full:
+    // the buffers are already contiguous CSC (exact symbolic hints).
+    if (colptr.back() == ub_ptr.back())
+      return CscMat(nrows, ncols, std::move(ub_ptr), std::move(rowids),
+                    std::move(vals));
     std::vector<Index> out_rowids(static_cast<std::size_t>(colptr.back()));
     std::vector<Value> out_vals(out_rowids.size());
     for (Index j = 0; j < ncols; ++j) {
@@ -220,12 +231,15 @@ inline void sort_column_pairs(Index* rowids, Value* vals, Index cnt,
   }
 }
 
-/// One output column via hash accumulation. Returns entry count.
+/// One output column via hash accumulation, into a slice of `out_capacity`
+/// entries. Returns the entry count; a count above `out_capacity` writes
+/// nothing (the caller's slice was sized from an undersized hint).
 template <typename SR, typename MatA, typename MatB>
 Index hash_column(const MatA& a, const MatB& b, Index j,
-                  HashAccumulator<SR>& acc, Index capacity, Index* rowids,
-                  Value* vals, bool sort_output, SortScratch& sort_scratch) {
-  acc.require(capacity);
+                  HashAccumulator<SR>& acc, Index table_capacity,
+                  Index out_capacity, Index* rowids, Value* vals,
+                  bool sort_output, SortScratch& sort_scratch) {
+  acc.require(table_capacity);
   acc.reset();
   const auto brows = b.col_rowids(j);
   const auto bvals = b.col_vals(j);
@@ -237,8 +251,9 @@ Index hash_column(const MatA& a, const MatB& b, Index j,
     for (std::size_t k = 0; k < arows.size(); ++k)
       acc.accumulate(arows[k], SR::mul(avals[k], bv));
   }
-  acc.emit(rowids, vals);
   const Index cnt = acc.size();
+  if (cnt > out_capacity) return cnt;
+  acc.emit(rowids, vals);
   if (sort_output && cnt > 1) sort_column_pairs(rowids, vals, cnt, sort_scratch);
   return cnt;
 }
@@ -298,11 +313,17 @@ CscMat run_spgemm(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
                  "local_spgemm: col_nnz_hints has " << col_nnz_hints.size()
                                                     << " entries for "
                                                     << b.ncols() << " columns");
-  OutputBuilder out(a, b);
+  // The hash kernels size each output slice from the symbolic hint (the
+  // per-column count Symbolic3D already computed); the others keep the
+  // flops bound.
+  const bool hint_sized = !col_nnz_hints.empty() &&
+                          (kind == SpGemmKind::kUnsortedHash ||
+                           kind == SpGemmKind::kSortedHash);
+  OutputBuilder out(a, b,
+                    hint_sized ? col_nnz_hints : std::span<const Index>{});
   const Index ncols = b.ncols();
+  std::atomic<bool> overflow{false};
 
-  // Per-column flop counts for the hybrid heuristic (recomputed cheaply —
-  // OutputBuilder already has the sum as capacities).
 #if defined(CASP_HAVE_OPENMP)
 #pragma omp parallel num_threads(std::max(1, threads))
 #else
@@ -319,6 +340,8 @@ CscMat run_spgemm(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
 #pragma omp for schedule(dynamic, 16)
 #endif
     for (Index j = 0; j < ncols; ++j) {
+      // Once a column has outgrown its slice the product is rerun anyway.
+      if (overflow.load()) continue;
       const Index cap = out.col_capacity(j);
       if (cap == 0) {
         out.counts[static_cast<std::size_t>(j)] = 0;
@@ -328,8 +351,7 @@ CscMat run_spgemm(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
       // The symbolic hint bounds the merged column's nnz across all stages,
       // so it also bounds this stage's contribution — size the hash table
       // from it when it beats the flops bound (clamped to >= 1 so a column
-      // with flops but a zero hint still gets a table; CASP checks would
-      // have caught a genuinely wrong symbolic count upstream).
+      // with flops but a zero hint still gets a table).
       const Index hash_cap =
           col_nnz_hints.empty()
               ? cap
@@ -338,14 +360,14 @@ CscMat run_spgemm(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
                                   Index{1}));
       switch (kind) {
         case SpGemmKind::kUnsortedHash:
-          cnt = hash_column<SR>(a, b, j, hash_acc, hash_cap, out.col_rowids(j),
-                                out.col_vals(j), /*sort_output=*/false,
-                                sort_scratch);
+          cnt = hash_column<SR>(a, b, j, hash_acc, hash_cap, cap,
+                                out.col_rowids(j), out.col_vals(j),
+                                /*sort_output=*/false, sort_scratch);
           break;
         case SpGemmKind::kSortedHash:
-          cnt = hash_column<SR>(a, b, j, hash_acc, hash_cap, out.col_rowids(j),
-                                out.col_vals(j), /*sort_output=*/true,
-                                sort_scratch);
+          cnt = hash_column<SR>(a, b, j, hash_acc, hash_cap, cap,
+                                out.col_rowids(j), out.col_vals(j),
+                                /*sort_output=*/true, sort_scratch);
           break;
         case SpGemmKind::kHeap:
           cnt = heap_column<SR>(a, b, j, out.col_rowids(j), out.col_vals(j));
@@ -358,7 +380,7 @@ CscMat run_spgemm(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
           if (k_runs <= 8 && cap <= 256) {
             cnt = heap_column<SR>(a, b, j, out.col_rowids(j), out.col_vals(j));
           } else {
-            cnt = hash_column<SR>(a, b, j, hash_acc, hash_cap,
+            cnt = hash_column<SR>(a, b, j, hash_acc, hash_cap, cap,
                                   out.col_rowids(j), out.col_vals(j),
                                   /*sort_output=*/true, sort_scratch);
           }
@@ -381,9 +403,16 @@ CscMat run_spgemm(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
           break;
         }
       }
+      if (cnt > cap) {
+        overflow.store(true);
+        continue;
+      }
       out.counts[static_cast<std::size_t>(j)] = cnt;
     }
   }
+  // Hints are advisory: an undersized one left a column unwritten, so the
+  // product reruns on the flops bound, which every column fits.
+  if (overflow.load()) return run_spgemm<SR>(a, b, kind, threads, {});
   return out.compact(a.nrows(), ncols);
 }
 

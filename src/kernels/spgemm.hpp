@@ -41,10 +41,14 @@ bool produces_sorted(SpGemmKind kind);
 ///
 /// `col_nnz_hints`, when non-empty (length b.ncols()), gives per-output-
 /// column nnz upper bounds from a prior symbolic pass
-/// (SymbolicResult::col_nnz): the hash accumulators size their tables from
-/// min(flops bound, hint) up front instead of growing from the flops upper
-/// bound — the hint is a sum over stages, so it always covers one stage's
-/// column. Ignored by the heap/spa accumulators.
+/// (SymbolicResult::col_nnz) — a sum over stages, so it always covers one
+/// stage's column. The hash accumulators size their tables from
+/// min(flops bound, hint); kUnsortedHash and kSortedHash also size each
+/// output column from it instead of the flops bound, and exact hints let
+/// the output buffers become the result without a compaction copy. Hints
+/// are advisory: if a column outgrows its hint, the multiply reruns on the
+/// flops bound, so the output never depends on them. Ignored by the
+/// heap/spa accumulators.
 template <typename SR = PlusTimes>
 CscMat local_spgemm(const CscConstRef& a, const CscConstRef& b,
                     SpGemmKind kind = SpGemmKind::kUnsortedHash,

@@ -78,12 +78,18 @@ StepSeconds predict_steps(const Machine& machine, const ProblemStats& stats,
   // job-wide volume is bounded by flops/p per process and is invariant in
   // both b and l (Table III / Table VI's "flat" row). Heap merge pays a
   // lg(q)-way factor; hash merge is linear — the paper's
-  // order-of-magnitude win (Table VII).
+  // order-of-magnitude win (Table VII). A one-stage layer (q = 1, i.e.
+  // l = p) hands its lone partial through unmerged, like Merge-Fiber at
+  // l = 1.
   const double layer_vol = flops / p;
-  t[steps::kMergeLayer] =
-      config.hash_kernels
-          ? layer_vol / machine.hash_merge_rate
-          : layer_vol * lg(q) / machine.heap_merge_rate;
+  if (config.p == config.l) {
+    t[steps::kMergeLayer] = 0.0;
+  } else {
+    t[steps::kMergeLayer] =
+        config.hash_kernels
+            ? layer_vol / machine.hash_merge_rate
+            : layer_vol * lg(q) / machine.heap_merge_rate;
+  }
 
   if (config.l > 1) {
     // AllToAll-Fiber: pairwise exchange of the layer-merged volume among l

@@ -18,6 +18,20 @@ struct StageBcasts {
   vmpi::PendingBcast b;
 };
 
+/// Merge-Layer: sum the per-stage partials. A one-stage layer (q = 1) has
+/// nothing to sum, so its lone partial is moved out instead — bit-identical
+/// to merging it, since a Gustavson column's row ids are unique and both
+/// merge kinds then reproduce the rows, their order and values exactly.
+/// The span stays so every report lists the step.
+template <typename SR>
+CscMat merge_layer(obs::Recorder& rec, std::vector<CscMat>& partials,
+                   const SummaOptions& opts) {
+  obs::Span span(rec, steps::kMergeLayer);
+  if (partials.size() == 1) return std::move(partials.front());
+  return merge_matrices<SR>(csc_refs(partials), opts.merge_kind,
+                            opts.threads);
+}
+
 /// Sparse-comm stage loop: B keeps the dense ibcast schedule, but A ships
 /// via the need-list exchange — each stage's request is derived from the
 /// row support of the B block received for that stage, so the B wait moves
@@ -94,13 +108,7 @@ CscMat summa2d_sparse(Grid3D& grid, const CscMat& local_a,
     }
   }
 
-  CscMat merged;
-  {
-    obs::Span span(rec, steps::kMergeLayer);
-    merged =
-        merge_matrices<SR>(csc_refs(partials), opts.merge_kind, opts.threads);
-  }
-  return merged;
+  return merge_layer<SR>(rec, partials, opts);
 }
 
 }  // namespace
@@ -187,13 +195,7 @@ CscMat summa2d(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
     if (!opts.pipeline && s + 1 < stages) current = post_stage(s + 1);
   }
 
-  CscMat merged;
-  {
-    obs::Span span(rec, steps::kMergeLayer);
-    merged =
-        merge_matrices<SR>(csc_refs(partials), opts.merge_kind, opts.threads);
-  }
-  return merged;
+  return merge_layer<SR>(rec, partials, opts);
 }
 
 template CscMat summa2d<PlusTimes>(Grid3D&, const CscMat&, const CscMat&,

@@ -62,6 +62,22 @@ TEST_P(MergeBothKinds, MinPlusSemiring) {
                            reference_merge<MinPlus>(pieces), 1e-12);
 }
 
+TEST_P(MergeBothKinds, SinglePieceIsReproducedBitwise) {
+  // summa2d skips Merge-Layer on one-stage layers; that is only sound if
+  // merging a lone Gustavson output is an identity on colptr, row-id
+  // order and values — for every local kernel's (sorted or not) output.
+  const MergeKind kind = GetParam();
+  const CscMat a = testing::random_matrix(45, 45, 4.0, 59);
+  for (SpGemmKind local :
+       {SpGemmKind::kUnsortedHash, SpGemmKind::kSortedHash, SpGemmKind::kHeap,
+        SpGemmKind::kHybrid, SpGemmKind::kSpa}) {
+    std::vector<CscMat> pieces;
+    pieces.push_back(local_spgemm<PlusTimes>(a, a, local));
+    const CscMat merged = merge_matrices<PlusTimes>(csc_refs(pieces), kind);
+    EXPECT_TRUE(merged == pieces.front()) << to_string(local);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Kinds, MergeBothKinds,
                          ::testing::Values(MergeKind::kUnsortedHash,
                                            MergeKind::kSortedHeap));

@@ -163,16 +163,20 @@ TEST(SpGemm, MultithreadedMatchesSerial) {
 TEST(SpGemm, SymbolicHintsPreserveResultsExactly) {
   // Pre-sizing the hash tables from symbolic per-column counts must not
   // change a single byte of the output: emit order is first-touch order,
-  // independent of table capacity.
+  // independent of table capacity. For the hash kinds, exact counts also
+  // size every output slice to its column, so the buffers become the
+  // result uncopied.
   const CscMat a = testing::random_matrix(90, 90, 4.0, 17);
   const std::vector<Index> hints = symbolic_column_nnz(a, a);
   for (SpGemmKind kind :
        {SpGemmKind::kUnsortedHash, SpGemmKind::kSortedHash,
         SpGemmKind::kHybrid}) {
-    const CscMat plain = local_spgemm<PlusTimes>(a, a, kind, /*threads=*/1);
-    const CscMat hinted =
-        local_spgemm<PlusTimes>(a, a, kind, /*threads=*/1, hints);
-    testing::expect_mat_near(hinted, plain, 0.0);
+    for (int threads : {1, 4}) {
+      const CscMat plain = local_spgemm<PlusTimes>(a, a, kind, threads);
+      const CscMat hinted =
+          local_spgemm<PlusTimes>(a, a, kind, threads, hints);
+      EXPECT_TRUE(hinted == plain) << to_string(kind) << " x" << threads;
+    }
   }
 }
 
@@ -186,6 +190,26 @@ TEST(SpGemm, UndersizedHintsStillProduceCorrectResults) {
   const CscMat hinted = local_spgemm<PlusTimes>(
       a, a, SpGemmKind::kUnsortedHash, /*threads=*/1, ones);
   testing::expect_mat_near(hinted, plain, 1e-12);
+}
+
+TEST(SpGemm, OneShortHintFallsBackToFlopsBoundBitwise) {
+  // One column in the middle hinted one entry short: that column outgrows
+  // its slice mid-loop (other threads have already written theirs), and the
+  // rerun on the flops bound must reproduce the unhinted bytes.
+  const CscMat a = testing::random_matrix(110, 110, 5.0, 21);
+  std::vector<Index> hints = symbolic_column_nnz(a, a);
+  const std::size_t mid = hints.size() / 2;
+  std::size_t victim = mid;
+  for (std::size_t j = mid; j < hints.size(); ++j)
+    if (hints[j] > hints[victim]) victim = j;
+  ASSERT_GE(hints[victim], 2);  // hint - 1 must still be a real limit
+  --hints[victim];
+  for (SpGemmKind kind : {SpGemmKind::kUnsortedHash, SpGemmKind::kSortedHash}) {
+    const CscMat plain = local_spgemm<PlusTimes>(a, a, kind, /*threads=*/4);
+    const CscMat hinted =
+        local_spgemm<PlusTimes>(a, a, kind, /*threads=*/4, hints);
+    EXPECT_TRUE(hinted == plain) << to_string(kind);
+  }
 }
 
 TEST(SpGemm, HintSpanOfWrongLengthIsRejected) {

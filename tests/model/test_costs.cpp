@@ -81,6 +81,22 @@ TEST(CostModel, HashKernelsBeatHeapKernels) {
   EXPECT_GT(heap.at(steps::kMergeFiber), 2.0 * hash.at(steps::kMergeFiber));
 }
 
+TEST(CostModel, OneStageLayersPredictNoMergeLayer) {
+  // l = p makes every layer 1x1 (q = 1): summa2d moves its lone stage
+  // partial through, so Merge-Layer costs nothing — the mirror of the
+  // l = 1 -> Merge-Fiber = 0 case. With 4 layers (q = 2) the merge is
+  // charged again.
+  const Machine m = cori_knl();
+  const ProblemStats s = sample_stats();
+  for (bool hash : {true, false}) {
+    const StepSeconds single = predict_steps(m, s, {16, 16, 2, hash});
+    EXPECT_EQ(single.at(steps::kMergeLayer), 0.0);
+    EXPECT_GT(single.at(steps::kMergeFiber), 0.0);
+    const StepSeconds staged = predict_steps(m, s, {16, 4, 2, hash});
+    EXPECT_GT(staged.at(steps::kMergeLayer), 0.0);
+  }
+}
+
 TEST(CostModel, PredictBatchesMatchesEq2Arithmetic) {
   ProblemStats s = sample_stats();
   const Index p = 1024;

@@ -2,6 +2,7 @@
 // streaming, block-cyclic column mapping, and memory-budget behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 
@@ -59,6 +60,29 @@ INSTANTIATE_TEST_SUITE_P(
                       // b larger than per-part columns: empty batches
                       BatchedCase{8, 2, 16, 9, 2.0},
                       BatchedCase{12, 3, 6, 29, 3.5}));
+
+TEST(BatchedSingleStage, OneByOneLayersMatchReferenceAndRecordMergeLayer) {
+  // 1x1x4: every layer is one process (q = 1), so Merge-Layer moves the
+  // lone stage partial and Local-Multiply sizes its output from exact
+  // symbolic hints. The product must still be right and every report
+  // must still list the Merge-Layer step.
+  const Index n = 40;
+  const CscMat a = testing::random_matrix(n, n, 4.0, 33);
+  const CscMat expected = reference_multiply<PlusTimes>(a, a);
+  const vmpi::RunResult run = vmpi::run(4, [&](vmpi::Comm& world) {
+    Grid3D grid(world, 4);
+    ASSERT_EQ(grid.q(), 1);
+    const DistMat3D da = distribute_a_style(grid, a);
+    const DistMat3D db = distribute_b_style(grid, a);
+    BatchedResult result =
+        batched_summa3d<PlusTimes>(grid, da, db, /*total_memory=*/0);
+    EXPECT_EQ(result.batches, 1);
+    testing::expect_mat_near(gather_dist(grid, result.c), expected, 1e-9);
+  });
+  const std::vector<std::string> names = run.time_names();
+  EXPECT_NE(std::find(names.begin(), names.end(), steps::kMergeLayer),
+            names.end());
+}
 
 TEST(BatchedCallback, StreamedPiecesTileTheOutputExactly) {
   const int p = 8, l = 2;

@@ -5,8 +5,9 @@
 #   (b) release            configure + build + full ctest
 #   (c) thread sanitizer   configure + build + ctest -L tsan-safe
 #   (d) address/UB san     configure + build + full ctest
-#   (e) perf diff          rerun perf benches, tools/perf_diff.py vs the
-#                          committed BENCH_*.json snapshots
+#   (e) perf diff          e2ebench self-tests, then rerun perf benches,
+#                          tools/perf_diff.py vs the committed BENCH_*.json
+#                          snapshots
 #   (f) fault matrix       the Fault* suites under several CASP_FAULT_SEED
 #                          values (deterministic fault-injection sweep)
 #   (g) crash recovery     the Recovery* suites under several
@@ -104,6 +105,9 @@ if [ "$SKIP_PERF" = 1 ]; then
   echo "skipping perf-diff stage (--skip-perf)"
 else
   step "(e) perf diff vs committed BENCH_*.json snapshots"
+  # The end-to-end benchmark's own self-tests (tail selection, quartile
+  # spread, metric names, exact counts) guard the numbers it reports.
+  python3 -m unittest discover -s e2ebench/tests
   # The benches write their JSON into the cwd; run them in a scratch dir so
   # a passing check never touches the committed snapshots.
   PERF_DIR=$(mktemp -d)
