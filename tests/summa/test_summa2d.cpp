@@ -4,6 +4,8 @@
 // grid and the 2D result is the final result.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "grid/dist.hpp"
 #include "kernels/reference.hpp"
 #include "summa/summa2d.hpp"
@@ -13,8 +15,11 @@
 namespace casp {
 namespace {
 
+// Every member is 8 bytes except the two trailing 4-byte enums, so the
+// struct has no padding: gtest names each case from the raw bytes of the
+// parameter, and padding would leak stack garbage into the test names.
 struct Summa2DCase {
-  int p;
+  std::int64_t p;
   Index n;
   double density;
   SpGemmKind local_kind;
@@ -29,7 +34,7 @@ TEST_P(Summa2DCorrectness, MatchesSerialReference) {
   const CscMat b = testing::random_matrix(param.n, param.n, param.density, 8);
   const CscMat expected = reference_multiply<PlusTimes>(a, b);
 
-  vmpi::run(param.p, [&](vmpi::Comm& world) {
+  vmpi::run(static_cast<int>(param.p), [&](vmpi::Comm& world) {
     Grid3D grid(world, /*layers=*/1);
     const DistMat3D da = distribute_a_style(grid, a);
     const DistMat3D db = distribute_b_style(grid, b);
