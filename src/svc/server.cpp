@@ -1,15 +1,13 @@
 #include "svc/server.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <optional>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "apps/triangle.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "grid/dist.hpp"
 #include "grid/grid3d.hpp"
 #include "kernels/semiring.hpp"
@@ -132,15 +130,7 @@ std::string Server::submit(JobSpec spec) {
     finish(job, JobState::kRejected, os.str());
     return id;
   }
-  if (ledger.traffic_exhausted()) {
-    std::ostringstream os;
-    os << "svc: tenant \"" << job.spec.tenant
-       << "\" traffic quota exhausted (" << ledger.traffic_billed()
-       << " B logical billed >= quota " << ledger.quota().traffic_bytes
-       << " B)";
-    finish(job, JobState::kThrottled, os.str());
-    return id;
-  }
+  if (throttle_if_exhausted(job)) return id;
   // Take the reservation now when the quota allows; otherwise the job
   // queues unreserved and the scheduler retries as earlier jobs release.
   if (ledger.reserve(job.reserved_bytes)) job.holds_reservation = true;
@@ -160,20 +150,11 @@ const JobRecord& Server::wait(const std::string& job_id) {
   auto it = jobs_.find(job_id);
   if (it == jobs_.end())
     throw InvalidArgument("svc: unknown job id \"" + job_id + "\"");
-  while (!it->second->terminal() && step()) {
-  }
+  run_queue(1, it->second.get());
   return *it->second;
 }
 
-void Server::drain() {
-  const int width = effective_concurrency();
-  if (width > 1) {
-    drain_concurrent(width);
-    return;
-  }
-  while (!queue_.empty() && step()) {
-  }
-}
+void Server::drain() { run_queue(effective_concurrency(), nullptr); }
 
 int Server::effective_concurrency() const {
   int k = std::max(1, options_.concurrency);
@@ -190,51 +171,15 @@ const JobRecord* Server::find(const std::string& job_id) const {
   return it == jobs_.end() ? nullptr : it->second.get();
 }
 
-bool Server::step() {
-  std::vector<std::string> deferred;
-  bool progressed = false;
-  while (!queue_.empty()) {
-    const std::string id = queue_.pop();
-    JobRecord& rec = *jobs_.at(id);
-    TenantLedger& ledger = tenant(rec.spec.tenant);
-    if (ledger.traffic_exhausted()) {
-      std::ostringstream os;
-      os << "svc: tenant \"" << rec.spec.tenant
-         << "\" traffic quota exhausted (" << ledger.traffic_billed()
-         << " B logical billed >= quota " << ledger.quota().traffic_bytes
-         << " B)";
-      finish(rec, JobState::kThrottled, os.str());
-      progressed = true;
-      continue;  // other tenants' jobs keep going
-    }
-    if (!rec.holds_reservation) {
-      if (ledger.reserve(rec.reserved_bytes)) {
-        rec.holds_reservation = true;
-      } else {
-        deferred.push_back(id);
-        continue;
-      }
-    }
-    execute(rec);
-    progressed = true;
-    break;
-  }
-  for (const std::string& id : deferred)
-    queue_.push(id, jobs_.at(id)->spec.priority,
-                jobs_.at(id)->spec.deadline_ms);
-  if (!progressed && !deferred.empty()) {
-    // Defensive: every reservation is held by a queued job, so a full
-    // no-progress pass means these reservations can never be satisfied.
-    for (const std::string& id : deferred) {
-      JobRecord& rec = *jobs_.at(id);
-      queue_.remove(id);
-      finish(rec, JobState::kRejected,
-             "svc: reservation cannot be satisfied under the tenant's "
-             "memory quota");
-    }
-    progressed = true;
-  }
-  return progressed;
+bool Server::throttle_if_exhausted(JobRecord& rec) {
+  TenantLedger& ledger = tenant(rec.spec.tenant);
+  if (!ledger.traffic_exhausted()) return false;
+  std::ostringstream os;
+  os << "svc: tenant \"" << rec.spec.tenant << "\" traffic quota exhausted ("
+     << ledger.traffic_billed() << " B logical billed >= quota "
+     << ledger.quota().traffic_bytes << " B)";
+  finish(rec, JobState::kThrottled, os.str());
+  return true;
 }
 
 namespace {
@@ -242,7 +187,7 @@ namespace {
 /// Largest valid grid on at most `avail` ranks, preferring the requested
 /// layer count, then the tallest stack that still divides. {0, 0} when not
 /// even a 1x1x1 grid fits (avail < 1).
-std::pair<int, int> best_shrink(int avail, int want_layers) {
+std::pair<int, int> best_grid(int avail, int want_layers) {
   for (int p = avail; p >= 1; --p) {
     if (want_layers >= 1 && want_layers <= p &&
         Grid3D::valid_shape(p, want_layers))
@@ -266,13 +211,12 @@ void fold_billing(obs::JobBilling& total, const obs::JobBilling& attempt) {
 
 }  // namespace
 
-/// Per-job execution state shared by the serial and concurrent drivers.
-/// One Exec spans all rounds of one job: the grid the next attempt runs
-/// on, the redistributed-resume cache, the cumulative bill and recovery
-/// evidence, and — while a ticket is in flight — the supervision chain's
-/// accumulators (the incremental form of detail::supervise, so an attempt
-/// can be collected and relaunched without blocking the launcher between
-/// whole chains).
+/// Per-job execution state of the drain loop. One Exec spans all rounds of
+/// one job: the grid the next attempt runs on, the redistributed-resume
+/// cache, the cumulative bill and recovery evidence, and — while a ticket
+/// is in flight — the round's supervision chain, stepped one attempt at a
+/// time so an attempt can be collected and relaunched without blocking the
+/// launcher between whole chains.
 struct Server::Exec {
   JobRecord* rec = nullptr;
   /// Grid the current round runs on; shrinks after a permanent loss,
@@ -298,28 +242,46 @@ struct Server::Exec {
   // In-flight attempt state (valid while ticket != nullptr).
   std::vector<int> members;  ///< pool ranks; members[i] backs job rank i
   vmpi::JobTicketPtr ticket;
-  bool supervised = false;
-  vmpi::SupervisorOptions sopts;  ///< this round's supervision knobs
-  vmpi::FaultPlan plan;           ///< live plan (disarmed as faults fire)
-  vmpi::SupervisedResult sup;     ///< this round's chain accumulators
-  Stopwatch chain;                ///< this round's chain clock
+  /// This round's restart chain; empty for unsupervised jobs.
+  std::optional<vmpi::SupervisionChain> chain;
 };
 
-void Server::execute(JobRecord& rec) {
-  rec.state = JobState::kRunning;
-  Exec e;
-  e.rec = &rec;
-  e.run_ranks = rec.spec.ranks;
-  e.run_layers = rec.spec.layers;
-  if (begin_round(e) == RoundStart::kStarted) {
-    while (e.ticket != nullptr) complete_attempt(e);
+bool Server::may_regrow(const Exec& e) const {
+  const JobSpec& spec = e.rec->spec;
+  return options_.auto_rejoin && spec.elastic && e.shrank &&
+         spec.op == JobOp::kSpGemm && !spec.ckpt_dir.empty();
+}
+
+bool Server::reshape(Exec& e, int ranks, int layers, std::string* why) {
+  const JobRecord& rec = *e.rec;
+  // Every grid change re-runs Eq. (2) admission: the per-process share
+  // moves with p, and a budget that fit one shape may not fit another.
+  JobSpec shaped = rec.spec;
+  shaped.ranks = ranks;
+  shaped.layers = layers;
+  AdmissionEstimate est = estimate_admission(shaped, rec.in_a, rec.in_b);
+  if (!est.fits()) {
+    if (why != nullptr) *why = est.reason;
+    return false;
   }
-  if (!rec.terminal()) {
-    // kNoCapacity cannot happen on the serial path (every rank is idle
-    // between jobs); defensive so a logic error fails loudly, not hangs.
-    finish(rec, JobState::kFailed,
-           "svc: no schedulable pool ranks for the job");
+  e.track_recovery = true;
+  e.run_ranks = ranks;
+  e.run_layers = layers;
+  // Re-shard the checkpoints by global coordinates onto the new grid (in
+  // either direction). MCL resumes natively: its snapshot holds the
+  // re-replicated global iterate under a grid-independent id. The epoch
+  // filter in redistribute_for_grid keeps only the newest writer's grid,
+  // so a mixed-shape directory resumes exactly from the latest progress.
+  const JobSpec& spec = rec.spec;
+  if (spec.op == JobOp::kSpGemm && !spec.ckpt_dir.empty()) {
+    e.cache = ckpt::redistribute_for_grid(
+        spec.ckpt_dir,
+        summa_ckpt_job_id(rec.in_a.nrows(), rec.in_a.ncols(),
+                          rec.in_b.ncols(), rec.in_a.nnz(), rec.in_b.nnz(),
+                          spec.ckpt_job_tag));
+    e.resume = e.cache.empty() ? nullptr : &e.cache;
   }
+  return true;
 }
 
 Server::RoundStart Server::begin_round(Exec& e) {
@@ -339,7 +301,7 @@ Server::RoundStart Server::begin_round(Exec& e) {
   // Schedulable ranks for THIS job: alive and not held by another job's
   // in-flight split (busy_ is launcher-side bookkeeping — see server.hpp).
   // Dead ranks stay resident (they are threads whose death is logical) but
-  // are never scheduled onto again. In the serial drain avail == alive.
+  // are never scheduled onto again. At width 1 avail == alive.
   const std::vector<int> alive = pool_.alive_ranks();
   std::vector<int> avail;
   avail.reserve(alive.size());
@@ -362,87 +324,47 @@ Server::RoundStart Server::begin_round(Exec& e) {
       return RoundStart::kNoCapacity;
     }
     const auto [p2, l2] =
-        best_shrink(static_cast<int>(avail.size()), spec.layers);
+        best_grid(static_cast<int>(avail.size()), spec.layers);
     if (p2 == 0) {
       finish(rec, JobState::kFailed,
              "svc: no pool ranks left alive to run the job on");
       return RoundStart::kTerminal;
     }
-    // Re-run Eq. (2) admission for the survivor grid: fewer ranks means
-    // a smaller per-process share, and a budget that fit p ranks may not
-    // fit p'.
-    JobSpec shrunk = spec;
-    shrunk.ranks = p2;
-    shrunk.layers = l2;
-    AdmissionEstimate est = estimate_admission(shrunk, rec.in_a, rec.in_b);
-    if (!est.fits()) {
-      std::ostringstream os;
-      os << "svc: degraded grid " << p2 << " ranks x " << l2
-         << " layers cannot hold the job under its declared budget: "
-         << est.reason;
-      finish(rec, JobState::kFailed, os.str());
-      return RoundStart::kTerminal;
-    }
-    e.track_recovery = true;
     if (!e.shrank) {
       e.recovery.degraded_from_ranks = e.run_ranks;
       e.recovery.degraded_from_layers = e.run_layers;
     }
+    std::string why;
+    if (!reshape(e, p2, l2, &why)) {
+      std::ostringstream os;
+      os << "svc: degraded grid " << p2 << " ranks x " << l2
+         << " layers cannot hold the job under its declared budget: " << why;
+      finish(rec, JobState::kFailed, os.str());
+      return RoundStart::kTerminal;
+    }
     e.shrank = true;
     e.recovery.degraded_to_ranks = p2;
     e.recovery.degraded_to_layers = l2;
-    e.run_ranks = p2;
-    e.run_layers = l2;
-    // Redistribute the dead grid's checkpoints onto the survivor grid.
-    // MCL resumes natively (its snapshot holds the re-replicated global
-    // iterate under a grid-independent id); SpGEMM needs the pieces
-    // re-sharded by global coordinates.
-    if (spec.op == JobOp::kSpGemm && !spec.ckpt_dir.empty()) {
-      e.cache = ckpt::redistribute_for_grid(
-          spec.ckpt_dir,
-          summa_ckpt_job_id(rec.in_a.nrows(), rec.in_a.ncols(),
-                            rec.in_b.ncols(), rec.in_a.nnz(),
-                            rec.in_b.nnz(), spec.ckpt_job_tag));
-      e.resume = e.cache.empty() ? nullptr : &e.cache;
-    }
   } else if (static_cast<int>(avail.size()) < e.run_ranks) {
     // Enough live capacity overall, just busy on other splits right now.
     --e.round;
     return RoundStart::kNoCapacity;
-  } else if (options_.auto_rejoin && spec.elastic && e.shrank &&
-             spec.op == JobOp::kSpGemm && !spec.ckpt_dir.empty()) {
+  } else if (may_regrow(e)) {
     // Regrow, symmetric to the shrink above: the best grid on the ranks
     // this job may use (its own split plus idle spares, capped at the
-    // spec's width). Admission must re-fit the larger shape; a refusal
-    // keeps the degraded grid — never a failure.
-    const auto [gp, gl] = best_shrink(
+    // spec's width). A reshape refusal keeps the degraded grid — never a
+    // failure.
+    const auto [gp, gl] = best_grid(
         std::min<int>(static_cast<int>(avail.size()), spec.ranks),
         spec.layers);
-    if (gp > e.run_ranks) {
-      JobSpec grown = spec;
-      grown.ranks = gp;
-      grown.layers = gl;
-      AdmissionEstimate est = estimate_admission(grown, rec.in_a, rec.in_b);
-      if (est.fits()) {
-        e.track_recovery = true;
-        e.recovery.regrown_from_ranks = e.run_ranks;
-        e.recovery.regrown_from_layers = e.run_layers;
-        e.recovery.regrown_to_ranks = gp;
-        e.recovery.regrown_to_layers = gl;
-        e.recovery.rejoined_ranks = e.rejoined;
-        e.run_ranks = gp;
-        e.run_layers = gl;
-        // Re-shard the checkpoints for the larger shape. The epoch filter
-        // in redistribute_for_grid keeps only the newest writer's grid, so
-        // the mixed-shape directory (full-grid prefix + shrunk-grid
-        // continuation) resumes exactly from the latest progress.
-        e.cache = ckpt::redistribute_for_grid(
-            spec.ckpt_dir,
-            summa_ckpt_job_id(rec.in_a.nrows(), rec.in_a.ncols(),
-                              rec.in_b.ncols(), rec.in_a.nnz(),
-                              rec.in_b.nnz(), spec.ckpt_job_tag));
-        e.resume = e.cache.empty() ? nullptr : &e.cache;
-      }
+    const int from_ranks = e.run_ranks;
+    const int from_layers = e.run_layers;
+    if (gp > from_ranks && reshape(e, gp, gl, nullptr)) {
+      e.recovery.regrown_from_ranks = from_ranks;
+      e.recovery.regrown_from_layers = from_layers;
+      e.recovery.regrown_to_ranks = gp;
+      e.recovery.regrown_to_layers = gl;
+      e.recovery.rejoined_ranks = e.rejoined;
     }
   }
 
@@ -456,24 +378,15 @@ Server::RoundStart Server::begin_round(Exec& e) {
   // probationer, which admits or strikes (quarantine at max_failures).
   rec.attempt_pause = 0;
   rec.attempt_paused = false;
-  if (options_.auto_rejoin && spec.elastic && e.shrank &&
-      spec.op == JobOp::kSpGemm && !spec.ckpt_dir.empty() &&
-      !pool_.probation_ranks().empty())
+  if (may_regrow(e) && !pool_.probation_ranks().empty())
     rec.attempt_pause = 1;
 
-  // Reset this round's supervision chain (the incremental form of
-  // detail::supervise: same plan threading, same backoff ladder).
-  e.supervised = spec.supervised();
-  if (e.supervised) {
-    e.sopts = spec.supervisor_options();
+  e.chain.reset();
+  if (spec.supervised()) {
+    vmpi::SupervisorOptions sopts = spec.supervisor_options();
     for (const std::string& kind : e.disarm)
-      if (e.sopts.faults.has_value())
-        e.sopts.faults = e.sopts.faults->disarmed(kind);
-    e.plan = e.sopts.faults.has_value() ? *e.sopts.faults
-                                        : vmpi::FaultPlan::from_env();
-    e.sup = vmpi::SupervisedResult{};
-    e.sup.max_restarts = e.sopts.max_restarts;
-    e.chain = Stopwatch{};
+      if (sopts.faults.has_value()) sopts.faults = sopts.faults->disarmed(kind);
+    e.chain.emplace(sopts);
   }
   start_attempt(e);
   return RoundStart::kStarted;
@@ -490,18 +403,8 @@ void Server::start_attempt(Exec& e) {
     run_body(rec, world, layers, attempt_resume);
   };
   vmpi::RunOptions ropts;
-  if (e.supervised) {
-    ropts.faults = e.plan;
-    ropts.capture_failure = true;
-    if (e.sopts.deadline_ms > 0) {
-      // Each attempt runs under what is left of the chain budget (never 0:
-      // a spent budget still gets one fast-failing probe so the failure
-      // classifies as deadline_exceeded instead of hanging here).
-      const auto elapsed =
-          static_cast<std::int64_t>(e.chain.seconds() * 1000.0);
-      ropts.deadline_ms =
-          std::max<std::int64_t>(e.sopts.deadline_ms - elapsed, 1);
-    }
+  if (e.chain.has_value()) {
+    ropts = e.chain->attempt_options();
   } else {
     ropts = rec.spec.run_options();
     for (const std::string& kind : e.disarm)
@@ -515,68 +418,42 @@ void Server::start_attempt(Exec& e) {
 void Server::complete_attempt(Exec& e) {
   JobRecord& rec = *e.rec;
   const JobSpec& spec = rec.spec;
-  TenantLedger& ledger = tenant(spec.tenant);
   vmpi::RunResult res = pool_.finish_job(e.ticket);
   e.ticket = nullptr;
   for (const int r : e.members) busy_[static_cast<std::size_t>(r)] = 0;
 
-  if (e.supervised) {
-    if (res.failed() && vmpi::recoverable_failure(*res.failure) &&
-        e.sup.restarts < e.sopts.max_restarts) {
-      // Chain continues: disarm the fault that fired, wait out the backoff
-      // ladder (PLAN = deterministic evidence, MEASURED = wall clock), and
-      // relaunch on the same members.
-      e.sup.wasted_seconds += res.wall_seconds;
-      e.plan = e.plan.disarmed(res.failure->kind);
-      e.sup.recovered_failures.push_back(*std::move(res.failure));
-      std::int64_t plan_us = 0;
-      if (e.sopts.restart_backoff_base_us > 0) {
-        plan_us = e.sopts.restart_backoff_base_us;
-        for (int i = 0;
-             i < e.sup.restarts && plan_us < e.sopts.restart_backoff_cap_us;
-             ++i)
-          plan_us *= 2;
-        plan_us = std::min(plan_us, e.sopts.restart_backoff_cap_us);
-      }
-      std::int64_t measured_us = 0;
-      if (plan_us > 0) {
-        Stopwatch slept;
-        std::this_thread::sleep_for(std::chrono::microseconds(plan_us));
-        measured_us = static_cast<std::int64_t>(slept.seconds() * 1e6);
-      }
-      e.sup.backoff_plan_us.push_back(plan_us);
-      e.sup.backoff_us.push_back(measured_us);
-      ++e.sup.restarts;
+  obs::JobBilling abill;
+  if (e.chain.has_value()) {
+    // A recoverable failure within budget relaunches on the same members
+    // (the chain has disarmed the fault and slept the backoff ladder).
+    if (e.chain->absorb(std::move(res))) {
       start_attempt(e);
       return;
     }
-    // Chain over: fold its accounting into the job, exactly as the serial
-    // run_supervised epilogue did.
-    e.sup.result = std::move(res);
+    // Chain over: fold its accounting into the job.
+    vmpi::SupervisedResult& sup = e.chain->result();
     e.track_recovery = true;
-    e.recovery.restarts += e.sup.restarts;
-    e.recovery.max_restarts = e.sup.max_restarts;
-    e.recovery.wasted_seconds += e.sup.wasted_seconds;
-    for (const vmpi::FailureReport& f : e.sup.recovered_failures)
+    e.recovery.restarts += sup.restarts;
+    e.recovery.max_restarts = sup.max_restarts;
+    e.recovery.wasted_seconds += sup.wasted_seconds;
+    for (const vmpi::FailureReport& f : sup.recovered_failures)
       e.recovery.failure_kinds.push_back(f.kind);
-    for (const std::int64_t us : e.sup.backoff_us)
+    for (const std::int64_t us : sup.backoff_us)
       e.recovery.backoff_us.push_back(us);
-    for (const std::int64_t us : e.sup.backoff_plan_us)
+    for (const std::int64_t us : sup.backoff_plan_us)
       e.recovery.backoff_plan_us.push_back(us);
-    obs::JobBilling abill = obs::bill_traffic(e.sup.result);
-    abill.restarts = e.sup.restarts;
-    for (const vmpi::FailureReport& f : e.sup.recovered_failures)
+    abill = obs::bill_traffic(sup.result);
+    abill.restarts = sup.restarts;
+    for (const vmpi::FailureReport& f : sup.recovered_failures)
       abill.recovered_failure_kinds.push_back(f.kind);
-    ledger.bill(abill, e.sup.result);
-    fold_billing(e.bill, abill);
-    rec.report.run = obs::build_report(e.sup);
-    res = std::move(e.sup.result);
+    rec.report.run = obs::build_report(sup);
+    res = std::move(sup.result);
   } else {
-    obs::JobBilling abill = obs::bill_traffic(res);
-    ledger.bill(abill, res);
-    fold_billing(e.bill, abill);
+    abill = obs::bill_traffic(res);
     rec.report.run = obs::build_report(res);
   }
+  tenant(spec.tenant).bill(abill, res);
+  fold_billing(e.bill, abill);
 
   if (!res.failed()) {
     // A clean run vouches for every rank that took part: watchdog
@@ -598,20 +475,7 @@ void Server::complete_attempt(Exec& e) {
     // handshake here, so a flapper keeps accruing strikes toward quarantine
     // and a healthy replacement is whole again for the next job.
     if (options_.auto_rejoin) pool_.admit_probationers(options_.membership);
-    if (e.track_recovery) {
-      if (!rec.report.run->recovery.has_value())
-        rec.report.run->recovery = e.recovery;
-      else {
-        // Keep the final attempt's resumed_generation; everything else
-        // aggregates over the whole chain (including prior grids).
-        e.recovery.resumed_generation =
-            rec.report.run->recovery->resumed_generation;
-        rec.report.run->recovery = e.recovery;
-      }
-    }
-    rec.report.billing = e.bill;
-    rec.run_result = std::move(res);
-    finish(rec, JobState::kDone, "");
+    finish_run(e, std::move(res), JobState::kDone, "");
     return;
   }
 
@@ -637,16 +501,8 @@ void Server::complete_attempt(Exec& e) {
   const bool retryable =
       spec.elastic && kind == "permanent_crash" && pool_.alive_count() >= 1;
   if (!retryable) {
-    if (e.track_recovery) {
-      if (rec.report.run->recovery.has_value())
-        e.recovery.resumed_generation =
-            rec.report.run->recovery->resumed_generation;
-      rec.report.run->recovery = e.recovery;
-    }
-    rec.report.billing = e.bill;
     const std::string why = res.failure->describe();
-    rec.run_result = std::move(res);
-    finish(rec, JobState::kFailed, why);
+    finish_run(e, std::move(res), JobState::kFailed, why);
     return;
   }
   e.recovery.failure_kinds.push_back(kind);
@@ -659,14 +515,35 @@ void Server::complete_attempt(Exec& e) {
   begin_round(e);
 }
 
-void Server::drain_concurrent(int width) {
+void Server::finish_run(Exec& e, vmpi::RunResult&& res, JobState state,
+                        std::string reason) {
+  JobRecord& rec = *e.rec;
+  if (e.track_recovery) {
+    // Keep the final attempt's resumed_generation; everything else
+    // aggregates over the whole chain (including prior grids).
+    std::optional<obs::RecoveryReport>& sealed = rec.report.run->recovery;
+    if (sealed.has_value())
+      e.recovery.resumed_generation = sealed->resumed_generation;
+    sealed = e.recovery;
+  }
+  rec.report.billing = e.bill;
+  rec.run_result = std::move(res);
+  finish(rec, state, std::move(reason));
+}
+
+void Server::run_queue(int width, const JobRecord* until) {
   // Up to `width` jobs in flight on disjoint splits. Dispatch order is the
   // queue's EDF-over-priority order; collection is oldest-dispatch-first.
-  // Both depend only on launcher-visible state, so the drain schedules
-  // identically on every run of the same submission sequence.
+  // Both depend only on launcher-visible state, so the loop schedules
+  // identically on every run of the same submission sequence. At width 1
+  // nothing parks (a job's own ranks are freed before its next round), so
+  // jobs run strictly one at a time in queue order.
   std::vector<std::unique_ptr<Exec>> active;  ///< ticket in flight
   std::vector<std::unique_ptr<Exec>> parked;  ///< waiting for a free split
   for (;;) {
+    if (until != nullptr && until->terminal() && active.empty() &&
+        parked.empty())
+      return;
     bool progressed = false;
     // Refill: parked execs first (oldest first), then the queue.
     for (std::size_t i = 0;
@@ -684,19 +561,12 @@ void Server::drain_concurrent(int width) {
     while (static_cast<int>(active.size()) < width && !queue_.empty()) {
       const std::string id = queue_.pop();
       JobRecord& rec = *jobs_.at(id);
-      TenantLedger& ledger = tenant(rec.spec.tenant);
-      if (ledger.traffic_exhausted()) {
-        std::ostringstream os;
-        os << "svc: tenant \"" << rec.spec.tenant
-           << "\" traffic quota exhausted (" << ledger.traffic_billed()
-           << " B logical billed >= quota " << ledger.quota().traffic_bytes
-           << " B)";
-        finish(rec, JobState::kThrottled, os.str());
+      if (throttle_if_exhausted(rec)) {
         progressed = true;
-        continue;
+        continue;  // other tenants' jobs keep going
       }
       if (!rec.holds_reservation) {
-        if (ledger.reserve(rec.reserved_bytes)) {
+        if (tenant(rec.spec.tenant).reserve(rec.reserved_bytes)) {
           rec.holds_reservation = true;
         } else {
           deferred.push_back(id);
@@ -750,7 +620,8 @@ void Server::drain_concurrent(int width) {
     if (queue_.empty()) return;
     if (!progressed) {
       // Every queued job is reservation-blocked and nothing is running:
-      // those reservations can never be satisfied (mirrors step()).
+      // every reservation is held by a queued job, so these can never be
+      // satisfied.
       while (!queue_.empty()) {
         const std::string id = queue_.pop();
         finish(*jobs_.at(id), JobState::kRejected,

@@ -23,17 +23,21 @@
 //        next job runs immediately.
 //   DONE / FAILED ── bill traffic ── release reservation
 //
-// Scheduling is deadline-aware EDF over priority (see svc/queue.hpp) and,
-// with ServerOptions::concurrency > 1, independent jobs dispatch onto
-// DISJOINT pool splits concurrently: drain() keeps up to K jobs in flight,
-// each on its own member set, and collects them oldest-first. Every
-// scheduling decision still happens on the caller's thread from
-// launcher-deterministic state (queue order, health map, the launcher's own
-// busy-set — never a racy "is that thread done yet" probe), so two drains
-// of the same submission sequence schedule identically — the property the
-// soak and double-drain checks compare. Health is per split: a permanent
-// crash marks only ranks of the owning job's split dead, and that job
-// shrinks onto its own survivors while its neighbours run untouched.
+// Scheduling is deadline-aware EDF over priority (see svc/queue.hpp) and
+// runs on one drain loop: up to K = ServerOptions::concurrency jobs in
+// flight, each on its own DISJOINT pool split, collected oldest-first.
+// drain() runs the loop at K; wait() runs it at K = 1, which is strictly
+// one job at a time. Every scheduling decision happens on the caller's
+// thread from launcher-deterministic state (queue order, health map, the
+// launcher's own busy-set — never a racy "is that thread done yet" probe),
+// so two drains of the same submission sequence schedule identically — the
+// property the soak and double-drain checks compare. Health is per split: a
+// permanent crash marks only ranks of the owning job's split dead, and that
+// job shrinks onto its own survivors while its neighbours run untouched.
+// Shrink and regrow are one transition (reshape): re-run Eq. (2) admission
+// for the new grid, then redistribute the checkpoints onto it. Supervised
+// jobs restart through vmpi::SupervisionChain, the same restart policy as
+// vmpi::run_supervised.
 //
 // With ServerOptions::auto_rejoin, membership self-heals (DESIGN.md §5k):
 // a crashed rank's replacement enters probation immediately, elastic
@@ -127,9 +131,10 @@ struct ServerOptions {
   int pool_ranks = 4;
   /// Per-tenant limits; tenants not listed run unlimited.
   std::map<std::string, TenantQuota> quotas;
-  /// Max jobs in flight on disjoint pool splits during drain(). 1 = the
-  /// legacy serial drain. Clamped to 1 while a CASP_VMPI_SCHED plan is
-  /// active (one deterministic-scheduler state exists per process).
+  /// Max jobs in flight on disjoint pool splits during drain(). 1 runs the
+  /// same drain loop one job at a time. Clamped to 1 while a
+  /// CASP_VMPI_SCHED plan is active (one deterministic-scheduler state
+  /// exists per process).
   int concurrency = 1;
   /// Self-healing membership: a permanent crash's rank automatically
   /// requests re-join (kDead -> kProbation), shrunk elastic SpGEMM jobs
@@ -156,8 +161,9 @@ class Server {
   /// running, terminal, or unknown.
   bool cancel(const std::string& job_id);
 
-  /// Drive the queue until `job_id` reaches a terminal state; returns its
-  /// record. Throws InvalidArgument for an unknown id.
+  /// Drive the queue one job at a time until `job_id` reaches a terminal
+  /// state; returns its record. Jobs queued behind it stay queued. Throws
+  /// InvalidArgument for an unknown id.
   const JobRecord& wait(const std::string& job_id);
 
   /// Drive the queue until empty.
@@ -178,9 +184,9 @@ class Server {
  private:
   /// Per-job execution state: the grid the next round runs on, the
   /// redistributed-resume cache, the cumulative bill/recovery evidence, and
-  /// the in-flight attempt's ticket + supervision-chain accumulators.
-  /// Defined in server.cpp; the serial execute() and the concurrent drain
-  /// share it.
+  /// the in-flight attempt's ticket + supervision chain. Defined in
+  /// server.cpp; every job runs through one on the drain loop, K = 1
+  /// included.
   struct Exec;
   enum class RoundStart {
     kStarted,     ///< attempt dispatched (Exec::ticket set)
@@ -188,20 +194,32 @@ class Server {
     kNoCapacity,  ///< enough ranks alive, but busy on other splits — retry
   };
 
-  /// Execute the best runnable queued job, if any. Returns false when the
-  /// queue made no progress (empty).
-  bool step();
-  void execute(JobRecord& rec);
+  /// The drain loop: up to `width` jobs in flight on disjoint splits.
+  /// Returns when the queue is empty and nothing runs, or — when `until`
+  /// is set — once `until` is terminal and nothing is active or parked.
+  void run_queue(int width, const JobRecord* until);
   /// Top-of-round grid decision (shrink / regrow / fail) + dispatch.
   RoundStart begin_round(Exec& e);
+  /// Move the job onto a ranks x layers grid: re-run Eq. (2) admission for
+  /// that shape and redistribute the job's checkpoints onto it. False (with
+  /// the estimate's reason in *why) when the shape cannot hold the job;
+  /// the grid is then unchanged.
+  bool reshape(Exec& e, int ranks, int layers, std::string* why);
+  /// A shrunk elastic, checkpointed SpGEMM job under auto_rejoin: the jobs
+  /// that may pause for probationers and regrow onto them.
+  bool may_regrow(const Exec& e) const;
   /// Dispatch one attempt of the current round as an async pool ticket.
   void start_attempt(Exec& e);
   /// Collect the in-flight ticket and advance: relaunch the supervision
   /// chain, start the next round, or finish the job. Leaves Exec::ticket
   /// null exactly when the job is terminal or waiting for capacity.
   void complete_attempt(Exec& e);
-  /// Concurrent drain: up to `width` jobs in flight on disjoint splits.
-  void drain_concurrent(int width);
+  /// Seal an executed job: the recovery evidence, the cumulative bill and
+  /// the final attempt's telemetry go into the record, then finish().
+  void finish_run(Exec& e, vmpi::RunResult&& res, JobState state,
+                  std::string reason);
+  /// Finish `rec` as kThrottled when its tenant's traffic quota is spent.
+  bool throttle_if_exhausted(JobRecord& rec);
   int effective_concurrency() const;
   /// One attempt's rank-local body. `layers` and `resume` override the
   /// spec's grid shape and inject redistributed checkpoint state on

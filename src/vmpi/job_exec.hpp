@@ -63,9 +63,8 @@ class JobExec {
 };
 
 /// The supervised-restart loop shared by the free run_supervised and
-/// RankPool::run_supervised: `attempt` runs one capture_failure attempt
-/// under the given options; recoverable failures relaunch with the fired
-/// fault disarmed until options.max_restarts is exhausted.
+/// RankPool::run_supervised: a SupervisionChain driven to its end, with
+/// `attempt` running one capture_failure attempt under the chain's options.
 SupervisedResult supervise(
     const std::function<RunResult(const RunOptions&)>& attempt,
     const SupervisorOptions& options);

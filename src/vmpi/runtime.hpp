@@ -176,6 +176,35 @@ struct SupervisedResult {
   bool recovered() const { return restarts > 0 && !result.failed(); }
 };
 
+/// One supervised restart chain, stepped an attempt at a time: the restart
+/// policy behind run_supervised, RankPool::run_supervised and the job
+/// service's per-job supervision. The caller launches each attempt with
+/// attempt_options() and hands its RunResult to absorb().
+class SupervisionChain {
+ public:
+  explicit SupervisionChain(const SupervisorOptions& options);
+
+  /// Launch options for the next attempt: the live fault plan (faults that
+  /// already fired are disarmed), capture_failure, and what is left of the
+  /// chain deadline — never below 1 ms, so a spent budget still gets one
+  /// fast-failing probe that classifies as deadline_exceeded.
+  RunOptions attempt_options() const;
+
+  /// Take one attempt's result. Returns true to relaunch: the failure was
+  /// recoverable within the restart budget, the fault that fired is
+  /// disarmed, and the backoff ladder's wait has been slept. Returns false
+  /// once the chain is over; result() then holds the final attempt.
+  bool absorb(RunResult attempt);
+
+  SupervisedResult& result() { return sup_; }
+
+ private:
+  SupervisorOptions options_;
+  FaultPlan plan_;
+  SupervisedResult sup_;
+  Stopwatch clock_;  ///< whole-chain clock: attempts + backoff waits
+};
+
 /// Run `body` under a supervisor: each attempt runs with capture_failure;
 /// when the captured FailureReport is recoverable_failure() and the restart
 /// budget allows, the already-fired fault is disarmed from the plan

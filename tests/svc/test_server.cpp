@@ -5,8 +5,11 @@
 // (f) sweeps the injected-crash scenarios over several seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "svc/server.hpp"
@@ -215,6 +218,33 @@ TEST(FaultSvc, CrashLoopExhaustsRestartsWithoutPoisoningThePool) {
 
   const std::string clean = server.submit(small_spgemm("clean"));
   EXPECT_EQ(server.wait(clean).state, JobState::kDone);
+}
+
+// The server's restart chain follows the same backoff ladder as
+// run_supervised: two recoverable fault kinds fire one per attempt, each
+// relaunch waits min(base << k, cap) with the default 1 ms base, and the
+// third attempt finishes. The recovery report records both kinds.
+TEST(FaultSvc, RestartChainFollowsTheBackoffLadder) {
+  Server server(ServerOptions{});
+  JobSpec ladder = small_spgemm("chaos");
+  ladder.fault_spec = "seed=" + std::to_string(fault_seed()) +
+                      ";send_fail=1.0;crash_rank=1;crash_op=15";
+  ladder.max_restarts = 3;
+  const std::string id = server.submit(std::move(ladder));
+  const JobRecord& job = server.wait(id);
+  ASSERT_EQ(job.state, JobState::kDone) << job.reason;
+  ASSERT_TRUE(job.report.run.has_value());
+  ASSERT_TRUE(job.report.run->recovery.has_value());
+  const obs::RecoveryReport& rec = *job.report.run->recovery;
+  EXPECT_EQ(rec.restarts, 2);
+  EXPECT_EQ(rec.backoff_plan_us, (std::vector<std::int64_t>{1000, 2000}));
+  ASSERT_EQ(rec.failure_kinds.size(), 2u);
+  EXPECT_NE(std::find(rec.failure_kinds.begin(), rec.failure_kinds.end(),
+                      "retry_exhausted"),
+            rec.failure_kinds.end());
+  EXPECT_NE(std::find(rec.failure_kinds.begin(), rec.failure_kinds.end(),
+                      "rank_crash"),
+            rec.failure_kinds.end());
 }
 
 // Unsupervised fault: the failure is captured as a structured kFailed

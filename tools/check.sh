@@ -23,8 +23,9 @@
 #                          must be byte-identical across the two runs.
 #                          Then a mixed-deadline queue drains at
 #                          --concurrency 2 (EDF over disjoint 9-rank pool
-#                          splits) twice plus once serially — all three
-#                          report files must be byte-identical
+#                          splits) twice plus once at K = 1 on the same
+#                          drain loop — all three report files must be
+#                          byte-identical
 #   (j) chaos soak         casp_chaos: >= 20 jobs from 3 tenants under
 #                          sustained seeded faults (delays, transient sends,
 #                          corruption, transient + permanent crashes, alloc
@@ -38,6 +39,8 @@
 #                       [--skip-faults] [--skip-recovery] [--skip-sched]
 #                       [--skip-serve] [--skip-chaos]
 # CASP_PERF_THRESHOLD tunes stage (e)'s allowed slowdown (default 0.25).
+# Each step's wall time is printed in a table when the script exits, pass
+# or fail.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -64,7 +67,40 @@ for arg in "$@"; do
   esac
 done
 
-step() { printf '\n== %s ==\n' "$*"; }
+# Per-step wall clock: step() closes the running step and opens the next;
+# the EXIT trap closes the last one, prints the table and removes the
+# scratch dirs registered in CLEANUP_DIRS.
+STEP_NAMES=()
+STEP_SECONDS=()
+STEP_OPEN=""
+STEP_START=$SECONDS
+CLEANUP_DIRS=()
+close_step() {
+  if [ -n "$STEP_OPEN" ]; then
+    STEP_NAMES+=("$STEP_OPEN")
+    STEP_SECONDS+=($((SECONDS - STEP_START)))
+    STEP_OPEN=""
+  fi
+}
+on_exit() {
+  local status=$?
+  close_step
+  if [ "${#CLEANUP_DIRS[@]}" -gt 0 ]; then rm -rf "${CLEANUP_DIRS[@]}"; fi
+  printf '\n== wall time per step ==\n'
+  local i
+  for i in "${!STEP_NAMES[@]}"; do
+    printf '%7ss  %s\n' "${STEP_SECONDS[$i]}" "${STEP_NAMES[$i]}"
+  done
+  printf '%7ss  total\n' "$SECONDS"
+  return "$status"
+}
+trap on_exit EXIT
+step() {
+  close_step
+  STEP_OPEN="$*"
+  STEP_START=$SECONDS
+  printf '\n== %s ==\n' "$*"
+}
 
 step "(a) lint: tools/casp_lint.py"
 python3 tools/casp_lint.py --root .
@@ -111,7 +147,7 @@ else
   # The benches write their JSON into the cwd; run them in a scratch dir so
   # a passing check never touches the committed snapshots.
   PERF_DIR=$(mktemp -d)
-  trap 'rm -rf "$PERF_DIR"' EXIT
+  CLEANUP_DIRS+=("$PERF_DIR")
   # perf_bench <bench-binary> <json-name> [extra perf_diff args...]
   # A regression must be *reproducible* to fail the gate: on a diff
   # failure the bench reruns (up to 3 attempts total) and only a
@@ -217,7 +253,7 @@ else
   # be throttled while the others proceed). Drained twice; the per-job
   # deterministic reports must be byte-identical across the two runs.
   SERVE_DIR=$(mktemp -d)
-  trap 'rm -rf "${PERF_DIR:-}" "$SERVE_DIR"' EXIT
+  CLEANUP_DIRS+=("$SERVE_DIR")
   cat > "$SERVE_DIR/jobs.json" <<'EOF'
 [
   {"tenant": "alice", "op": "spgemm",
@@ -258,8 +294,8 @@ EOF
   # ordering is exercised by the deadline_ms jobs (budgets generous enough
   # that the watchdog never fires); the supervised crash job recovers on
   # its own split. Drained twice at K=2 (byte-identical deterministic
-  # reports) and once serially — the concurrent drain must reproduce the
-  # serial drain's reports byte-for-byte, billing included.
+  # reports) and once at K=1 — the same drain loop one job at a time must
+  # produce the K=2 reports byte-for-byte, billing included.
   cat > "$SERVE_DIR/jobs_edf.json" <<'EOF'
 [
   {"tenant": "alice", "op": "spgemm",
@@ -293,7 +329,7 @@ EOF
     --reports "$SERVE_DIR/edf.serial.json" --deterministic
   cmp "$SERVE_DIR/edf.k2.1.json" "$SERVE_DIR/edf.serial.json"
   grep -q '"restarts": 1' "$SERVE_DIR/edf.k2.1.json"
-  echo "concurrent drain: K=2 reports byte-identical to the serial drain"
+  echo "concurrent drain: K=2 reports byte-identical to the K=1 drain"
 fi
 
 if [ "$SKIP_CHAOS" = 1 ]; then
@@ -306,7 +342,7 @@ else
   # failure, a degraded elastic job whose product diverged, a tenant whose
   # billing does not reconcile, or reports that differ across drains.
   CHAOS_DIR=$(mktemp -d)
-  trap 'rm -rf "${PERF_DIR:-}" "${SERVE_DIR:-}" "$CHAOS_DIR"' EXIT
+  CLEANUP_DIRS+=("$CHAOS_DIR")
   ./build/release/tools/casp_chaos --jobs 24 --tenants 3 \
     --seed "${CASP_FAULT_SEED:-1}" --ckpt-root "$CHAOS_DIR/ckpt" \
     --reports "$CHAOS_DIR/reports.json"
@@ -323,4 +359,5 @@ else
   done
 fi
 
-step "all gates passed"
+close_step
+printf '\n== all gates passed ==\n'
