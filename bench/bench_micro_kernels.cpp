@@ -124,6 +124,30 @@ BENCHMARK(BM_Merge)
                    {2, 4, 16}})
     ->Unit(benchmark::kMillisecond);
 
+void BM_MergeFiberSorted(benchmark::State& state) {
+  // Merge-Fiber as summa3d runs it: the hash merge of `ways` unsorted
+  // layer pieces emitting the final sorted order (1-way is the l = 1 case,
+  // where the merge is just the final sort).
+  const int ways = static_cast<int>(state.range(0));
+  std::vector<CscMat> pieces;
+  Index volume = 0;
+  for (int s = 0; s < ways; ++s) {
+    const CscMat a =
+        generate_er_square(2048, 5.0, 200 + static_cast<std::uint64_t>(s));
+    pieces.push_back(local_spgemm<PlusTimes>(a, a, SpGemmKind::kUnsortedHash));
+    volume += pieces.back().nnz();
+  }
+  for (auto _ : state) {
+    CscMat merged = merge_matrices<PlusTimes>(
+        csc_refs(pieces), MergeKind::kUnsortedHash, /*threads=*/1,
+        /*sort_output=*/true);
+    benchmark::DoNotOptimize(merged.nnz());
+  }
+  state.SetItemsProcessed(state.iterations() * volume);
+  state.SetLabel(std::to_string(ways) + "-way");
+}
+BENCHMARK(BM_MergeFiberSorted)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
 void BM_FinalColumnSort(benchmark::State& state) {
   // The single post-Merge-Fiber sort the paper's pipeline performs once.
   const CscMat a = generate_er_square(4096, 4.0, 14);

@@ -16,12 +16,18 @@
 // magnitude; the unsorted local multiply gains more at higher l (it may
 // lose at l = 1 where the hybrid's heap branch shines); Merge-Fiber does
 // not exist at l = 1.
+//
+// "now" is the shipped kernel: Merge-Fiber is the sorted hash merge that
+// summa3d calls (the final sort folded into the merge's emit). The tables
+// print which row-accumulator side (kernels/accumulator.hpp) each hash
+// kernel's inputs select.
 #include <algorithm>
 #include <cmath>
 
 #include "bench_util.hpp"
 #include "common/math.hpp"
 #include "gen/er.hpp"
+#include "kernels/accumulator.hpp"
 #include "kernels/merge.hpp"
 #include "kernels/spgemm.hpp"
 
@@ -34,6 +40,8 @@ struct StepTimes {
   double local_multiply = 0.0;
   double merge_layer = 0.0;
   double merge_fiber = 0.0;
+  int multiplies = 0;        ///< stage multiplies run
+  int dense_multiplies = 0;  ///< of which on the dense accumulator side
 };
 
 /// Reconstruct one process's pipeline: q stage-multiplies per layer ->
@@ -54,6 +62,9 @@ StepTimes run_pipeline(const CscMat& a, const CscMat& b, Index l, Index q,
       const Index hi = part_low(t + 1, q * l, inner);
       const CscMat a_slice = a.slice_cols(lo, hi);
       const CscMat b_slice = bt.slice_cols(lo, hi).transpose();
+      ++out.multiplies;
+      if (use_dense_rows(a_slice.nrows(), multiply_flops(a_slice, b_slice)))
+        ++out.dense_multiplies;
       Stopwatch watch;
       partials.push_back(local_spgemm<PlusTimes>(a_slice, b_slice, local_kind));
       out.local_multiply += watch.seconds();
@@ -72,12 +83,16 @@ StepTimes run_pipeline(const CscMat& a, const CscMat& b, Index l, Index q,
     for (const CscMat& d : layer_results)
       pieces.push_back(d.slice_cols(0, part_low(1, l, d.ncols())));
     Stopwatch watch;
-    CscMat merged = merge_matrices<PlusTimes>(csc_refs(pieces), merge_kind);
-    if (merge_kind == MergeKind::kUnsortedHash) merged.sort_columns();
+    const CscMat merged = merge_matrices<PlusTimes>(
+        csc_refs(pieces), merge_kind, /*threads=*/1, /*sort_output=*/true);
     out.merge_fiber = watch.seconds() * static_cast<double>(l);  // all shares
+    if (merged.nnz() == 0) std::abort();  // keep the optimizer honest
   }
   return out;
 }
+
+constexpr Index kMergeRows = 2048;
+constexpr double kMergeFill = 24.0;  // nonzeros per piece column
 
 /// Merge time on pieces with paper-representative per-column fill.
 ///
@@ -87,12 +102,15 @@ StepTimes run_pipeline(const CscMat& a, const CscMat& b, Index l, Index q,
 /// on Cori carry tens of nonzeros per column; these synthesized pieces
 /// match that fill (and the paper's fan-in), which is what the lg(ways)
 /// heap penalty actually depends on.
-double merge_time(Index ways, MergeKind kind, std::uint64_t seed) {
+/// Merge-Fiber rows pass `sorted`: the merge emits the final sorted order.
+double merge_time(Index ways, MergeKind kind, std::uint64_t seed,
+                  bool sorted = false) {
   std::vector<CscMat> pieces;
   for (Index s = 0; s < ways; ++s)
-    pieces.push_back(generate_er_square(2048, 24.0, seed + static_cast<std::uint64_t>(s)));
+    pieces.push_back(generate_er_square(kMergeRows, kMergeFill, seed + static_cast<std::uint64_t>(s)));
   Stopwatch watch;
-  CscMat merged = merge_matrices<PlusTimes>(csc_refs(pieces), kind);
+  const CscMat merged = merge_matrices<PlusTimes>(csc_refs(pieces), kind,
+                                                  /*threads=*/1, sorted);
   const double t = watch.seconds();
   if (merged.nnz() == 0) std::abort();  // keep the optimizer honest
   return t;
@@ -111,11 +129,12 @@ int main() {
   // -- Local-Multiply: the analog's per-layer stage multiplies -------------
   std::printf("--- Local-Multiply on the analog's stage slices ---\n");
   Table mult_table({"l", "q(stages)", "prev (hybrid)", "now (unsorted-hash)",
-                    "speedup"});
+                    "speedup", "dense-side stages"});
   double l16_mult = 0.0;
   for (Index l : {Index{1}, Index{4}, Index{16}}) {
     const Index q = static_cast<Index>(std::sqrt(4096.0 / static_cast<double>(l)));
     double best[2] = {1e100, 1e100};
+    StepTimes sides;
     int idx = 0;
     for (bool previous : {true, false}) {
       for (int rep = 0; rep < repeats; ++rep) {
@@ -124,11 +143,14 @@ int main() {
             previous ? SpGemmKind::kHybrid : SpGemmKind::kUnsortedHash,
             previous ? MergeKind::kSortedHeap : MergeKind::kUnsortedHash);
         best[idx] = std::min(best[idx], t.local_multiply);
+        sides = t;
       }
       ++idx;
     }
     mult_table.add_row({fmt_int(l), fmt_int(q), fmt_time(best[0]),
-                        fmt_time(best[1]), fmt(best[0] / best[1])});
+                        fmt_time(best[1]), fmt(best[0] / best[1]),
+                        fmt_int(sides.dense_multiplies) + "/" +
+                            fmt_int(sides.multiplies)});
     if (l == 16) l16_mult = best[0] / best[1];
   }
   mult_table.print();
@@ -154,10 +176,10 @@ int main() {
     if (l > 1) {
       double fiber_prev = 1e100, fiber_now = 1e100;
       for (int rep = 0; rep < repeats; ++rep) {
-        fiber_prev = std::min(fiber_prev,
-                              merge_time(l, MergeKind::kSortedHeap, 600));
-        fiber_now = std::min(fiber_now,
-                             merge_time(l, MergeKind::kUnsortedHash, 600));
+        fiber_prev = std::min(
+            fiber_prev, merge_time(l, MergeKind::kSortedHeap, 600, true));
+        fiber_now = std::min(
+            fiber_now, merge_time(l, MergeKind::kUnsortedHash, 600, true));
       }
       merge_table.add_row({"", "Merge-Fiber", fmt_int(l),
                            fmt_time(fiber_prev), fmt_time(fiber_now),
@@ -169,6 +191,12 @@ int main() {
     }
   }
   merge_table.print();
+  // Even a 2-way merge's input nnz passes the pieces' height.
+  const auto two_way_nnz = static_cast<Index>(2 * kMergeFill * kMergeRows);
+  std::printf("merge pieces: %lld rows, ~%.0f nnz per piece column -> the "
+              "%s accumulator side at every fan-in\n",
+              static_cast<long long>(kMergeRows), kMergeFill,
+              use_dense_rows(kMergeRows, two_way_nnz) ? "dense" : "hash");
   std::printf("\nat l=16: Local-Multiply speedup %.2fx (paper: ~1.3x), "
               "Merge-Layer speedup %.1fx (paper: ~11x), Merge-Fiber "
               "speedup %.1fx (paper: ~10x)\n",

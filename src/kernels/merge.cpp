@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/math.hpp"
+#include "kernels/accumulator.hpp"
 
 namespace casp {
 
@@ -20,86 +20,22 @@ const char* to_string(MergeKind kind) {
 
 namespace {
 
-/// Hash map row -> value, reset between columns via used list.
-template <typename SR>
-class MergeTable {
- public:
-  void require(Index min_capacity) {
-    std::uint64_t want =
-        next_pow2(static_cast<std::uint64_t>(std::max<Index>(16, 2 * min_capacity)));
-    if (want > keys_.size()) {
-      keys_.assign(want, -1);
-      vals_.resize(want);
-      mask_ = want - 1;
-      used_.clear();
-    }
-  }
-  void reset() {
-    for (std::uint64_t slot : used_) keys_[slot] = -1;
-    used_.clear();
-  }
-  void accumulate(Index row, Value v) {
-    std::uint64_t slot =
-        (static_cast<std::uint64_t>(row) * 0x9e3779b97f4a7c15ULL) & mask_;
-    while (true) {
-      if (keys_[slot] == -1) {
-        keys_[slot] = row;
-        vals_[slot] = v;
-        used_.push_back(slot);
-        return;
-      }
-      if (keys_[slot] == row) {
-        vals_[slot] = SR::add(vals_[slot], v);
-        return;
-      }
-      slot = (slot + 1) & mask_;
-    }
-  }
-  Index size() const { return static_cast<Index>(used_.size()); }
-  void emit(Index* rowids, Value* vals) const {
-    for (std::size_t k = 0; k < used_.size(); ++k) {
-      rowids[k] = keys_[used_[k]];
-      vals[k] = vals_[used_[k]];
-    }
-  }
-
- private:
-  std::vector<Index> keys_;
-  std::vector<Value> vals_;
-  std::vector<std::uint64_t> used_;
-  std::uint64_t mask_ = 0;
-};
-
-}  // namespace
-
-template <typename SR>
-CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
-                      int threads) {
-  CASP_CHECK(!pieces.empty());
-  const Index nrows = pieces.front().nrows();
+/// Merges every column into its slice [ub_ptr[j], ub_ptr[j+1]) of
+/// rowids/vals, with one accumulator side per thread; counts[j] gets the
+/// column's merged nnz.
+template <typename SR, typename Rows>
+void merge_columns(std::span<const CscConstRef> pieces, MergeKind kind,
+                   int threads, bool sort_output,
+                   const std::vector<Index>& ub_ptr, std::vector<Index>& rowids,
+                   std::vector<Value>& vals, std::vector<Index>& counts) {
   const Index ncols = pieces.front().ncols();
-  for (const CscConstRef& m : pieces)
-    CASP_CHECK_MSG(m.nrows() == nrows && m.ncols() == ncols,
-                   "merge: shape mismatch");
-
-  // Upper bound per output column: total input entries in that column.
-  std::vector<Index> ub_ptr(static_cast<std::size_t>(ncols) + 1, 0);
-  for (Index j = 0; j < ncols; ++j) {
-    Index ub = 0;
-    for (const CscConstRef& m : pieces) ub += m.col_nnz(j);
-    ub_ptr[static_cast<std::size_t>(j) + 1] = ub_ptr[static_cast<std::size_t>(j)] + ub;
-  }
-  std::vector<Index> rowids(static_cast<std::size_t>(ub_ptr.back()));
-  std::vector<Value> vals(rowids.size());
-  std::vector<Index> counts(static_cast<std::size_t>(ncols), 0);
-
 #if defined(CASP_HAVE_OPENMP)
 #pragma omp parallel num_threads(std::max(1, threads))
 #else
   (void)threads;
 #endif
   {
-    MergeTable<SR> table;
+    Rows table(pieces.front().nrows());
     // Per-thread scratch for the sorted-emit (heap) path, reused across all
     // columns this thread processes instead of reallocated per column.
     using HeapItem = std::pair<Index, std::size_t>;  // (row, piece index)
@@ -125,7 +61,10 @@ CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
             table.accumulate(rows[k], mv[k]);
         }
         cnt = table.size();
-        table.emit(out_rows, out_vals);
+        if (sort_output)
+          table.emit_sorted(out_rows, out_vals);
+        else
+          table.emit(out_rows, out_vals);
       } else {
         // k-way heap merge over sorted input columns (min-heap maintained
         // manually on the hoisted vector).
@@ -157,6 +96,40 @@ CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
       counts[static_cast<std::size_t>(j)] = cnt;
     }
   }
+}
+
+}  // namespace
+
+template <typename SR>
+CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
+                      int threads, bool sort_output) {
+  CASP_CHECK(!pieces.empty());
+  const Index nrows = pieces.front().nrows();
+  const Index ncols = pieces.front().ncols();
+  for (const CscConstRef& m : pieces)
+    CASP_CHECK_MSG(m.nrows() == nrows && m.ncols() == ncols,
+                   "merge: shape mismatch");
+
+  // Upper bound per output column: total input entries in that column.
+  std::vector<Index> ub_ptr(static_cast<std::size_t>(ncols) + 1, 0);
+  for (Index j = 0; j < ncols; ++j) {
+    Index ub = 0;
+    for (const CscConstRef& m : pieces) ub += m.col_nnz(j);
+    ub_ptr[static_cast<std::size_t>(j) + 1] = ub_ptr[static_cast<std::size_t>(j)] + ub;
+  }
+  std::vector<Index> rowids(static_cast<std::size_t>(ub_ptr.back()));
+  std::vector<Value> vals(rowids.size());
+  std::vector<Index> counts(static_cast<std::size_t>(ncols), 0);
+
+  // kSortedHeap never accumulates, so it keeps the (unallocated) hash side.
+  const bool dense = kind == MergeKind::kUnsortedHash &&
+                     use_dense_rows(nrows, ub_ptr.back());
+  if (dense)
+    merge_columns<SR, DenseRows<SR>>(pieces, kind, threads, sort_output, ub_ptr,
+                                     rowids, vals, counts);
+  else
+    merge_columns<SR, HashRows<SR>>(pieces, kind, threads, sort_output, ub_ptr,
+                                    rowids, vals, counts);
 
   // Compact.
   std::vector<Index> colptr(static_cast<std::size_t>(ncols) + 1, 0);
@@ -179,12 +152,12 @@ CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
 }
 
 template CscMat merge_matrices<PlusTimes>(std::span<const CscConstRef>,
-                                          MergeKind, int);
+                                          MergeKind, int, bool);
 template CscMat merge_matrices<MinPlus>(std::span<const CscConstRef>,
-                                        MergeKind, int);
+                                        MergeKind, int, bool);
 template CscMat merge_matrices<MaxMin>(std::span<const CscConstRef>,
-                                       MergeKind, int);
+                                       MergeKind, int, bool);
 template CscMat merge_matrices<OrAnd>(std::span<const CscConstRef>, MergeKind,
-                                      int);
+                                      int, bool);
 
 }  // namespace casp

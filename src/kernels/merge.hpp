@@ -4,7 +4,7 @@
 // same-shaped matrices. The paper replaces the prior sorted heap-merge [13]
 // with an *unsorted hash merge* that is an order of magnitude faster
 // (Table VII) because it neither requires nor produces sorted columns; the
-// single final sort happens once, after Merge-Fiber.
+// single final sort happens once, inside Merge-Fiber's emit.
 #pragma once
 
 #include <span>
@@ -23,8 +23,12 @@ enum class MergeKind {
 const char* to_string(MergeKind kind);
 
 /// Merge matrices of identical shape by summing duplicates (over SR::add).
-/// kSortedHeap requires every input to have sorted columns.
-/// `threads`: OpenMP threads over output columns.
+/// kSortedHeap requires every input to have sorted columns and always
+/// emits sorted ones. `threads`: OpenMP threads over output columns.
+/// `sort_output` asks kUnsortedHash for sorted columns (Merge-Fiber's
+/// final sort): on the dense accumulator side a bitmap scan per column, on
+/// the hash side a per-column sort; bitwise the same as merging and then
+/// calling CscMat::sort_columns().
 ///
 /// The single entry point takes non-owning refs; wrap an owned collection
 /// with csc_refs(...) — works identically for CscMat vectors and CscView
@@ -33,6 +37,6 @@ const char* to_string(MergeKind kind);
 template <typename SR = PlusTimes>
 CscMat merge_matrices(std::span<const CscConstRef> pieces,
                       MergeKind kind = MergeKind::kUnsortedHash,
-                      int threads = 1);
+                      int threads = 1, bool sort_output = false);
 
 }  // namespace casp

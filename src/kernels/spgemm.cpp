@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <numeric>
 #include <queue>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/math.hpp"
+#include "kernels/accumulator.hpp"
 #include "sparse/stats.hpp"
 
 namespace casp {
@@ -30,138 +29,16 @@ bool produces_sorted(SpGemmKind kind) {
 
 namespace {
 
-/// Open-addressing hash accumulator keyed by row index. Reused across
-/// columns: `reset` clears only the slots the previous column touched.
-template <typename SR>
-class HashAccumulator {
- public:
-  void require(Index min_capacity) {
-    std::uint64_t want = next_pow2(static_cast<std::uint64_t>(
-        std::max<Index>(16, 2 * min_capacity)));
-    if (want > keys_.size()) {
-      keys_.assign(want, kEmpty);
-      vals_.resize(want);
-      mask_ = want - 1;
-      used_.clear();
-    }
-  }
-
-  void reset() {
-    for (std::uint64_t slot : used_) keys_[slot] = kEmpty;
-    used_.clear();
-  }
-
-  void accumulate(Index row, Value contribution) {
-    std::uint64_t slot =
-        (static_cast<std::uint64_t>(row) * 0x9e3779b97f4a7c15ULL) & mask_;
-    while (true) {
-      if (keys_[slot] == kEmpty) {
-        keys_[slot] = row;
-        vals_[slot] = contribution;
-        used_.push_back(slot);
-        // Guard against an under-sized initial table (a too-small symbolic
-        // hint): rehash at 50% load. Emit order is used_'s insertion order,
-        // not slot order, so growing never changes the output.
-        if (2 * used_.size() > keys_.size()) grow();
-        return;
-      }
-      if (keys_[slot] == row) {
-        vals_[slot] = SR::add(vals_[slot], contribution);
-        return;
-      }
-      slot = (slot + 1) & mask_;
-    }
-  }
-
-  Index size() const { return static_cast<Index>(used_.size()); }
-
-  /// Emit accumulated entries in hash-table order (unsorted).
-  void emit(Index* rowids, Value* vals) const {
-    for (std::size_t k = 0; k < used_.size(); ++k) {
-      rowids[k] = keys_[used_[k]];
-      vals[k] = vals_[used_[k]];
-    }
-  }
-
- private:
-  void grow() {
-    std::vector<Index> old_keys = std::move(keys_);
-    std::vector<Value> old_vals = std::move(vals_);
-    std::vector<std::uint64_t> old_used = std::move(used_);
-    const std::uint64_t want = 2 * old_keys.size();
-    keys_.assign(want, kEmpty);
-    vals_.resize(want);
-    used_.clear();
-    used_.reserve(old_used.size());
-    mask_ = want - 1;
-    for (std::uint64_t old_slot : old_used) {
-      const Index row = old_keys[old_slot];
-      std::uint64_t slot =
-          (static_cast<std::uint64_t>(row) * 0x9e3779b97f4a7c15ULL) & mask_;
-      while (keys_[slot] != kEmpty) slot = (slot + 1) & mask_;
-      keys_[slot] = row;
-      vals_[slot] = old_vals[old_slot];
-      used_.push_back(slot);
-    }
-  }
-
-  static constexpr Index kEmpty = -1;
-  std::vector<Index> keys_;
-  std::vector<Value> vals_;
-  std::vector<std::uint64_t> used_;
-  std::uint64_t mask_ = 0;
-};
-
-/// Dense sparse accumulator (Gilbert-Moler-Schreiber SPA).
-template <typename SR>
-class SpaAccumulator {
- public:
-  explicit SpaAccumulator(Index nrows)
-      : stamp_(static_cast<std::size_t>(nrows), -1),
-        vals_(static_cast<std::size_t>(nrows)) {}
-
-  void begin_column(Index col) { col_ = col; touched_.clear(); }
-
-  void accumulate(Index row, Value contribution) {
-    const auto r = static_cast<std::size_t>(row);
-    if (stamp_[r] != col_) {
-      stamp_[r] = col_;
-      vals_[r] = contribution;
-      touched_.push_back(row);
-    } else {
-      vals_[r] = SR::add(vals_[r], contribution);
-    }
-  }
-
-  Index size() const { return static_cast<Index>(touched_.size()); }
-
-  /// Emit sorted by row.
-  void emit_sorted(Index* rowids, Value* vals) {
-    std::sort(touched_.begin(), touched_.end());
-    for (std::size_t k = 0; k < touched_.size(); ++k) {
-      rowids[k] = touched_[k];
-      vals[k] = vals_[static_cast<std::size_t>(touched_[k])];
-    }
-  }
-
- private:
-  std::vector<Index> stamp_;
-  std::vector<Value> vals_;
-  std::vector<Index> touched_;
-  Index col_ = -1;
-};
-
 /// Shared output assembly: callers fill per-column slices of an
 /// upper-bound-sized buffer; compact() squeezes out the slack. A slice
 /// holds min(flops_j, nrows) entries, or — given symbolic per-column
 /// counts — min(flops_j, nrows, max(hint_j, 1)).
 struct OutputBuilder {
-  template <typename MatA, typename MatB>
-  OutputBuilder(const MatA& a, const MatB& b, std::span<const Index> hints) {
-    const std::vector<Index> flops = column_flops(a, b);
+  OutputBuilder(Index nrows, const std::vector<Index>& flops,
+                std::span<const Index> hints) {
     ub_ptr.resize(flops.size() + 1, 0);
     for (std::size_t j = 0; j < flops.size(); ++j) {
-      Index cap = std::min(flops[j], a.nrows());
+      Index cap = std::min(flops[j], nrows);
       if (!hints.empty()) cap = std::min(cap, std::max<Index>(hints[j], 1));
       ub_ptr[j + 1] = ub_ptr[j] + cap;
     }
@@ -212,33 +89,14 @@ struct OutputBuilder {
   std::vector<Index> counts;
 };
 
-/// Per-thread reusable buffer for the sorted-emit path: sorting a column's
-/// (row, val) pairs reuses one allocation across all columns a thread
-/// processes instead of allocating a fresh vector per column.
-using SortScratch = std::vector<std::pair<Index, Value>>;
-
-/// Sort `cnt` (row, val) pairs in place through `scratch`.
-inline void sort_column_pairs(Index* rowids, Value* vals, Index cnt,
-                              SortScratch& scratch) {
-  scratch.resize(static_cast<std::size_t>(cnt));
-  for (Index k = 0; k < cnt; ++k)
-    scratch[static_cast<std::size_t>(k)] = {rowids[k], vals[k]};
-  std::sort(scratch.begin(), scratch.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-  for (Index k = 0; k < cnt; ++k) {
-    rowids[k] = scratch[static_cast<std::size_t>(k)].first;
-    vals[k] = scratch[static_cast<std::size_t>(k)].second;
-  }
-}
-
-/// One output column via hash accumulation, into a slice of `out_capacity`
-/// entries. Returns the entry count; a count above `out_capacity` writes
-/// nothing (the caller's slice was sized from an undersized hint).
-template <typename SR, typename MatA, typename MatB>
-Index hash_column(const MatA& a, const MatB& b, Index j,
-                  HashAccumulator<SR>& acc, Index table_capacity,
-                  Index out_capacity, Index* rowids, Value* vals,
-                  bool sort_output, SortScratch& sort_scratch) {
+/// One output column through a row accumulator, into a slice of
+/// `out_capacity` entries. Returns the entry count; a count above
+/// `out_capacity` writes nothing (the caller's slice was sized from an
+/// undersized hint).
+template <typename SR, typename Rows, typename MatA, typename MatB>
+Index accumulate_column(const MatA& a, const MatB& b, Index j, Rows& acc,
+                        Index table_capacity, Index out_capacity,
+                        Index* rowids, Value* vals, bool sort_output) {
   acc.require(table_capacity);
   acc.reset();
   const auto brows = b.col_rowids(j);
@@ -253,8 +111,10 @@ Index hash_column(const MatA& a, const MatB& b, Index j,
   }
   const Index cnt = acc.size();
   if (cnt > out_capacity) return cnt;
-  acc.emit(rowids, vals);
-  if (sort_output && cnt > 1) sort_column_pairs(rowids, vals, cnt, sort_scratch);
+  if (sort_output)
+    acc.emit_sorted(rowids, vals);
+  else
+    acc.emit(rowids, vals);
   return cnt;
 }
 
@@ -300,7 +160,65 @@ Index heap_column(const MatA& a, const MatB& b, Index j, Index* rowids,
   return cnt;
 }
 
-enum class ColumnChoice { kHash, kSortedHash, kHeap, kSpa };
+/// Fills `out`'s column slices with one accumulator side per thread.
+/// Returns false if a column outgrew its slice (an undersized hint).
+template <typename SR, typename Rows, typename MatA, typename MatB>
+bool fill_columns(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
+                  std::span<const Index> col_nnz_hints, OutputBuilder& out) {
+  const Index ncols = b.ncols();
+  std::atomic<bool> overflow{false};
+
+#if defined(CASP_HAVE_OPENMP)
+#pragma omp parallel num_threads(std::max(1, threads))
+#else
+  (void)threads;
+#endif
+  {
+    Rows acc(a.nrows());
+
+#if defined(CASP_HAVE_OPENMP)
+#pragma omp for schedule(dynamic, 16)
+#endif
+    for (Index j = 0; j < ncols; ++j) {
+      // Once a column has outgrown its slice the product is rerun anyway.
+      if (overflow.load()) continue;
+      const Index cap = out.col_capacity(j);
+      if (cap == 0) {
+        out.counts[static_cast<std::size_t>(j)] = 0;
+        continue;
+      }
+      // The symbolic hint bounds the merged column's nnz across all stages,
+      // so it also bounds this stage's contribution — size the hash table
+      // from it when it beats the flops bound (clamped to >= 1 so a column
+      // with flops but a zero hint still gets a table).
+      const Index table_cap =
+          col_nnz_hints.empty()
+              ? cap
+              : std::min(cap, std::max<Index>(
+                                  col_nnz_hints[static_cast<std::size_t>(j)],
+                                  Index{1}));
+      Index* rowids = out.col_rowids(j);
+      Value* vals = out.col_vals(j);
+      Index cnt = 0;
+      // Nagasaka et al. [25]: heap wins when the column has few input runs
+      // and little compression; hash wins otherwise. Proxy: the hybrid
+      // kernel runs heap for short columns.
+      if (kind == SpGemmKind::kHeap ||
+          (kind == SpGemmKind::kHybrid && b.col_nnz(j) <= 8 && cap <= 256)) {
+        cnt = heap_column<SR>(a, b, j, rowids, vals);
+      } else {
+        cnt = accumulate_column<SR>(a, b, j, acc, table_cap, cap, rowids, vals,
+                                    /*sort_output=*/produces_sorted(kind));
+      }
+      if (cnt > cap) {
+        overflow.store(true);
+        continue;
+      }
+      out.counts[static_cast<std::size_t>(j)] = cnt;
+    }
+  }
+  return !overflow.load();
+}
 
 template <typename SR, typename MatA, typename MatB>
 CscMat run_spgemm(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
@@ -319,101 +237,20 @@ CscMat run_spgemm(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
   const bool hint_sized = !col_nnz_hints.empty() &&
                           (kind == SpGemmKind::kUnsortedHash ||
                            kind == SpGemmKind::kSortedHash);
-  OutputBuilder out(a, b,
+  const std::vector<Index> flops = column_flops(a, b);
+  OutputBuilder out(a.nrows(), flops,
                     hint_sized ? col_nnz_hints : std::span<const Index>{});
-  const Index ncols = b.ncols();
-  std::atomic<bool> overflow{false};
-
-#if defined(CASP_HAVE_OPENMP)
-#pragma omp parallel num_threads(std::max(1, threads))
-#else
-  (void)threads;
-#endif
-  {
-    HashAccumulator<SR> hash_acc;
-    SortScratch sort_scratch;
-    std::unique_ptr<SpaAccumulator<SR>> spa;
-    if (kind == SpGemmKind::kSpa)
-      spa = std::make_unique<SpaAccumulator<SR>>(a.nrows());
-
-#if defined(CASP_HAVE_OPENMP)
-#pragma omp for schedule(dynamic, 16)
-#endif
-    for (Index j = 0; j < ncols; ++j) {
-      // Once a column has outgrown its slice the product is rerun anyway.
-      if (overflow.load()) continue;
-      const Index cap = out.col_capacity(j);
-      if (cap == 0) {
-        out.counts[static_cast<std::size_t>(j)] = 0;
-        continue;
-      }
-      Index cnt = 0;
-      // The symbolic hint bounds the merged column's nnz across all stages,
-      // so it also bounds this stage's contribution — size the hash table
-      // from it when it beats the flops bound (clamped to >= 1 so a column
-      // with flops but a zero hint still gets a table).
-      const Index hash_cap =
-          col_nnz_hints.empty()
-              ? cap
-              : std::min(cap, std::max<Index>(
-                                  col_nnz_hints[static_cast<std::size_t>(j)],
-                                  Index{1}));
-      switch (kind) {
-        case SpGemmKind::kUnsortedHash:
-          cnt = hash_column<SR>(a, b, j, hash_acc, hash_cap, cap,
-                                out.col_rowids(j), out.col_vals(j),
-                                /*sort_output=*/false, sort_scratch);
-          break;
-        case SpGemmKind::kSortedHash:
-          cnt = hash_column<SR>(a, b, j, hash_acc, hash_cap, cap,
-                                out.col_rowids(j), out.col_vals(j),
-                                /*sort_output=*/true, sort_scratch);
-          break;
-        case SpGemmKind::kHeap:
-          cnt = heap_column<SR>(a, b, j, out.col_rowids(j), out.col_vals(j));
-          break;
-        case SpGemmKind::kHybrid: {
-          // Nagasaka et al. [25]: heap wins when the column has few input
-          // runs and little compression; hash wins otherwise. Proxy: run
-          // heap for short columns.
-          const Index k_runs = b.col_nnz(j);
-          if (k_runs <= 8 && cap <= 256) {
-            cnt = heap_column<SR>(a, b, j, out.col_rowids(j), out.col_vals(j));
-          } else {
-            cnt = hash_column<SR>(a, b, j, hash_acc, hash_cap, cap,
-                                  out.col_rowids(j), out.col_vals(j),
-                                  /*sort_output=*/true, sort_scratch);
-          }
-          break;
-        }
-        case SpGemmKind::kSpa: {
-          spa->begin_column(j);
-          const auto brows = b.col_rowids(j);
-          const auto bvals = b.col_vals(j);
-          for (std::size_t t = 0; t < brows.size(); ++t) {
-            const Index i = brows[t];
-            const Value bv = bvals[t];
-            const auto arows = a.col_rowids(i);
-            const auto avals = a.col_vals(i);
-            for (std::size_t k = 0; k < arows.size(); ++k)
-              spa->accumulate(arows[k], SR::mul(avals[k], bv));
-          }
-          cnt = spa->size();
-          spa->emit_sorted(out.col_rowids(j), out.col_vals(j));
-          break;
-        }
-      }
-      if (cnt > cap) {
-        overflow.store(true);
-        continue;
-      }
-      out.counts[static_cast<std::size_t>(j)] = cnt;
-    }
-  }
+  // kSpa is the dense side by definition; kHeap never accumulates.
+  const Index work = std::accumulate(flops.begin(), flops.end(), Index{0});
+  const bool dense = kind == SpGemmKind::kSpa ||
+                     (kind != SpGemmKind::kHeap && use_dense_rows(a.nrows(), work));
+  const bool fits =
+      dense ? fill_columns<SR, DenseRows<SR>>(a, b, kind, threads, col_nnz_hints, out)
+            : fill_columns<SR, HashRows<SR>>(a, b, kind, threads, col_nnz_hints, out);
   // Hints are advisory: an undersized one left a column unwritten, so the
   // product reruns on the flops bound, which every column fits.
-  if (overflow.load()) return run_spgemm<SR>(a, b, kind, threads, {});
-  return out.compact(a.nrows(), ncols);
+  if (!fits) return run_spgemm<SR>(a, b, kind, threads, {});
+  return out.compact(a.nrows(), b.ncols());
 }
 
 }  // namespace

@@ -35,6 +35,11 @@ bool produces_sorted(SpGemmKind kind);
 /// kernels require sorted inputs (they merge sorted runs).
 /// `threads`: OpenMP threads to parallelize over output columns.
 ///
+/// The hash kinds accumulate in kernels/accumulator.hpp's row accumulator,
+/// on its dense side when a.nrows() <= flops(A*B) and its hash side
+/// otherwise; kSpa is always the dense side. The side never changes the
+/// output bytes.
+///
 /// Operands are non-owning refs, implicitly convertible from an owned
 /// CscMat or a payload-borrowing CscView — the one entry point serves both
 /// the owned and the zero-copy (wire buffers read in place) paths.

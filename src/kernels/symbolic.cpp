@@ -4,70 +4,38 @@
 #include <numeric>
 
 #include "common/error.hpp"
-#include "common/math.hpp"
+#include "kernels/accumulator.hpp"
 #include "sparse/stats.hpp"
 
 namespace casp {
 
 namespace {
-/// Insert-only hash set of row ids, reset between columns via used list.
-class RowSet {
- public:
-  void require(Index min_capacity) {
-    std::uint64_t want =
-        next_pow2(static_cast<std::uint64_t>(std::max<Index>(16, 2 * min_capacity)));
-    if (want > keys_.size()) {
-      keys_.assign(want, -1);
-      mask_ = want - 1;
-      used_.clear();
-    }
+template <typename Rows>
+std::vector<Index> count_columns(const CscConstRef& a, const CscConstRef& b,
+                                 const std::vector<Index>& flops) {
+  std::vector<Index> nnz(static_cast<std::size_t>(b.ncols()), 0);
+  Rows set(a.nrows());
+  for (Index j = 0; j < b.ncols(); ++j) {
+    const Index cap = std::min(flops[static_cast<std::size_t>(j)], a.nrows());
+    if (cap == 0) continue;
+    set.require(cap);
+    set.reset();
+    for (Index i : b.col_rowids(j))
+      for (Index r : a.col_rowids(i)) set.insert(r);
+    nnz[static_cast<std::size_t>(j)] = set.size();
   }
-  void reset() {
-    for (std::uint64_t slot : used_) keys_[slot] = -1;
-    used_.clear();
-  }
-  /// Returns true if the row was newly inserted.
-  bool insert(Index row) {
-    std::uint64_t slot =
-        (static_cast<std::uint64_t>(row) * 0x9e3779b97f4a7c15ULL) & mask_;
-    while (true) {
-      if (keys_[slot] == -1) {
-        keys_[slot] = row;
-        used_.push_back(slot);
-        return true;
-      }
-      if (keys_[slot] == row) return false;
-      slot = (slot + 1) & mask_;
-    }
-  }
-
- private:
-  std::vector<Index> keys_;
-  std::vector<std::uint64_t> used_;
-  std::uint64_t mask_ = 0;
-};
+  return nnz;
+}
 }  // namespace
 
 std::vector<Index> symbolic_column_nnz(const CscConstRef& a,
                                        const CscConstRef& b) {
   CASP_CHECK_MSG(a.ncols() == b.nrows(), "symbolic: inner dimension mismatch");
   const std::vector<Index> flops = column_flops(a, b);
-  std::vector<Index> nnz(static_cast<std::size_t>(b.ncols()), 0);
-  RowSet set;
-  for (Index j = 0; j < b.ncols(); ++j) {
-    const Index cap = std::min(flops[static_cast<std::size_t>(j)], a.nrows());
-    if (cap == 0) continue;
-    set.require(cap);
-    set.reset();
-    Index cnt = 0;
-    for (Index i : b.col_rowids(j)) {
-      for (Index r : a.col_rowids(i)) {
-        if (set.insert(r)) ++cnt;
-      }
-    }
-    nnz[static_cast<std::size_t>(j)] = cnt;
-  }
-  return nnz;
+  const Index work = std::accumulate(flops.begin(), flops.end(), Index{0});
+  return use_dense_rows(a.nrows(), work)
+             ? count_columns<DenseRows<>>(a, b, flops)
+             : count_columns<HashRows<>>(a, b, flops);
 }
 
 Index symbolic_nnz(const CscConstRef& a, const CscConstRef& b) {

@@ -13,8 +13,9 @@
 namespace casp {
 
 /// Number of nonzeros in each column of A*B after merging duplicates
-/// within the column. Hash-based; inputs may be unsorted. Operands are
-/// non-owning refs (implicitly convertible from CscMat or CscView).
+/// within the column, counted in a row accumulator (kernels/accumulator.hpp).
+/// Inputs may be unsorted. Operands are non-owning refs (implicitly
+/// convertible from CscMat or CscView).
 std::vector<Index> symbolic_column_nnz(const CscConstRef& a,
                                        const CscConstRef& b);
 

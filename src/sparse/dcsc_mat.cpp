@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/math.hpp"
-#include "kernels/semiring.hpp"
+#include "kernels/accumulator.hpp"
 
 namespace casp {
 
@@ -55,56 +54,15 @@ void DcscMat::check_valid() const {
 }
 
 namespace {
-/// Minimal hash accumulator (same scheme as kernels/spgemm.cpp, private
-/// copy to keep the hypersparse path self-contained).
+/// Appends the accumulator's column to (rows, vals) in first-touch order.
 template <typename SR>
-class Acc {
- public:
-  void require(Index cap) {
-    const std::uint64_t want =
-        next_pow2(static_cast<std::uint64_t>(std::max<Index>(16, 2 * cap)));
-    if (want > keys_.size()) {
-      keys_.assign(want, -1);
-      vals_.resize(want);
-      mask_ = want - 1;
-      used_.clear();
-    }
-  }
-  void reset() {
-    for (auto slot : used_) keys_[slot] = -1;
-    used_.clear();
-  }
-  void add(Index row, Value v) {
-    std::uint64_t slot =
-        (static_cast<std::uint64_t>(row) * 0x9e3779b97f4a7c15ULL) & mask_;
-    while (true) {
-      if (keys_[slot] == -1) {
-        keys_[slot] = row;
-        vals_[slot] = v;
-        used_.push_back(slot);
-        return;
-      }
-      if (keys_[slot] == row) {
-        vals_[slot] = SR::add(vals_[slot], v);
-        return;
-      }
-      slot = (slot + 1) & mask_;
-    }
-  }
-  Index size() const { return static_cast<Index>(used_.size()); }
-  void emit(std::vector<Index>& rows, std::vector<Value>& vals) const {
-    for (auto slot : used_) {
-      rows.push_back(keys_[slot]);
-      vals.push_back(vals_[slot]);
-    }
-  }
-
- private:
-  std::vector<Index> keys_;
-  std::vector<Value> vals_;
-  std::vector<std::uint64_t> used_;
-  std::uint64_t mask_ = 0;
-};
+void append_column(const HashRows<SR>& acc, std::vector<Index>& rows,
+                   std::vector<Value>& vals) {
+  const std::size_t at = rows.size();
+  rows.resize(at + static_cast<std::size_t>(acc.size()));
+  vals.resize(rows.size());
+  acc.emit(rows.data() + at, vals.data() + at);
+}
 }  // namespace
 
 template <typename SR>
@@ -114,7 +72,7 @@ CscMat hypersparse_spgemm(const DcscMat& a, const CscMat& b) {
   std::vector<Index> colptr(static_cast<std::size_t>(b.ncols()) + 1, 0);
   std::vector<Index> rowids;
   std::vector<Value> vals;
-  Acc<SR> acc;
+  HashRows<SR> acc;
   for (Index j = 0; j < b.ncols(); ++j) {
     const auto brows = b.col_rowids(j);
     const auto bvals = b.col_vals(j);
@@ -135,9 +93,9 @@ CscMat hypersparse_spgemm(const DcscMat& a, const CscMat& b) {
         const auto arows = a.nonempty_rowids(hit[t]);
         const auto avals = a.nonempty_vals(hit[t]);
         for (std::size_t s = 0; s < arows.size(); ++s)
-          acc.add(arows[s], SR::mul(avals[s], bvals[t]));
+          acc.accumulate(arows[s], SR::mul(avals[s], bvals[t]));
       }
-      acc.emit(rowids, vals);
+      append_column(acc, rowids, vals);
     }
     colptr[static_cast<std::size_t>(j) + 1] = static_cast<Index>(rowids.size());
   }
@@ -153,7 +111,7 @@ DcscMat hypersparse_spgemm_dcsc(const DcscMat& a, const DcscMat& b) {
   std::vector<Index> cp{0};
   std::vector<Index> ir;
   std::vector<Value> num;
-  Acc<SR> acc;
+  HashRows<SR> acc;
   // Only B's nonempty columns can produce output columns.
   for (Index t = 0; t < b.nonempty_cols(); ++t) {
     const auto brows = b.nonempty_rowids(t);
@@ -173,15 +131,11 @@ DcscMat hypersparse_spgemm_dcsc(const DcscMat& a, const DcscMat& b) {
       const auto arows = a.nonempty_rowids(hit[s]);
       const auto avals = a.nonempty_vals(hit[s]);
       for (std::size_t e = 0; e < arows.size(); ++e)
-        acc.add(arows[e], SR::mul(avals[e], bvals[s]));
+        acc.accumulate(arows[e], SR::mul(avals[e], bvals[s]));
     }
     if (acc.size() == 0) continue;
-    std::vector<Index> rows;
-    std::vector<Value> vals;
-    acc.emit(rows, vals);
     jc.push_back(b.col_ids()[static_cast<std::size_t>(t)]);
-    ir.insert(ir.end(), rows.begin(), rows.end());
-    num.insert(num.end(), vals.begin(), vals.end());
+    append_column(acc, ir, num);
     cp.push_back(static_cast<Index>(ir.size()));
   }
   return DcscMat(a.nrows(), b.ncols(), std::move(jc), std::move(cp),

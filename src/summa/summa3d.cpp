@@ -72,12 +72,12 @@ CscMat summa3d(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
           "fiber piece");
   }
 
-  // Merge-Fiber (line 6) + the single final sort.
+  // Merge-Fiber (line 6), emitting the single final sort's order directly.
   CscMat c;
   {
     obs::Span span(rec, steps::kMergeFiber);
-    c = merge_matrices<SR>(csc_refs(pieces), opts.merge_kind, opts.threads);
-    if (opts.sort_final) c.sort_columns();
+    c = merge_matrices<SR>(csc_refs(pieces), opts.merge_kind, opts.threads,
+                           opts.sort_final);
   }
   if (opts.memory != nullptr)
     rec.sample_memory(*opts.memory, "memory.live_bytes");

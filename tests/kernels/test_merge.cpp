@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "gen/rmat.hpp"
+#include "kernels/accumulator.hpp"
 #include "kernels/merge.hpp"
 #include "kernels/reference.hpp"
 #include "kernels/spgemm.hpp"
@@ -125,6 +127,81 @@ TEST(Merge, MultithreadedMatchesSerial) {
   const CscMat parallel =
       merge_matrices<PlusTimes>(csc_refs(pieces), MergeKind::kUnsortedHash, 4);
   testing::expect_mat_near(parallel, serial, 1e-12);
+}
+
+/// Piece sets on the dense side: ER pieces that overlap at random, and
+/// skewed R-MAT pieces whose short columns take emit_sorted's sort branch
+/// and whose long ones take its bitmap scan.
+std::vector<std::vector<CscMat>> dense_side_piece_sets() {
+  std::vector<CscMat> rmat;
+  for (std::uint64_t seed : {60, 61, 62}) {
+    RmatParams p;
+    p.scale = 12;
+    p.edge_factor = 4.0;
+    p.seed = seed;
+    rmat.push_back(generate_rmat(p));
+  }
+  std::vector<CscMat> er = random_pieces(4, 60, 60, 4.0, 59);
+  er.push_back(er.front());  // guaranteed overlaps
+  return {er, rmat};
+}
+
+/// The same pieces padded with empty rows past their total nnz, so the
+/// merge runs on the hash side.
+std::vector<CscMat> hash_side_twin(const std::vector<CscMat>& pieces) {
+  Index work = 0;
+  for (const CscMat& m : pieces) work += m.nnz();
+  EXPECT_TRUE(use_dense_rows(pieces.front().nrows(), work));
+  std::vector<CscMat> tall;
+  for (const CscMat& m : pieces) tall.push_back(testing::pad_rows(m, work));
+  EXPECT_FALSE(use_dense_rows(tall.front().nrows(), work));
+  return tall;
+}
+
+template <typename SR>
+void expect_sides_bitwise_equal() {
+  for (const auto& pieces : dense_side_piece_sets()) {
+    const std::vector<CscMat> tall = hash_side_twin(pieces);
+    for (bool sorted : {false, true}) {
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message() << "sorted " << sorted << " x"
+                                          << threads << " nrows "
+                                          << pieces.front().nrows());
+        testing::expect_same_arrays(
+            merge_matrices<SR>(csc_refs(pieces), MergeKind::kUnsortedHash,
+                               threads, sorted),
+            merge_matrices<SR>(csc_refs(tall), MergeKind::kUnsortedHash,
+                               threads, sorted));
+      }
+    }
+  }
+}
+
+TEST(Merge, DenseAndHashSidesAreBitwiseEqualPlusTimes) {
+  expect_sides_bitwise_equal<PlusTimes>();
+}
+
+TEST(Merge, DenseAndHashSidesAreBitwiseEqualMinPlus) {
+  expect_sides_bitwise_equal<MinPlus>();
+}
+
+TEST(Merge, SortedMergeEqualsMergeThenSortColumns) {
+  // Merge-Fiber's sorted emit is bitwise the hash merge followed by
+  // CscMat::sort_columns(), on both accumulator sides.
+  for (const auto& pieces : dense_side_piece_sets()) {
+    for (const auto& side : {pieces, hash_side_twin(pieces)}) {
+      for (int threads : {1, 4}) {
+        CscMat expected = merge_matrices<PlusTimes>(
+            csc_refs(side), MergeKind::kUnsortedHash, threads);
+        expected.sort_columns();
+        const CscMat got = merge_matrices<PlusTimes>(
+            csc_refs(side), MergeKind::kUnsortedHash, threads,
+            /*sort_output=*/true);
+        EXPECT_TRUE(got == expected) << "nrows " << side.front().nrows();
+        EXPECT_TRUE(got.columns_sorted());
+      }
+    }
+  }
 }
 
 TEST(Merge, KindNames) {

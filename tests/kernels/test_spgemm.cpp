@@ -6,9 +6,11 @@
 #include <vector>
 
 #include "gen/rmat.hpp"
+#include "kernels/accumulator.hpp"
 #include "kernels/reference.hpp"
 #include "kernels/spgemm.hpp"
 #include "kernels/symbolic.hpp"
+#include "sparse/stats.hpp"
 #include "test_util.hpp"
 
 namespace casp {
@@ -209,6 +211,57 @@ TEST(SpGemm, OneShortHintFallsBackToFlopsBoundBitwise) {
     const CscMat hinted =
         local_spgemm<PlusTimes>(a, a, kind, /*threads=*/4, hints);
     EXPECT_TRUE(hinted == plain) << to_string(kind);
+  }
+}
+
+TEST(SpGemm, DenseAndHashSidesAreBitwiseEqual) {
+  // A block no taller than its flops multiplies on the dense side; padded
+  // with empty rows past its flops, the same product runs on the hash
+  // side. kSpa is dense at any height, so its hash twin is kSortedHash.
+  RmatParams p;
+  p.scale = 10;
+  p.edge_factor = 4.0;
+  p.seed = 22;
+  for (const CscMat& a :
+       {testing::random_matrix(100, 100, 5.0, 23), generate_rmat(p)}) {
+    const Index flops = multiply_flops(a, a);
+    ASSERT_TRUE(use_dense_rows(a.nrows(), flops));
+    const CscMat tall = testing::pad_rows(a, flops);
+    for (SpGemmKind kind :
+         {SpGemmKind::kUnsortedHash, SpGemmKind::kSortedHash,
+          SpGemmKind::kHybrid, SpGemmKind::kSpa}) {
+      const SpGemmKind hash_kind =
+          kind == SpGemmKind::kSpa ? SpGemmKind::kSortedHash : kind;
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message() << to_string(kind) << " x" << threads
+                                          << " nrows " << a.nrows());
+        testing::expect_same_arrays(
+            local_spgemm<PlusTimes>(a, a, kind, threads),
+            local_spgemm<PlusTimes>(tall, a, hash_kind, threads));
+      }
+    }
+  }
+}
+
+TEST(SpGemm, OneShortHintOnTheDenseSideMatchesTheHashSide) {
+  // The advisory-hint rerun on the dense side reproduces the unhinted
+  // hash-side bytes.
+  const CscMat a = testing::random_matrix(110, 110, 5.0, 24);
+  const Index flops = multiply_flops(a, a);
+  ASSERT_TRUE(use_dense_rows(a.nrows(), flops));
+  std::vector<Index> hints = symbolic_column_nnz(a, a);
+  const auto victim = static_cast<std::size_t>(
+      std::max_element(hints.begin(), hints.end()) - hints.begin());
+  ASSERT_GE(hints[victim], 2);
+  --hints[victim];
+  const CscMat tall = testing::pad_rows(a, flops);
+  for (SpGemmKind kind : {SpGemmKind::kUnsortedHash, SpGemmKind::kSortedHash}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << to_string(kind) << " x" << threads);
+      testing::expect_same_arrays(
+          local_spgemm<PlusTimes>(a, a, kind, threads, hints),
+          local_spgemm<PlusTimes>(tall, a, kind, threads));
+    }
   }
 }
 

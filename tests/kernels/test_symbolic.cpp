@@ -3,6 +3,7 @@
 #include <numeric>
 
 #include "gen/rmat.hpp"
+#include "kernels/accumulator.hpp"
 #include "kernels/reference.hpp"
 #include "kernels/symbolic.hpp"
 #include "sparse/stats.hpp"
@@ -62,6 +63,23 @@ TEST(Symbolic, AcceptsUnsortedInputs) {
   CscMat b(2, 1, {0, 2}, {1, 0}, {1.0, 1.0});
   const auto per_col = symbolic_column_nnz(a, b);
   EXPECT_EQ(per_col[0], 4);  // rows {3, 0, 2} from col 0 plus {1} from col 1
+}
+
+TEST(Symbolic, DenseAndHashSidesCountTheSame) {
+  // A block no taller than its flops counts on the dense side; the same
+  // block padded with empty rows past its flops counts on the hash side.
+  RmatParams p;
+  p.scale = 9;
+  p.edge_factor = 4.0;
+  p.seed = 64;
+  for (const CscMat& a :
+       {testing::random_matrix(80, 80, 6.0, 65), generate_rmat(p)}) {
+    const Index flops = multiply_flops(a, a);
+    ASSERT_TRUE(use_dense_rows(a.nrows(), flops));
+    const CscMat tall = testing::pad_rows(a, flops);
+    ASSERT_FALSE(use_dense_rows(tall.nrows(), flops));
+    EXPECT_EQ(symbolic_column_nnz(a, a), symbolic_column_nnz(tall, a));
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -57,6 +58,29 @@ inline CscMat random_matrix(Index rows, Index cols, double d,
   p.nnz_per_col = d;
   p.seed = seed;
   return generate_er(p);
+}
+
+/// `m` with `extra` empty rows appended: the same entries in a taller
+/// block. The kernels pick their row accumulator side from the block height
+/// (use_dense_rows), so padding a short block past its work runs the same
+/// product on the hash side.
+inline CscMat pad_rows(const CscMat& m, Index extra) {
+  return CscMat(m.nrows() + extra, m.ncols(),
+                std::vector<Index>(m.colptr().begin(), m.colptr().end()),
+                std::vector<Index>(m.rowids().begin(), m.rowids().end()),
+                std::vector<Value>(m.vals().begin(), m.vals().end()));
+}
+
+/// Bitwise equality of the stored arrays (colptr, rowids, vals), ignoring
+/// the row count, for comparing a product with its row-padded twin.
+inline void expect_same_arrays(const CscMat& a, const CscMat& b) {
+  EXPECT_TRUE(std::ranges::equal(a.colptr(), b.colptr())) << "colptr differs";
+  EXPECT_TRUE(std::ranges::equal(a.rowids(), b.rowids())) << "rowids differ";
+  ASSERT_EQ(a.vals().size(), b.vals().size());
+  EXPECT_EQ(std::memcmp(a.vals().data(), b.vals().data(),
+                        a.vals().size() * sizeof(Value)),
+            0)
+      << "vals differ";
 }
 
 }  // namespace casp::testing
