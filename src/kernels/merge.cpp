@@ -7,6 +7,8 @@
 
 #include "common/error.hpp"
 #include "kernels/accumulator.hpp"
+#include "kernels/output.hpp"
+#include "sparse/serialize.hpp"
 
 namespace casp {
 
@@ -20,15 +22,17 @@ const char* to_string(MergeKind kind) {
 
 namespace {
 
-/// Merges every column into its slice [ub_ptr[j], ub_ptr[j+1]) of
-/// rowids/vals, with one accumulator side per thread; counts[j] gets the
-/// column's merged nnz.
+/// Merges every column into its slice of `out`, with one accumulator side
+/// per thread, and returns each column's merged nnz. Without `out` (hash
+/// merges only) it only counts, inserting the rows into the same side.
+/// bound[j]: column j's input nnz.
 template <typename SR, typename Rows>
-void merge_columns(std::span<const CscConstRef> pieces, MergeKind kind,
-                   int threads, bool sort_output,
-                   const std::vector<Index>& ub_ptr, std::vector<Index>& rowids,
-                   std::vector<Value>& vals, std::vector<Index>& counts) {
-  const Index ncols = pieces.front().ncols();
+std::vector<Index> merge_columns(std::span<const CscConstRef> pieces,
+                                 MergeKind kind, int threads, bool sort_output,
+                                 const std::vector<Index>& bound,
+                                 CscSlices* out) {
+  std::vector<Index> counts(bound.size(), 0);
+  const auto ncols = static_cast<Index>(bound.size());
 #if defined(CASP_HAVE_OPENMP)
 #pragma omp parallel num_threads(std::max(1, threads))
 #else
@@ -45,26 +49,33 @@ void merge_columns(std::span<const CscConstRef> pieces, MergeKind kind,
 #pragma omp for schedule(dynamic, 32)
 #endif
     for (Index j = 0; j < ncols; ++j) {
-      const Index cap = ub_ptr[static_cast<std::size_t>(j) + 1] -
-                        ub_ptr[static_cast<std::size_t>(j)];
+      const Index cap =
+          out != nullptr ? out->col_capacity(j) : bound[static_cast<std::size_t>(j)];
       if (cap == 0) continue;
-      Index* out_rows = rowids.data() + ub_ptr[static_cast<std::size_t>(j)];
-      Value* out_vals = vals.data() + ub_ptr[static_cast<std::size_t>(j)];
+      Index* out_rows = out != nullptr ? out->col_rowids(j) : nullptr;
+      Value* out_vals = out != nullptr ? out->col_vals(j) : nullptr;
       Index cnt = 0;
       if (kind == MergeKind::kUnsortedHash) {
         table.require(cap);
         table.reset();
-        for (const CscConstRef& m : pieces) {
-          const auto rows = m.col_rowids(j);
-          const auto mv = m.col_vals(j);
-          for (std::size_t k = 0; k < rows.size(); ++k)
-            table.accumulate(rows[k], mv[k]);
+        if (out == nullptr) {
+          for (const CscConstRef& m : pieces)
+            for (const Index row : m.col_rowids(j)) table.insert(row);
+        } else {
+          for (const CscConstRef& m : pieces) {
+            const auto rows = m.col_rowids(j);
+            const auto mv = m.col_vals(j);
+            for (std::size_t k = 0; k < rows.size(); ++k)
+              table.accumulate(rows[k], mv[k]);
+          }
         }
         cnt = table.size();
-        if (sort_output)
-          table.emit_sorted(out_rows, out_vals);
-        else
-          table.emit(out_rows, out_vals);
+        if (out != nullptr) {
+          if (sort_output)
+            table.emit_sorted(out_rows, out_vals);
+          else
+            table.emit(out_rows, out_vals);
+        }
       } else {
         // k-way heap merge over sorted input columns (min-heap maintained
         // manually on the hoisted vector).
@@ -96,6 +107,36 @@ void merge_columns(std::span<const CscConstRef> pieces, MergeKind kind,
       counts[static_cast<std::size_t>(j)] = cnt;
     }
   }
+  return counts;
+}
+
+/// Each output column's upper bound: its total input nnz.
+std::vector<Index> column_bounds(std::span<const CscConstRef> pieces) {
+  CASP_CHECK(!pieces.empty());
+  const CscConstRef& first = pieces.front();
+  std::vector<Index> bound(static_cast<std::size_t>(first.ncols()), 0);
+  for (const CscConstRef& m : pieces) {
+    CASP_CHECK_MSG(m.nrows() == first.nrows() && m.ncols() == first.ncols(),
+                   "merge: shape mismatch");
+    for (Index j = 0; j < m.ncols(); ++j)
+      bound[static_cast<std::size_t>(j)] += m.col_nnz(j);
+  }
+  return bound;
+}
+
+/// merge_columns on the merge's accumulator side. kSortedHeap never
+/// accumulates, so it keeps the (unallocated) hash side.
+template <typename SR>
+std::vector<Index> merge_pass(std::span<const CscConstRef> pieces,
+                              MergeKind kind, int threads, bool sort_output,
+                              const std::vector<Index>& bound, CscSlices* out) {
+  const Index work = std::accumulate(bound.begin(), bound.end(), Index{0});
+  if (kind == MergeKind::kUnsortedHash &&
+      use_dense_rows(pieces.front().nrows(), work))
+    return merge_columns<SR, DenseRows<SR>>(pieces, kind, threads, sort_output,
+                                            bound, out);
+  return merge_columns<SR, HashRows<SR>>(pieces, kind, threads, sort_output,
+                                         bound, out);
 }
 
 }  // namespace
@@ -103,52 +144,38 @@ void merge_columns(std::span<const CscConstRef> pieces, MergeKind kind,
 template <typename SR>
 CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
                       int threads, bool sort_output) {
-  CASP_CHECK(!pieces.empty());
-  const Index nrows = pieces.front().nrows();
-  const Index ncols = pieces.front().ncols();
-  for (const CscConstRef& m : pieces)
-    CASP_CHECK_MSG(m.nrows() == nrows && m.ncols() == ncols,
-                   "merge: shape mismatch");
+  const std::vector<Index> bound = column_bounds(pieces);
+  // C is written once, into exact arrays. One piece: a Gustavson column's
+  // rows are unique, so its input count is its merged count. Several: a
+  // counting pass first. A column that comes out shorter (a row repeated
+  // within a piece, or the heap merge of prior work, which keeps the input
+  // bound) is compacted.
+  const bool count = pieces.size() > 1 && kind == MergeKind::kUnsortedHash;
+  CscSlices out(pieces.front().nrows(),
+                count ? merge_pass<SR>(pieces, kind, threads, false, bound, nullptr)
+                      : bound);
+  const std::vector<Index> counts =
+      merge_pass<SR>(pieces, kind, threads, sort_output, bound, &out);
+  return std::move(out).finish(counts);
+}
 
-  // Upper bound per output column: total input entries in that column.
-  std::vector<Index> ub_ptr(static_cast<std::size_t>(ncols) + 1, 0);
-  for (Index j = 0; j < ncols; ++j) {
-    Index ub = 0;
-    for (const CscConstRef& m : pieces) ub += m.col_nnz(j);
-    ub_ptr[static_cast<std::size_t>(j) + 1] = ub_ptr[static_cast<std::size_t>(j)] + ub;
+template <typename SR>
+std::vector<Payload> merge_matrices_wire(std::span<const CscConstRef> pieces,
+                                         std::span<const Index> splits,
+                                         MergeKind kind, int threads) {
+  // Merge into upper-bound scratch, then compact into the wire images: the
+  // compaction is the pack.
+  const std::vector<Index> bound = column_bounds(pieces);
+  CscSlices scratch(pieces.front().nrows(), bound);
+  const std::vector<Index> counts =
+      merge_pass<SR>(pieces, kind, threads, false, bound, &scratch);
+  CscWireImages out(pieces.front().nrows(), splits, counts);
+  for (Index j = 0; j < static_cast<Index>(counts.size()); ++j) {
+    const Index cnt = counts[static_cast<std::size_t>(j)];
+    std::copy_n(scratch.col_rowids(j), cnt, out.col_rowids(j));
+    std::copy_n(scratch.col_vals(j), cnt, out.col_vals(j));
   }
-  std::vector<Index> rowids(static_cast<std::size_t>(ub_ptr.back()));
-  std::vector<Value> vals(rowids.size());
-  std::vector<Index> counts(static_cast<std::size_t>(ncols), 0);
-
-  // kSortedHeap never accumulates, so it keeps the (unallocated) hash side.
-  const bool dense = kind == MergeKind::kUnsortedHash &&
-                     use_dense_rows(nrows, ub_ptr.back());
-  if (dense)
-    merge_columns<SR, DenseRows<SR>>(pieces, kind, threads, sort_output, ub_ptr,
-                                     rowids, vals, counts);
-  else
-    merge_columns<SR, HashRows<SR>>(pieces, kind, threads, sort_output, ub_ptr,
-                                    rowids, vals, counts);
-
-  // Compact.
-  std::vector<Index> colptr(static_cast<std::size_t>(ncols) + 1, 0);
-  for (Index j = 0; j < ncols; ++j)
-    colptr[static_cast<std::size_t>(j) + 1] =
-        colptr[static_cast<std::size_t>(j)] + counts[static_cast<std::size_t>(j)];
-  std::vector<Index> out_rowids(static_cast<std::size_t>(colptr.back()));
-  std::vector<Value> out_vals(out_rowids.size());
-  for (Index j = 0; j < ncols; ++j) {
-    const auto src = static_cast<std::size_t>(ub_ptr[static_cast<std::size_t>(j)]);
-    const auto dst = static_cast<std::size_t>(colptr[static_cast<std::size_t>(j)]);
-    const auto cnt = static_cast<std::size_t>(counts[static_cast<std::size_t>(j)]);
-    std::copy_n(rowids.begin() + static_cast<std::ptrdiff_t>(src), cnt,
-                out_rowids.begin() + static_cast<std::ptrdiff_t>(dst));
-    std::copy_n(vals.begin() + static_cast<std::ptrdiff_t>(src), cnt,
-                out_vals.begin() + static_cast<std::ptrdiff_t>(dst));
-  }
-  return CscMat(nrows, ncols, std::move(colptr), std::move(out_rowids),
-                std::move(out_vals));
+  return std::move(out).finish(counts);
 }
 
 template CscMat merge_matrices<PlusTimes>(std::span<const CscConstRef>,
@@ -159,5 +186,14 @@ template CscMat merge_matrices<MaxMin>(std::span<const CscConstRef>,
                                        MergeKind, int, bool);
 template CscMat merge_matrices<OrAnd>(std::span<const CscConstRef>, MergeKind,
                                       int, bool);
+
+template std::vector<Payload> merge_matrices_wire<PlusTimes>(
+    std::span<const CscConstRef>, std::span<const Index>, MergeKind, int);
+template std::vector<Payload> merge_matrices_wire<MinPlus>(
+    std::span<const CscConstRef>, std::span<const Index>, MergeKind, int);
+template std::vector<Payload> merge_matrices_wire<MaxMin>(
+    std::span<const CscConstRef>, std::span<const Index>, MergeKind, int);
+template std::vector<Payload> merge_matrices_wire<OrAnd>(
+    std::span<const CscConstRef>, std::span<const Index>, MergeKind, int);
 
 }  // namespace casp

@@ -8,7 +8,9 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
+#include "common/payload.hpp"
 #include "kernels/semiring.hpp"
 #include "sparse/csc_mat.hpp"
 #include "sparse/csc_ref.hpp"
@@ -30,7 +32,10 @@ const char* to_string(MergeKind kind);
 /// the hash side a per-column sort; bitwise the same as merging and then
 /// calling CscMat::sort_columns().
 ///
-/// The single entry point takes non-owning refs; wrap an owned collection
+/// C is written once, into exact arrays: one piece sizes them from its
+/// column counts, several from a counting pass.
+///
+/// The entry points take non-owning refs; wrap an owned collection
 /// with csc_refs(...) — works identically for CscMat vectors and CscView
 /// vectors (e.g. the fiber all-to-all buffers, merged zero-copy without
 /// deserializing them first).
@@ -38,5 +43,14 @@ template <typename SR = PlusTimes>
 CscMat merge_matrices(std::span<const CscConstRef> pieces,
                       MergeKind kind = MergeKind::kUnsortedHash,
                       int threads = 1, bool sort_output = false);
+
+/// Merge-Layer's form: the merge written into wire images, one per column
+/// range, by compacting upper-bound scratch into them. Piece m is
+/// byte-identical to pack_csc_payload(merge_matrices(...).slice_cols(...)).
+template <typename SR = PlusTimes>
+std::vector<Payload> merge_matrices_wire(std::span<const CscConstRef> pieces,
+                                         std::span<const Index> splits,
+                                         MergeKind kind = MergeKind::kUnsortedHash,
+                                         int threads = 1);
 
 }  // namespace casp

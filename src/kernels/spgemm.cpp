@@ -8,6 +8,8 @@
 
 #include "common/error.hpp"
 #include "kernels/accumulator.hpp"
+#include "kernels/output.hpp"
+#include "sparse/serialize.hpp"
 #include "sparse/stats.hpp"
 
 namespace casp {
@@ -28,66 +30,6 @@ bool produces_sorted(SpGemmKind kind) {
 }
 
 namespace {
-
-/// Shared output assembly: callers fill per-column slices of an
-/// upper-bound-sized buffer; compact() squeezes out the slack. A slice
-/// holds min(flops_j, nrows) entries, or — given symbolic per-column
-/// counts — min(flops_j, nrows, max(hint_j, 1)).
-struct OutputBuilder {
-  OutputBuilder(Index nrows, const std::vector<Index>& flops,
-                std::span<const Index> hints) {
-    ub_ptr.resize(flops.size() + 1, 0);
-    for (std::size_t j = 0; j < flops.size(); ++j) {
-      Index cap = std::min(flops[j], nrows);
-      if (!hints.empty()) cap = std::min(cap, std::max<Index>(hints[j], 1));
-      ub_ptr[j + 1] = ub_ptr[j] + cap;
-    }
-    rowids.resize(static_cast<std::size_t>(ub_ptr.back()));
-    vals.resize(static_cast<std::size_t>(ub_ptr.back()));
-    counts.assign(flops.size(), 0);
-  }
-
-  CscMat compact(Index nrows, Index ncols) {
-    std::vector<Index> colptr(static_cast<std::size_t>(ncols) + 1, 0);
-    for (Index j = 0; j < ncols; ++j)
-      colptr[static_cast<std::size_t>(j) + 1] =
-          colptr[static_cast<std::size_t>(j)] + counts[static_cast<std::size_t>(j)];
-    // No count exceeds its slice, so equal totals mean every slice is full:
-    // the buffers are already contiguous CSC (exact symbolic hints).
-    if (colptr.back() == ub_ptr.back())
-      return CscMat(nrows, ncols, std::move(ub_ptr), std::move(rowids),
-                    std::move(vals));
-    std::vector<Index> out_rowids(static_cast<std::size_t>(colptr.back()));
-    std::vector<Value> out_vals(out_rowids.size());
-    for (Index j = 0; j < ncols; ++j) {
-      const auto src = static_cast<std::size_t>(ub_ptr[static_cast<std::size_t>(j)]);
-      const auto dst = static_cast<std::size_t>(colptr[static_cast<std::size_t>(j)]);
-      const auto cnt = static_cast<std::size_t>(counts[static_cast<std::size_t>(j)]);
-      std::copy_n(rowids.begin() + static_cast<std::ptrdiff_t>(src), cnt,
-                  out_rowids.begin() + static_cast<std::ptrdiff_t>(dst));
-      std::copy_n(vals.begin() + static_cast<std::ptrdiff_t>(src), cnt,
-                  out_vals.begin() + static_cast<std::ptrdiff_t>(dst));
-    }
-    return CscMat(nrows, ncols, std::move(colptr), std::move(out_rowids),
-                  std::move(out_vals));
-  }
-
-  Index* col_rowids(Index j) {
-    return rowids.data() + ub_ptr[static_cast<std::size_t>(j)];
-  }
-  Value* col_vals(Index j) {
-    return vals.data() + ub_ptr[static_cast<std::size_t>(j)];
-  }
-  Index col_capacity(Index j) const {
-    return ub_ptr[static_cast<std::size_t>(j) + 1] -
-           ub_ptr[static_cast<std::size_t>(j)];
-  }
-
-  std::vector<Index> ub_ptr;
-  std::vector<Index> rowids;
-  std::vector<Value> vals;
-  std::vector<Index> counts;
-};
 
 /// One output column through a row accumulator, into a slice of
 /// `out_capacity` entries. Returns the entry count; a count above
@@ -160,11 +102,13 @@ Index heap_column(const MatA& a, const MatB& b, Index j, Index* rowids,
   return cnt;
 }
 
-/// Fills `out`'s column slices with one accumulator side per thread.
+/// Fills `out`'s column slices (a CscSlices or a CscWireImages) with one
+/// accumulator side per thread, and counts[j] with column j's entry count.
 /// Returns false if a column outgrew its slice (an undersized hint).
-template <typename SR, typename Rows, typename MatA, typename MatB>
+template <typename SR, typename Rows, typename Out, typename MatA, typename MatB>
 bool fill_columns(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
-                  std::span<const Index> col_nnz_hints, OutputBuilder& out) {
+                  std::span<const Index> col_nnz_hints, Out& out,
+                  std::vector<Index>& counts) {
   const Index ncols = b.ncols();
   std::atomic<bool> overflow{false};
 
@@ -183,10 +127,7 @@ bool fill_columns(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
       // Once a column has outgrown its slice the product is rerun anyway.
       if (overflow.load()) continue;
       const Index cap = out.col_capacity(j);
-      if (cap == 0) {
-        out.counts[static_cast<std::size_t>(j)] = 0;
-        continue;
-      }
+      if (cap == 0) continue;
       // The symbolic hint bounds the merged column's nnz across all stages,
       // so it also bounds this stage's contribution — size the hash table
       // from it when it beats the flops bound (clamped to >= 1 so a column
@@ -194,9 +135,7 @@ bool fill_columns(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
       const Index table_cap =
           col_nnz_hints.empty()
               ? cap
-              : std::min(cap, std::max<Index>(
-                                  col_nnz_hints[static_cast<std::size_t>(j)],
-                                  Index{1}));
+              : std::min(cap, std::max<Index>(col_nnz_hints[static_cast<std::size_t>(j)], 1));
       Index* rowids = out.col_rowids(j);
       Value* vals = out.col_vals(j);
       Index cnt = 0;
@@ -214,15 +153,18 @@ bool fill_columns(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
         overflow.store(true);
         continue;
       }
-      out.counts[static_cast<std::size_t>(j)] = cnt;
+      counts[static_cast<std::size_t>(j)] = cnt;
     }
   }
   return !overflow.load();
 }
 
-template <typename SR, typename MatA, typename MatB>
-CscMat run_spgemm(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
-                  std::span<const Index> col_nnz_hints) {
+/// Runs the multiply into the output target `make_out(slice capacities)`
+/// builds and returns its finish().
+template <typename SR, typename MakeOut>
+auto run_spgemm(const CscConstRef& a, const CscConstRef& b, SpGemmKind kind,
+                int threads, std::span<const Index> col_nnz_hints,
+                const MakeOut& make_out) {
   CASP_CHECK_MSG(a.ncols() == b.nrows(),
                  "local_spgemm: inner dimension mismatch " << a.ncols()
                                                            << " vs " << b.nrows());
@@ -237,20 +179,29 @@ CscMat run_spgemm(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
   const bool hint_sized = !col_nnz_hints.empty() &&
                           (kind == SpGemmKind::kUnsortedHash ||
                            kind == SpGemmKind::kSortedHash);
+  // A slice holds min(flops_j, nrows) entries, or — given symbolic counts —
+  // min(flops_j, nrows, max(hint_j, 1)).
   const std::vector<Index> flops = column_flops(a, b);
-  OutputBuilder out(a.nrows(), flops,
-                    hint_sized ? col_nnz_hints : std::span<const Index>{});
+  std::vector<Index> caps(flops.size());
+  for (std::size_t j = 0; j < flops.size(); ++j) {
+    caps[j] = std::min(flops[j], a.nrows());
+    if (hint_sized) caps[j] = std::min(caps[j], std::max<Index>(col_nnz_hints[j], 1));
+  }
+  auto out = make_out(caps);
+  std::vector<Index> counts(flops.size(), 0);
   // kSpa is the dense side by definition; kHeap never accumulates.
   const Index work = std::accumulate(flops.begin(), flops.end(), Index{0});
   const bool dense = kind == SpGemmKind::kSpa ||
                      (kind != SpGemmKind::kHeap && use_dense_rows(a.nrows(), work));
   const bool fits =
-      dense ? fill_columns<SR, DenseRows<SR>>(a, b, kind, threads, col_nnz_hints, out)
-            : fill_columns<SR, HashRows<SR>>(a, b, kind, threads, col_nnz_hints, out);
+      dense ? fill_columns<SR, DenseRows<SR>>(a, b, kind, threads, col_nnz_hints,
+                                              out, counts)
+            : fill_columns<SR, HashRows<SR>>(a, b, kind, threads, col_nnz_hints,
+                                             out, counts);
   // Hints are advisory: an undersized one left a column unwritten, so the
   // product reruns on the flops bound, which every column fits.
-  if (!fits) return run_spgemm<SR>(a, b, kind, threads, {});
-  return out.compact(a.nrows(), b.ncols());
+  if (fits) return std::move(out).finish(counts);
+  return run_spgemm<SR>(a, b, kind, threads, {}, make_out);
 }
 
 }  // namespace
@@ -259,7 +210,22 @@ template <typename SR>
 CscMat local_spgemm(const CscConstRef& a, const CscConstRef& b,
                     SpGemmKind kind, int threads,
                     std::span<const Index> col_nnz_hints) {
-  return run_spgemm<SR>(a, b, kind, threads, col_nnz_hints);
+  return run_spgemm<SR>(a, b, kind, threads, col_nnz_hints,
+                        [&](const std::vector<Index>& caps) {
+                          return CscSlices(a.nrows(), caps);
+                        });
+}
+
+template <typename SR>
+std::vector<Payload> local_spgemm_wire(const CscConstRef& a,
+                                       const CscConstRef& b,
+                                       std::span<const Index> splits,
+                                       SpGemmKind kind, int threads,
+                                       std::span<const Index> col_nnz_hints) {
+  return run_spgemm<SR>(a, b, kind, threads, col_nnz_hints,
+                        [&](const std::vector<Index>& caps) {
+                          return CscWireImages(a.nrows(), splits, caps);
+                        });
 }
 
 template <typename SR>
@@ -341,5 +307,14 @@ template CscMat local_spgemm<MaxMin>(const CscConstRef&, const CscConstRef&,
                                      SpGemmKind, int, std::span<const Index>);
 template CscMat local_spgemm<OrAnd>(const CscConstRef&, const CscConstRef&,
                                     SpGemmKind, int, std::span<const Index>);
+
+template std::vector<Payload> local_spgemm_wire<PlusTimes>(const CscConstRef&, const CscConstRef&,
+    std::span<const Index>, SpGemmKind, int, std::span<const Index>);
+template std::vector<Payload> local_spgemm_wire<MinPlus>(const CscConstRef&, const CscConstRef&,
+    std::span<const Index>, SpGemmKind, int, std::span<const Index>);
+template std::vector<Payload> local_spgemm_wire<MaxMin>(const CscConstRef&, const CscConstRef&,
+    std::span<const Index>, SpGemmKind, int, std::span<const Index>);
+template std::vector<Payload> local_spgemm_wire<OrAnd>(const CscConstRef&, const CscConstRef&,
+    std::span<const Index>, SpGemmKind, int, std::span<const Index>);
 
 }  // namespace casp

@@ -9,7 +9,9 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
+#include "common/payload.hpp"
 #include "kernels/semiring.hpp"
 #include "sparse/csc_mat.hpp"
 #include "sparse/csc_ref.hpp"
@@ -59,6 +61,16 @@ CscMat local_spgemm(const CscConstRef& a, const CscConstRef& b,
                     SpGemmKind kind = SpGemmKind::kUnsortedHash,
                     int threads = 1,
                     std::span<const Index> col_nnz_hints = {});
+
+/// local_spgemm written straight into wire images, one per column range
+/// [splits[m], splits[m+1]) (sparse/serialize.hpp's CscWireImages), with
+/// the same slice sizing and rerun: piece m is byte-identical to
+/// pack_csc_payload(local_spgemm(...).slice_cols(splits[m], splits[m+1])).
+template <typename SR = PlusTimes>
+std::vector<Payload> local_spgemm_wire(
+    const CscConstRef& a, const CscConstRef& b, std::span<const Index> splits,
+    SpGemmKind kind = SpGemmKind::kUnsortedHash, int threads = 1,
+    std::span<const Index> col_nnz_hints = {});
 
 /// Masked SpGEMM: C = (A * B) .* pattern(mask). Only entries whose
 /// (row, col) position is nonzero in `mask` are accumulated, so the

@@ -6,6 +6,7 @@
 // experiments.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/payload.hpp"
@@ -20,6 +21,41 @@ CscMat unpack_csc(const std::vector<std::byte>& buffer);
 /// Pack straight into a transport payload (one allocation, no intermediate
 /// buffer) for handle-forwarding sends.
 Payload pack_csc_payload(const CscMat& mat);
+
+/// l wire images in one allocation, filled column by column by the kernel
+/// that produces the matrix: image m holds columns [splits[m], splits[m+1])
+/// and column j a slice of col_capacity[j] entries. finish(counts) writes
+/// the headers and colptrs, compacts short slices in place, and returns the
+/// images as subviews, each byte-identical to
+/// pack_csc_payload(mat.slice_cols(splits[m], splits[m+1])).
+class CscWireImages {
+ public:
+  /// splits: ascending, from 0 to col_capacity.size().
+  CscWireImages(Index nrows, std::span<const Index> splits,
+                std::span<const Index> col_capacity);
+  // The column pointers point into bytes_, so a copy would write into the
+  // original's buffer.
+  CscWireImages(const CscWireImages&) = delete;
+  CscWireImages& operator=(const CscWireImages&) = delete;
+
+  Index col_capacity(Index j) const {
+    return slice_[static_cast<std::size_t>(j) + 1] - slice_[static_cast<std::size_t>(j)];
+  }
+  Index* col_rowids(Index j) { return rowids_[static_cast<std::size_t>(j)]; }
+  Value* col_vals(Index j) { return vals_[static_cast<std::size_t>(j)]; }
+
+  /// counts[j] <= col_capacity(j) entries were written to column j.
+  std::vector<Payload> finish(std::span<const Index> counts) &&;
+
+ private:
+  Index nrows_;
+  std::vector<Index> splits_;
+  std::vector<Index> slice_;  // column j's slice: [slice_[j], slice_[j+1])
+  std::vector<std::size_t> image_at_;  // image m starts at byte image_at_[m]
+  std::vector<Index*> rowids_;
+  std::vector<Value*> vals_;
+  std::vector<std::byte> bytes_;
+};
 
 /// Borrow the CSC arrays directly from a packed payload — the zero-copy
 /// receive path. The returned view shares ownership of the payload's

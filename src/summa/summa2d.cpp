@@ -18,19 +18,55 @@ struct StageBcasts {
   vmpi::PendingBcast b;
 };
 
-/// Merge-Layer: sum the per-stage partials. A one-stage layer (q = 1) has
-/// nothing to sum, so its lone partial is moved out instead — bit-identical
-/// to merging it, since a Gustavson column's row ids are unique and both
-/// merge kinds then reproduce the rows, their order and values exactly.
-/// The span stays so every report lists the step.
+/// The tail both stage loops share: Local-Multiply per stage, then
+/// Merge-Layer writing D's wire pieces. At q = 1 the lone Local-Multiply
+/// writes them (a one-input merge would not change a Gustavson column);
+/// the Merge-Layer span stays so every report lists the step.
 template <typename SR>
-CscMat merge_layer(obs::Recorder& rec, std::vector<CscMat>& partials,
-                   const SummaOptions& opts) {
-  obs::Span span(rec, steps::kMergeLayer);
-  if (partials.size() == 1) return std::move(partials.front());
-  return merge_matrices<SR>(csc_refs(partials), opts.merge_kind,
-                            opts.threads);
-}
+struct LayerProduct {
+  obs::Recorder& rec;
+  const SummaOptions& opts;
+  int stages;
+  std::span<const Index> splits;
+  std::vector<CscMat> partials = {};
+  std::vector<MemoryCharge> charges = {};  // released with the product
+  std::vector<Payload> pieces = {};
+
+  void multiply(int s, const CscView& a_view, const CscView& b_view) {
+    CASP_CHECK_MSG(a_view.ncols() == b_view.nrows(),
+                   "summa2d stage " << s << ": inner dim mismatch "
+                                    << a_view.ncols() << " vs " << b_view.nrows());
+    Index nnz = 0;
+    {
+      obs::Span span(rec, steps::kLocalMultiply);
+      if (stages == 1) {
+        pieces = local_spgemm_wire<SR>(a_view, b_view, splits, opts.local_kind,
+                                       opts.threads, opts.symbolic_col_nnz);
+        for (const Payload& piece : pieces) nnz += unpack_csc_view(piece).nnz();
+      } else {
+        partials.push_back(local_spgemm<SR>(a_view, b_view, opts.local_kind,
+                                            opts.threads, opts.symbolic_col_nnz));
+        nnz = partials.back().nnz();
+      }
+    }
+    if (opts.memory != nullptr) {
+      // Unmerged per-stage results are exactly the mem(C) term of Eq. 1:
+      // they stay live until Merge-Layer.
+      charges.emplace_back(*opts.memory,
+                           static_cast<Bytes>(nnz) * kBytesPerNonzero,
+                           "unmerged stage output");
+      rec.sample_memory(*opts.memory, "memory.live_bytes");
+    }
+  }
+
+  std::vector<Payload> merge() {
+    obs::Span span(rec, steps::kMergeLayer);
+    if (stages > 1)
+      pieces = merge_matrices_wire<SR>(csc_refs(partials), splits,
+                                       opts.merge_kind, opts.threads);
+    return std::move(pieces);
+  }
+};
 
 /// Sparse-comm stage loop: B keeps the dense ibcast schedule, but A ships
 /// via the need-list exchange — each stage's request is derived from the
@@ -40,18 +76,16 @@ CscMat merge_layer(obs::Recorder& rec, std::vector<CscMat>& partials,
 /// the dense loop: shipped A columns cover exactly the row support the
 /// multiply dereferences.
 template <typename SR>
-CscMat summa2d_sparse(Grid3D& grid, const CscMat& local_a,
-                      const CscMat& local_b, const SummaOptions& opts) {
+std::vector<Payload> summa2d_sparse(Grid3D& grid, const CscMat& local_a,
+                                    const CscMat& local_b,
+                                    const SummaOptions& opts,
+                                    std::span<const Index> col_splits) {
   vmpi::Comm& row_comm = grid.row_comm();
   vmpi::Comm& col_comm = grid.col_comm();
   obs::Recorder& rec = row_comm.recorder();
   obs::ScopedTag layer_tag(rec, obs::ScopedTag::Kind::kLayer, grid.layer());
   const int stages = grid.q();
-
-  std::vector<CscMat> partials;
-  partials.reserve(static_cast<std::size_t>(stages));
-  std::vector<MemoryCharge> partial_charges;
-  partial_charges.reserve(static_cast<std::size_t>(stages));
+  LayerProduct<SR> layer{rec, opts, stages, col_splits};
 
   SparseAExchange a_exchange(row_comm, local_a);
 
@@ -85,39 +119,24 @@ CscMat summa2d_sparse(Grid3D& grid, const CscMat& local_a,
       obs::PhaseSpan span(rec, steps::kABcast);
       a_view = a_exchange.wait(s);
     }
-    CASP_CHECK_MSG(a_view.ncols() == b_view.nrows(),
-                   "summa2d stage " << s << ": inner dim mismatch "
-                                    << a_view.ncols() << " vs "
-                                    << b_view.nrows());
-    {
-      obs::Span span(rec, steps::kLocalMultiply);
-      partials.push_back(local_spgemm<SR>(a_view, b_view, opts.local_kind,
-                                          opts.threads,
-                                          opts.symbolic_col_nnz));
-    }
-    if (opts.memory != nullptr) {
-      partial_charges.emplace_back(
-          *opts.memory,
-          static_cast<Bytes>(partials.back().nnz()) * kBytesPerNonzero,
-          "unmerged stage output");
-      rec.sample_memory(*opts.memory, "memory.live_bytes");
-    }
+    layer.multiply(s, a_view, b_view);
     if (s + 1 < stages) {
       if (!opts.pipeline) b_pending = post_b(s + 1);
       b_view = prepare_stage(s + 1, b_pending);
     }
   }
 
-  return merge_layer<SR>(rec, partials, opts);
+  return layer.merge();
 }
 
 }  // namespace
 
 template <typename SR>
-CscMat summa2d(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
-               const SummaOptions& opts) {
+std::vector<Payload> summa2d(Grid3D& grid, const CscMat& local_a,
+                             const CscMat& local_b, const SummaOptions& opts,
+                             std::span<const Index> col_splits) {
   if (opts.sparse_comm)
-    return summa2d_sparse<SR>(grid, local_a, local_b, opts);
+    return summa2d_sparse<SR>(grid, local_a, local_b, opts, col_splits);
   vmpi::Comm& row_comm = grid.row_comm();
   vmpi::Comm& col_comm = grid.col_comm();
   // Split communicators share the world's recorder, so spans opened through
@@ -125,11 +144,7 @@ CscMat summa2d(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
   obs::Recorder& rec = row_comm.recorder();
   obs::ScopedTag layer_tag(rec, obs::ScopedTag::Kind::kLayer, grid.layer());
   const int stages = grid.q();
-
-  std::vector<CscMat> partials;
-  partials.reserve(static_cast<std::size_t>(stages));
-  std::vector<MemoryCharge> partial_charges;
-  partial_charges.reserve(static_cast<std::size_t>(stages));
+  LayerProduct<SR> layer{rec, opts, stages, col_splits};
 
   // The stage-s owner serializes its block once into a payload; the
   // broadcast forwards the handle, and receivers multiply straight out of
@@ -173,38 +188,20 @@ CscMat summa2d(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
     // after the multiply finishes. Either way every stage posts then waits
     // its own broadcasts in SPMD order, so the traffic is identical.
     if (opts.pipeline && s + 1 < stages) current = post_stage(s + 1);
-    CASP_CHECK_MSG(a_view.ncols() == b_view.nrows(),
-                   "summa2d stage " << s << ": inner dim mismatch "
-                                    << a_view.ncols() << " vs "
-                                    << b_view.nrows());
-    {
-      obs::Span span(rec, steps::kLocalMultiply);
-      partials.push_back(local_spgemm<SR>(a_view, b_view, opts.local_kind,
-                                          opts.threads,
-                                          opts.symbolic_col_nnz));
-    }
-    if (opts.memory != nullptr) {
-      // Unmerged per-stage results are exactly the mem(C) term of Eq. 1:
-      // they stay live until Merge-Layer.
-      partial_charges.emplace_back(
-          *opts.memory,
-          static_cast<Bytes>(partials.back().nnz()) * kBytesPerNonzero,
-          "unmerged stage output");
-      rec.sample_memory(*opts.memory, "memory.live_bytes");
-    }
+    layer.multiply(s, a_view, b_view);
     if (!opts.pipeline && s + 1 < stages) current = post_stage(s + 1);
   }
 
-  return merge_layer<SR>(rec, partials, opts);
+  return layer.merge();
 }
 
-template CscMat summa2d<PlusTimes>(Grid3D&, const CscMat&, const CscMat&,
-                                   const SummaOptions&);
-template CscMat summa2d<MinPlus>(Grid3D&, const CscMat&, const CscMat&,
-                                 const SummaOptions&);
-template CscMat summa2d<MaxMin>(Grid3D&, const CscMat&, const CscMat&,
-                                const SummaOptions&);
-template CscMat summa2d<OrAnd>(Grid3D&, const CscMat&, const CscMat&,
-                               const SummaOptions&);
+template std::vector<Payload> summa2d<PlusTimes>(Grid3D&, const CscMat&, const CscMat&,
+    const SummaOptions&, std::span<const Index>);
+template std::vector<Payload> summa2d<MinPlus>(Grid3D&, const CscMat&, const CscMat&,
+    const SummaOptions&, std::span<const Index>);
+template std::vector<Payload> summa2d<MaxMin>(Grid3D&, const CscMat&, const CscMat&,
+    const SummaOptions&, std::span<const Index>);
+template std::vector<Payload> summa2d<OrAnd>(Grid3D&, const CscMat&, const CscMat&,
+    const SummaOptions&, std::span<const Index>);
 
 }  // namespace casp

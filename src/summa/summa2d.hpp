@@ -5,8 +5,15 @@
 // broadcast their B block down each process column. Partial products are
 // kept per stage (merging incrementally is asymptotically worse [34]) and
 // merged once at the end (Merge-Layer).
+//
+// The kernel that produces D (the lone Local-Multiply when q = 1,
+// Merge-Layer otherwise) writes it straight into its ColSplit wire pieces.
 #pragma once
 
+#include <span>
+#include <vector>
+
+#include "common/payload.hpp"
 #include "grid/grid3d.hpp"
 #include "sparse/csc_mat.hpp"
 #include "summa/steps.hpp"
@@ -16,10 +23,13 @@ namespace casp {
 /// Collective over grid.layer_comm(). local_a is this rank's A-style block
 /// (rows part i x A-col slice), local_b its B-style block (B-row slice x
 /// cols part j) — or any column subset of it (batching). Returns the local
-/// block of D = A*B on this layer: rows part i x local_b.ncols(), merged
-/// across stages but *not* across layers.
+/// block D of A*B on this layer (rows part i x local_b.ncols(), merged
+/// across stages but *not* across layers) as one packed piece per column
+/// range [col_splits[m], col_splits[m+1]), byte-identical to
+/// pack_csc_payload(D.slice_cols(...)); {0, ncols} gives D whole.
 template <typename SR = PlusTimes>
-CscMat summa2d(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
-               const SummaOptions& opts = {});
+std::vector<Payload> summa2d(Grid3D& grid, const CscMat& local_a,
+                             const CscMat& local_b, const SummaOptions& opts,
+                             std::span<const Index> col_splits);
 
 }  // namespace casp

@@ -1,5 +1,6 @@
 #include "summa/summa3d.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
@@ -14,26 +15,33 @@ template <typename SR>
 CscMat summa3d(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
                const SummaOptions& opts, std::span<const Index> col_splits) {
   const int l = grid.layers();
+  const Index ncols = local_b.ncols();
 
-  // Stage loop + Merge-Layer within my layer.
-  CscMat d = summa2d<SR>(grid, local_a, local_b, opts);
-  MemoryCharge d_charge;
-  if (opts.memory != nullptr)
-    d_charge = MemoryCharge(*opts.memory,
-                            static_cast<Bytes>(d.nnz()) * kBytesPerNonzero,
-                            "layer-merged D");
-
-  // ColSplit (line 4, Alg. 2).
+  // ColSplit (line 4, Alg. 2): just the boundaries — the kernel that
+  // produces D writes piece m of it straight into its own wire image.
   std::vector<Index> splits;
   if (col_splits.empty()) {
     splits.resize(static_cast<std::size_t>(l) + 1);
     for (int m = 0; m <= l; ++m)
-      splits[static_cast<std::size_t>(m)] = part_low(m, l, d.ncols());
+      splits[static_cast<std::size_t>(m)] = part_low(m, l, ncols);
   } else {
     CASP_CHECK_MSG(static_cast<int>(col_splits.size()) == l + 1,
                    "summa3d: need l+1 column split boundaries");
     splits.assign(col_splits.begin(), col_splits.end());
-    CASP_CHECK(splits.front() == 0 && splits.back() == d.ncols());
+    CASP_CHECK_MSG(splits.front() == 0 && splits.back() == ncols &&
+                       std::is_sorted(splits.begin(), splits.end()),
+                   "summa3d: column splits must ascend from 0 to " << ncols);
+  }
+
+  // Stage loop + Merge-Layer within my layer, D leaving as l wire pieces.
+  std::vector<Payload> outgoing = summa2d<SR>(grid, local_a, local_b, opts, splits);
+  MemoryCharge d_charge;
+  if (opts.memory != nullptr) {
+    Index d_nnz = 0;
+    for (const Payload& piece : outgoing) d_nnz += unpack_csc_view(piece).nnz();
+    d_charge = MemoryCharge(*opts.memory,
+                            static_cast<Bytes>(d_nnz) * kBytesPerNonzero,
+                            "layer-merged D");
   }
 
   vmpi::Comm& fiber = grid.fiber_comm();
@@ -41,17 +49,9 @@ CscMat summa3d(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
   obs::ScopedTag layer_tag(rec, obs::ScopedTag::Kind::kLayer, grid.layer());
   if (opts.memory != nullptr)
     rec.sample_memory(*opts.memory, "memory.live_bytes");
+  d_charge.reset();  // D is released before holding l received pieces
 
-  // AllToAll-Fiber (line 5): piece m of my D goes to layer m, packed once
-  // into a payload whose handle the exchange forwards without copying.
-  std::vector<Payload> outgoing(static_cast<std::size_t>(l));
-  for (int m = 0; m < l; ++m) {
-    outgoing[static_cast<std::size_t>(m)] = pack_csc_payload(d.slice_cols(
-        splits[static_cast<std::size_t>(m)], splits[static_cast<std::size_t>(m) + 1]));
-  }
-  d = CscMat();  // release D before holding l received pieces
-  d_charge.reset();
-
+  // AllToAll-Fiber (line 5) forwards the pieces' handles without copying.
   std::vector<Payload> incoming;
   {
     obs::PhaseSpan span(rec, steps::kAllToAllFiber);

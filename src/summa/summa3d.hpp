@@ -1,11 +1,12 @@
 // 3D Sparse SUMMA (Algorithm 2).
 //
-// Per layer: SUMMA2D produces a low-rank local D^(k). Each rank column-
-// splits its D into l pieces, exchanges piece m with layer m along its
-// fiber (AllToAll-Fiber), and merges the l received pieces (Merge-Fiber)
-// into its final C block. The split boundaries are a parameter: the plain
-// algorithm splits into l equal slices (so C lands A-style distributed),
-// while the batched algorithm passes its block-cyclic boundaries.
+// Per layer: SUMMA2D produces a low-rank local D^(k), already written as
+// l wire pieces over the column splits (ColSplit). Each rank exchanges
+// piece m with layer m along its fiber (AllToAll-Fiber), and merges the l
+// received pieces (Merge-Fiber) into its final C block. The split
+// boundaries are a parameter: the plain algorithm splits into l equal
+// slices (so C lands A-style distributed), while the batched algorithm
+// passes its block-cyclic boundaries.
 #pragma once
 
 #include <span>

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <unordered_map>
+
 #include "gen/rmat.hpp"
 #include "kernels/accumulator.hpp"
 #include "kernels/merge.hpp"
@@ -202,6 +205,156 @@ TEST(Merge, SortedMergeEqualsMergeThenSortColumns) {
       }
     }
   }
+}
+
+/// The merge as it was sized before exact sizing: every column into an
+/// upper-bound slice (its total input nnz), then a compaction copy. The
+/// hash merge emits rows in first-touch order with contributions folded in
+/// arrival order (then sorted when asked); the heap merge pops the
+/// smallest (row, piece) and sums equal neighbours, unsorted inputs
+/// included.
+template <typename SR>
+CscMat upper_bound_merge(const std::vector<CscMat>& pieces, MergeKind kind,
+                         bool sort_output) {
+  const Index ncols = pieces.front().ncols();
+  std::vector<Index> ub(static_cast<std::size_t>(ncols) + 1, 0);
+  for (Index j = 0; j < ncols; ++j) {
+    ub[static_cast<std::size_t>(j) + 1] = ub[static_cast<std::size_t>(j)];
+    for (const CscMat& m : pieces) ub[static_cast<std::size_t>(j) + 1] += m.col_nnz(j);
+  }
+  std::vector<std::pair<Index, Value>> slots(static_cast<std::size_t>(ub.back()));
+  std::vector<Index> colptr(ub.size(), 0);
+  for (Index j = 0; j < ncols; ++j) {
+    auto* out = slots.data() + ub[static_cast<std::size_t>(j)];
+    Index cnt = 0;
+    if (kind == MergeKind::kUnsortedHash) {
+      std::unordered_map<Index, Index> at;
+      for (const CscMat& m : pieces) {
+        for (std::size_t k = 0; k < m.col_rowids(j).size(); ++k) {
+          const Index row = m.col_rowids(j)[k];
+          const Value v = m.col_vals(j)[k];
+          const auto [it, fresh] = at.try_emplace(row, cnt);
+          if (fresh)
+            out[cnt++] = {row, v};
+          else
+            out[it->second].second = SR::add(out[it->second].second, v);
+        }
+      }
+      if (sort_output)
+        std::sort(out, out + cnt,
+                  [](const auto& x, const auto& y) { return x.first < y.first; });
+    } else {
+      using Item = std::pair<Index, std::size_t>;
+      std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+      std::vector<std::size_t> pos(pieces.size(), 0);
+      for (std::size_t s = 0; s < pieces.size(); ++s)
+        if (pieces[s].col_nnz(j) > 0) heap.emplace(pieces[s].col_rowids(j)[0], s);
+      while (!heap.empty()) {
+        const auto [row, s] = heap.top();
+        heap.pop();
+        const Value v = pieces[s].col_vals(j)[pos[s]];
+        if (cnt > 0 && out[cnt - 1].first == row)
+          out[cnt - 1].second = SR::add(out[cnt - 1].second, v);
+        else
+          out[cnt++] = {row, v};
+        if (++pos[s] < static_cast<std::size_t>(pieces[s].col_nnz(j)))
+          heap.emplace(pieces[s].col_rowids(j)[pos[s]], s);
+      }
+    }
+    colptr[static_cast<std::size_t>(j) + 1] = colptr[static_cast<std::size_t>(j)] + cnt;
+  }
+  std::vector<Index> rowids;
+  std::vector<Value> vals;
+  for (Index j = 0; j < ncols; ++j) {
+    const auto* first = slots.data() + ub[static_cast<std::size_t>(j)];
+    for (Index k = 0; k < colptr[static_cast<std::size_t>(j) + 1] - colptr[static_cast<std::size_t>(j)]; ++k) {
+      rowids.push_back(first[k].first);
+      vals.push_back(first[k].second);
+    }
+  }
+  return CscMat(pieces.front().nrows(), ncols, std::move(colptr),
+                std::move(rowids), std::move(vals));
+}
+
+template <typename SR>
+void expect_exact_sized_merge(const std::vector<CscMat>& pieces) {
+  for (MergeKind kind : {MergeKind::kUnsortedHash, MergeKind::kSortedHeap}) {
+    for (bool sort_output : {false, true}) {
+      if (kind == MergeKind::kSortedHeap && sort_output) continue;
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(::testing::Message()
+                     << to_string(kind) << " sort " << sort_output << " x"
+                     << threads << " pieces " << pieces.size());
+        testing::expect_same_arrays(
+            merge_matrices<SR>(csc_refs(pieces), kind, threads, sort_output),
+            upper_bound_merge<SR>(pieces, kind, sort_output));
+      }
+    }
+  }
+}
+
+TEST(Merge, ExactSizedMatchesUpperBoundReference) {
+  // Sorted inputs (generated) and unsorted ones (unsorted-hash products),
+  // one piece and several, on both accumulator sides (the padded twin is
+  // taller than its input nnz, so it merges on the hash side).
+  const CscMat a = testing::random_matrix(40, 40, 4.0, 70);
+  const CscMat b = testing::random_matrix(40, 40, 4.0, 71);
+  std::vector<CscMat> unsorted;
+  unsorted.push_back(local_spgemm<PlusTimes>(a, b));
+  unsorted.push_back(local_spgemm<PlusTimes>(b, a));
+  unsorted.push_back(local_spgemm<PlusTimes>(a, a));
+  ASSERT_FALSE(unsorted.front().columns_sorted());
+  for (const std::vector<CscMat>& pieces :
+       {random_pieces(1, 40, 40, 4.0, 72), random_pieces(3, 40, 40, 4.0, 73),
+        std::vector<CscMat>(unsorted.begin(), unsorted.begin() + 1),
+        unsorted}) {
+    expect_exact_sized_merge<PlusTimes>(pieces);
+    expect_exact_sized_merge<MinPlus>(pieces);
+    std::vector<CscMat> tall;
+    for (const CscMat& m : pieces) tall.push_back(testing::pad_rows(m, 5000));
+    expect_exact_sized_merge<PlusTimes>(tall);
+  }
+}
+
+TEST(Merge, OnePieceWithRepeatedRowsStillMerges) {
+  // One piece sizes each column from its input count, exact for a
+  // Gustavson column; a column that repeats a row comes out shorter and is
+  // compacted.
+  const CscMat piece(4, 2, {0, 3, 4}, {1, 3, 1, 2}, {1.0, 2.0, 4.0, 8.0});
+  const std::vector<CscMat> pieces{piece};
+  expect_exact_sized_merge<PlusTimes>(pieces);
+  const CscMat merged =
+      merge_matrices<PlusTimes>(csc_refs(pieces), MergeKind::kUnsortedHash);
+  EXPECT_EQ(merged.nnz(), 3);
+}
+
+TEST(MergeWire, MergeLayerPiecesBitwise) {
+  // Merge-Layer writes D's pieces by compacting its upper-bound scratch
+  // into the wire images: each piece is the slice-then-pack of the merge.
+  const CscMat a = testing::random_matrix(60, 60, 4.0, 74);
+  const CscMat b = testing::random_matrix(60, 60, 4.0, 75);
+  std::vector<CscMat> partials;
+  partials.push_back(local_spgemm<PlusTimes>(a, b));
+  partials.push_back(local_spgemm<PlusTimes>(b, a));
+  for (const std::vector<Index>& splits :
+       {std::vector<Index>{0, 60}, std::vector<Index>{0, 0, 21, 21, 60},
+        std::vector<Index>{0, 15, 30, 45, 60}}) {
+    for (MergeKind kind : {MergeKind::kUnsortedHash, MergeKind::kSortedHeap}) {
+      SCOPED_TRACE(::testing::Message() << to_string(kind) << " l "
+                                        << splits.size() - 1);
+      testing::expect_wire_pieces(
+          merge_matrices_wire<PlusTimes>(csc_refs(partials), splits, kind, 4),
+          merge_matrices<PlusTimes>(csc_refs(partials), kind, 4), splits);
+      testing::expect_wire_pieces(
+          merge_matrices_wire<MinPlus>(csc_refs(partials), splits, kind),
+          merge_matrices<MinPlus>(csc_refs(partials), kind), splits);
+    }
+  }
+  const std::vector<CscMat> empty(2, CscMat(60, 60));
+  const std::vector<Index> splits{0, 30, 60};
+  testing::expect_wire_pieces(
+      merge_matrices_wire<PlusTimes>(csc_refs(empty), splits),
+      CscMat(60, 60), splits);
 }
 
 TEST(Merge, KindNames) {

@@ -273,6 +273,79 @@ TEST(SpGemm, HintSpanOfWrongLengthIsRejected) {
                std::logic_error);
 }
 
+// local_spgemm_wire writes the product straight into its column-range wire
+// images; every piece must be byte for byte the slice-then-pack of the
+// CscMat product, whatever sized the slices.
+template <typename SR>
+void expect_wire_matches(const CscMat& a, const std::vector<Index>& splits,
+                         std::span<const Index> hints) {
+  for (SpGemmKind kind : kAllKinds) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << to_string(kind) << " x" << threads);
+      testing::expect_wire_pieces(
+          local_spgemm_wire<SR>(a, a, splits, kind, threads, hints),
+          local_spgemm<SR>(a, a, kind, threads, hints), splits);
+    }
+  }
+}
+
+TEST(SpGemmWire, ExactHintsWritePiecesBitwise) {
+  const CscMat a = testing::random_matrix(90, 90, 4.0, 31);
+  const std::vector<Index> hints = symbolic_column_nnz(a, a);
+  expect_wire_matches<PlusTimes>(a, {0, 30, 55, 90}, hints);
+  expect_wire_matches<MinPlus>(a, {0, 30, 55, 90}, hints);
+}
+
+TEST(SpGemmWire, OneShortHintRerunsBitwise) {
+  const CscMat a = testing::random_matrix(110, 110, 5.0, 32);
+  std::vector<Index> hints = symbolic_column_nnz(a, a);
+  const auto victim = static_cast<std::size_t>(
+      std::max_element(hints.begin(), hints.end()) - hints.begin());
+  ASSERT_GE(hints[victim], 2);
+  --hints[victim];
+  expect_wire_matches<PlusTimes>(a, {0, 40, 41, 110}, hints);
+  expect_wire_matches<MinPlus>(a, {0, 40, 41, 110}, hints);
+}
+
+TEST(SpGemmWire, NoHintsCompactSlackInPlace) {
+  // Unhinted slices hold the flops bound; denser than its rows, the product
+  // compresses, so every image is compacted in place.
+  const CscMat a = testing::random_matrix(40, 70, 6.0, 33);
+  const CscMat b = testing::random_matrix(70, 50, 6.0, 34);
+  ASSERT_LT(local_spgemm<PlusTimes>(a, b).nnz(), multiply_flops(a, b));
+  const std::vector<Index> splits{0, 17, 33, 50};
+  for (SpGemmKind kind : kAllKinds) {
+    SCOPED_TRACE(to_string(kind));
+    testing::expect_wire_pieces(local_spgemm_wire<PlusTimes>(a, b, splits, kind),
+                                local_spgemm<PlusTimes>(a, b, kind), splits);
+    testing::expect_wire_pieces(local_spgemm_wire<MinPlus>(a, b, splits, kind),
+                                local_spgemm<MinPlus>(a, b, kind), splits);
+  }
+}
+
+TEST(SpGemmWire, OneSplitIsTheWholeProduct) {
+  const CscMat a = testing::random_matrix(60, 60, 4.0, 35);
+  expect_wire_matches<PlusTimes>(a, {0, 60}, {});
+  expect_wire_matches<PlusTimes>(a, {0, 60}, symbolic_column_nnz(a, a));
+}
+
+TEST(SpGemmWire, ZeroWidthAndEmptyPieces) {
+  const CscMat a = testing::random_matrix(50, 50, 3.0, 36);
+  expect_wire_matches<PlusTimes>(a, {0, 0, 20, 20, 50, 50}, {});
+  // An all-empty product: every piece is a header and a zero colptr.
+  const CscMat zero(50, 50);
+  const std::vector<Index> splits{0, 0, 25, 50};
+  testing::expect_wire_pieces(local_spgemm_wire<PlusTimes>(zero, zero, splits),
+                              local_spgemm<PlusTimes>(zero, zero), splits);
+}
+
+TEST(SpGemmWire, DescendingSplitsAreRejected) {
+  const CscMat a = testing::random_matrix(20, 20, 2.0, 37);
+  const std::vector<Index> splits{0, 12, 8, 20};
+  EXPECT_THROW((void)local_spgemm_wire<PlusTimes>(a, a, splits),
+               std::logic_error);
+}
+
 TEST(SpGemm, KindNames) {
   EXPECT_STREQ(to_string(SpGemmKind::kUnsortedHash), "unsorted-hash");
   EXPECT_STREQ(to_string(SpGemmKind::kHybrid), "hybrid");

@@ -8,6 +8,7 @@
 
 #include "grid/dist.hpp"
 #include "kernels/reference.hpp"
+#include "sparse/serialize.hpp"
 #include "summa/summa2d.hpp"
 #include "test_util.hpp"
 #include "vmpi/runtime.hpp"
@@ -26,6 +27,17 @@ struct Summa2DCase {
   MergeKind merge_kind;
 };
 
+/// This rank's whole block of D: piece 0 of a one-split summa2d call.
+template <typename SR>
+CscMat layer_block(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
+                   const SummaOptions& opts = {}) {
+  const std::vector<Index> whole{0, local_b.ncols()};
+  const std::vector<Payload> pieces =
+      summa2d<SR>(grid, local_a, local_b, opts, whole);
+  EXPECT_EQ(pieces.size(), 1u);
+  return unpack_csc_view(pieces.front()).materialize();
+}
+
 class Summa2DCorrectness : public ::testing::TestWithParam<Summa2DCase> {};
 
 TEST_P(Summa2DCorrectness, MatchesSerialReference) {
@@ -41,7 +53,7 @@ TEST_P(Summa2DCorrectness, MatchesSerialReference) {
     SummaOptions opts;
     opts.local_kind = param.local_kind;
     opts.merge_kind = param.merge_kind;
-    CscMat local_d = summa2d<PlusTimes>(grid, da.local, db.local, opts);
+    CscMat local_d = layer_block<PlusTimes>(grid, da.local, db.local, opts);
 
     DistMat3D dc;
     dc.local = std::move(local_d);
@@ -81,7 +93,7 @@ TEST(Summa2DRectangular, TallTimesWide) {
     Grid3D grid(world, 1);
     const DistMat3D da = distribute_a_style(grid, a);
     const DistMat3D db = distribute_b_style(grid, b);
-    CscMat local_d = summa2d<PlusTimes>(grid, da.local, db.local, {});
+    CscMat local_d = layer_block<PlusTimes>(grid, da.local, db.local);
     DistMat3D dc{std::move(local_d), m, n, /*global_nnz=*/0, da.rows, db.cols};
     testing::expect_mat_near(gather_dist(grid, dc), expected);
   });
@@ -95,10 +107,35 @@ TEST(Summa2DSemiring, MinPlusShortestPathStep) {
     Grid3D grid(world, 1);
     const DistMat3D da = distribute_a_style(grid, a);
     const DistMat3D db = distribute_b_style(grid, a);
-    CscMat local_d = summa2d<MinPlus>(grid, da.local, db.local, {});
+    CscMat local_d = layer_block<MinPlus>(grid, da.local, db.local);
     DistMat3D dc{std::move(local_d), n, n, /*global_nnz=*/0, da.rows, db.cols};
     testing::expect_mat_near(gather_dist(grid, dc), expected);
   });
+}
+
+TEST(Summa2DPieces, SplitPiecesAreSlicesOfTheWholeBlock) {
+  // Whoever writes D's pieces — the lone Local-Multiply at q = 1,
+  // Merge-Layer at q = 4, either stage loop — each piece is byte for byte
+  // the slice-then-pack of the whole block.
+  const Index n = 30;
+  const CscMat a = testing::random_matrix(n, n, 4.0, 13);
+  for (const int p : {1, 4}) {
+    for (const bool sparse_comm : {false, true}) {
+      vmpi::run(p, [&](vmpi::Comm& world) {
+        Grid3D grid(world, 1);
+        const DistMat3D da = distribute_a_style(grid, a);
+        const DistMat3D db = distribute_b_style(grid, a);
+        SummaOptions opts;
+        opts.sparse_comm = sparse_comm;
+        const CscMat whole = layer_block<PlusTimes>(grid, da.local, db.local, opts);
+        const Index w = db.local.ncols();
+        const std::vector<Index> splits{0, w / 3, w / 3, w};
+        testing::expect_wire_pieces(
+            summa2d<PlusTimes>(grid, da.local, db.local, opts, splits), whole,
+            splits);
+      });
+    }
+  }
 }
 
 TEST(Summa2DTiming, RecordsAllStepTimes) {
@@ -108,7 +145,7 @@ TEST(Summa2DTiming, RecordsAllStepTimes) {
     Grid3D grid(world, 1);
     const DistMat3D da = distribute_a_style(grid, a);
     const DistMat3D db = distribute_b_style(grid, a);
-    (void)summa2d<PlusTimes>(grid, da.local, db.local, {});
+    (void)layer_block<PlusTimes>(grid, da.local, db.local);
   });
   EXPECT_GT(result.max_time(steps::kABcast), 0.0);
   EXPECT_GT(result.max_time(steps::kBBcast), 0.0);

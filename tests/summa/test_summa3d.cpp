@@ -87,47 +87,57 @@ TEST(Summa3DSemiring, OrAndReachability) {
 
 TEST(Summa3DZeroCopy, FiberExchangeAndMergeNeverDeepCopy) {
   // The ROADMAP claim behind the refcounted-payload transport: the fiber
-  // stage — pack (wrap), AllToAll-Fiber (forwarded handles), Merge-Fiber
-  // (CscViews borrowing the wire buffers) — performs zero Payload deep
-  // copies. The job below runs *only* that stage (matrices generated
-  // locally, no barriers or scalar collectives, whose 1–8 byte transport
-  // copies are by design), so Payload::deep_copies() must not move at all.
-  // Any regression — a copy_of on the exchange path, a release_or_copy
-  // deserializing a received piece — fails this test.
+  // stage — D written as wire pieces, AllToAll-Fiber (forwarded handles),
+  // Merge-Fiber (CscViews borrowing the wire buffers) — performs zero
+  // Payload deep copies. The job runs summa3d itself on a 1x1x4 grid: each
+  // layer is one rank, so its stage broadcasts are self-sends and the work
+  // is the lone Local-Multiply writing D's pieces, the exchange and the
+  // merge. Setting up the grid does make a fixed number of small transport
+  // copies, so the same job without the multiply is the baseline and the
+  // two counts must be equal. Any regression — a copy_of on the exchange
+  // path, a release_or_copy deserializing a received piece — fails this
+  // test.
   const int p = 4;
   const Index n = 32;
+  const Index inner = 8;
 
-  const std::uint64_t before = Payload::deep_copies();
-  vmpi::run(p, [&](vmpi::Comm& world) {
-    // My slice of an unmerged D: p column blocks, one per destination.
-    const CscMat d = testing::random_matrix(
-        n, n, 3.0, 50 + static_cast<std::uint64_t>(world.rank()));
-
-    std::vector<Payload> outgoing(static_cast<std::size_t>(p));
-    for (int m = 0; m < p; ++m) {
-      const Index lo = part_low(m, p, d.ncols());
-      const Index hi = part_low(m + 1, p, d.ncols());
-      outgoing[static_cast<std::size_t>(m)] =
-          pack_csc_payload(d.slice_cols(lo, hi));
-    }
-    std::vector<Payload> incoming =
-        world.alltoall_payload(std::move(outgoing));
-
-    std::vector<CscView> pieces;
-    pieces.reserve(incoming.size());
-    for (const Payload& buf : incoming) pieces.push_back(unpack_csc_view(buf));
-    const CscMat merged =
-        merge_matrices<PlusTimes>(csc_refs(pieces), MergeKind::kUnsortedHash, 1);
-
-    // Sanity: the merge really consumed every rank's piece.
-    Index total = 0;
-    for (const CscView& v : pieces) total += v.nnz();
-    EXPECT_GT(total, 0);
-    EXPECT_LE(merged.nnz(), total);
-    EXPECT_GT(merged.nnz(), 0);
-  });
-  EXPECT_EQ(Payload::deep_copies(), before)
+  auto copies = [&](bool multiply) {
+    const std::uint64_t before = Payload::deep_copies();
+    vmpi::run(p, [&](vmpi::Comm& world) {
+      Grid3D grid(world, p);
+      const auto seed = 50 + static_cast<std::uint64_t>(2 * world.rank());
+      // My layer's A column slice and B row slice.
+      const CscMat a = testing::random_matrix(n, inner, 3.0, seed);
+      const CscMat b = testing::random_matrix(inner, n, 3.0, seed + 1);
+      if (!multiply) return;
+      const CscMat merged = summa3d<PlusTimes>(grid, a, b, {});
+      // Sanity: the merge really consumed the layers' pieces.
+      EXPECT_EQ(merged.ncols(), part_low(world.rank() + 1, p, n) -
+                                    part_low(world.rank(), p, n));
+      EXPECT_GT(merged.nnz(), 0);
+    });
+    return Payload::deep_copies() - before;
+  };
+  const std::uint64_t setup = copies(false);
+  EXPECT_EQ(copies(true), setup)
       << "the fiber exchange / Merge-Fiber path deep-copied a payload";
+}
+
+TEST(Summa3DSplits, DescendingSplitsAreRejected) {
+  // Caller splits size the wire images, so every rank checks they ascend
+  // before the layer multiplies (and before any message is sent).
+  const Index n = 16;
+  const CscMat a = testing::random_matrix(n, n, 3.0, 26);
+  vmpi::run(4, [&](vmpi::Comm& world) {
+    Grid3D grid(world, 4);
+    const DistMat3D da = distribute_a_style(grid, a);
+    const DistMat3D db = distribute_b_style(grid, a);
+    const Index w = db.local.ncols();
+    const std::vector<Index> descending{0, w - 1, 1, w - 1, w};
+    EXPECT_THROW((void)summa3d<PlusTimes>(grid, da.local, db.local, {},
+                                          descending),
+                 std::logic_error);
+  });
 }
 
 TEST(Summa3DTraffic, FiberTrafficOnlyWhenLayered) {

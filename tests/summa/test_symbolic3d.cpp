@@ -50,7 +50,8 @@ TEST(Symbolic3D, UnmergedCountMatchesActualStageOutputs) {
     MemoryTracker tracker(0);
     SummaOptions opts;
     opts.memory = &tracker;
-    (void)summa2d<PlusTimes>(grid, da.local, db.local, opts);
+    const std::vector<Index> whole{0, db.local.ncols()};
+    (void)summa2d<PlusTimes>(grid, da.local, db.local, opts, whole);
     const Index my_unmerged =
         static_cast<Index>(tracker.peak() / kBytesPerNonzero);
     const Index max_unmerged = world.allreduce_max<Index>(my_unmerged);

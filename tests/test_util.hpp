@@ -9,6 +9,7 @@
 
 #include "gen/er.hpp"
 #include "sparse/csc_mat.hpp"
+#include "sparse/serialize.hpp"
 #include "sparse/triple_mat.hpp"
 #include "vmpi/comm.hpp"
 
@@ -81,6 +82,23 @@ inline void expect_same_arrays(const CscMat& a, const CscMat& b) {
                         a.vals().size() * sizeof(Value)),
             0)
       << "vals differ";
+}
+
+/// Wire pieces from a kernel that writes them directly must be byte for
+/// byte the slice-then-pack of the whole result `d`:
+/// pieces[m] == pack_csc_payload(d.slice_cols(splits[m], splits[m+1])).
+inline void expect_wire_pieces(const std::vector<Payload>& pieces,
+                               const CscMat& d,
+                               const std::vector<Index>& splits) {
+  ASSERT_EQ(pieces.size() + 1, splits.size());
+  for (std::size_t m = 0; m < pieces.size(); ++m) {
+    const std::vector<std::byte> expected =
+        pack_csc(d.slice_cols(splits[m], splits[m + 1]));
+    ASSERT_EQ(pieces[m].size(), expected.size()) << "piece " << m;
+    EXPECT_EQ(std::memcmp(pieces[m].data(), expected.data(), expected.size()),
+              0)
+        << "piece " << m << " differs";
+  }
 }
 
 }  // namespace casp::testing

@@ -5,7 +5,8 @@
 #   (b) release            configure + build + full ctest
 #   (c) thread sanitizer   configure + build + ctest -L tsan-safe
 #   (d) address/UB san     configure + build + full ctest
-#   (e) perf diff          e2ebench self-tests, then rerun perf benches,
+#   (e) perf diff          e2ebench and tools/e2e_pairs.py self-tests,
+#                          then rerun perf benches,
 #                          tools/perf_diff.py vs the committed BENCH_*.json
 #                          snapshots
 #   (f) fault matrix       the Fault* suites under several CASP_FAULT_SEED
@@ -144,6 +145,8 @@ else
   # The end-to-end benchmark's own self-tests (tail selection, quartile
   # spread, metric names, exact counts) guard the numbers it reports.
   python3 -m unittest discover -s e2ebench/tests
+  # tools/e2e_pairs.py's gain-rule verdict (wins, quartiles, IQR gap).
+  python3 -m unittest discover -s tools/tests
   # The benches write their JSON into the cwd; run them in a scratch dir so
   # a passing check never touches the committed snapshots.
   PERF_DIR=$(mktemp -d)
