@@ -1,7 +1,14 @@
 #include "grid/dist.hpp"
 
+#include <algorithm>
+#include <functional>
+#include <numeric>
+
 #include "common/error.hpp"
 #include "common/math.hpp"
+#include "obs/recorder.hpp"
+#include "sparse/serialize.hpp"
+#include "summa/steps.hpp"
 
 namespace casp {
 
@@ -97,6 +104,145 @@ CscMat gather_dist(Grid3D& grid, const DistMat3D& dist) {
   global.entries() = grid.world().allgather_vec<Triple>(mine);
   global.check_bounds();
   return CscMat::from_triples(std::move(global));
+}
+
+std::vector<Index> equal_flops_cut(std::span<const Index> flops, Index parts) {
+  CASP_CHECK(parts > 0);
+  const auto n = static_cast<Index>(flops.size());
+  __int128 total = std::accumulate(flops.begin(), flops.end(), __int128{0});
+  std::vector<Index> cut;
+  __int128 prefix = 0;
+  Index x = 0;
+  for (Index m = 0; m < parts; ++m) {
+    // Exact integer form of prefix(x) >= total * m / parts.
+    while (total > 0 && prefix * parts < total * m)
+      prefix += flops[static_cast<std::size_t>(x++)];
+    cut.push_back(total > 0 ? x : part_low(m, parts, n));
+  }
+  cut.push_back(n);
+  return cut;
+}
+
+namespace {
+
+constexpr int kTransposeSwapTag = 16;
+
+struct Moved {
+  LocalRange range;  // my new slice
+  CscMat local;
+  std::vector<Index> layer_flops;  // per layer: incoming slices, then the cut
+};
+
+/// Cuts one inner part by its flops `f` and moves the columns `mine` of
+/// `local` to their new layers. `from` holds the fiber members' incoming
+/// slices of the part, in fiber order.
+Moved move_columns(vmpi::Comm& fiber, const std::vector<LocalRange>& from,
+                   const std::vector<Index>& f, const LocalRange& mine,
+                   const CscMat& local) {
+  for (std::size_t m = 1; m < from.size(); ++m)
+    CASP_CHECK_MSG(from[m].start == from[m - 1].start + from[m - 1].count,
+                   "rebalance_inner: layer slices must tile each part");
+  const Index base = from.front().start;
+  const auto flops_in = [&](Index lo, Index hi) {
+    return std::accumulate(f.begin() + lo, f.begin() + hi, Index{0});
+  };
+  const std::vector<Index> cut = equal_flops_cut(f, fiber.size());
+  Moved moved;
+  for (const LocalRange& r : from) {
+    const Index lo = r.start - base;
+    moved.layer_flops.push_back(flops_in(lo, lo + r.count));
+  }
+  std::vector<Payload> out;
+  for (std::size_t m = 0; m < from.size(); ++m) {
+    moved.layer_flops.push_back(flops_in(cut[m], cut[m + 1]));
+    const auto clamp = [&](Index g) {
+      return std::clamp<Index>(base + g - mine.start, 0, mine.count);
+    };
+    out.push_back(pack_csc_payload(
+        local.slice_cols(clamp(cut[m]), clamp(cut[m + 1]))));
+  }
+  // Received pieces tile my new slice in fiber order.
+  std::vector<CscMat> pieces;
+  for (const Payload& p : fiber.alltoall_payload(std::move(out)))
+    pieces.push_back(unpack_csc_view(p).materialize());
+  const auto k = static_cast<std::size_t>(fiber.rank());
+  moved.range = {base + cut[k], cut[k + 1] - cut[k]};
+  moved.local = CscMat::concat_cols(pieces);
+  return moved;
+}
+
+}  // namespace
+
+std::pair<DistMat3D, DistMat3D> rebalance_inner(Grid3D& grid,
+                                                const DistMat3D& a,
+                                                const DistMat3D& b) {
+  CASP_CHECK_MSG(a.global_cols == b.global_rows,
+                 "rebalance_inner: inner dimension mismatch");
+  obs::Recorder& rec = grid.world().recorder();
+  obs::PhaseSpan span(rec, steps::kInnerBalance);
+  const auto summed = [](vmpi::Comm& comm, std::vector<Index> v) {
+    if (comm.size() == 1) return v;
+    return comm.allreduce<Index>(std::move(v), std::plus<Index>());
+  };
+  const auto col_nnz = [](const CscMat& m) {
+    std::vector<Index> v;
+    for (Index j = 0; j < m.ncols(); ++j) v.push_back(m.col_nnz(j));
+    return v;
+  };
+
+  // 1. Global nnz of my A columns and of my B rows (B's rows move as the
+  // columns of its transpose).
+  const CscMat bt = b.local.transpose();
+  const std::vector<Index> a_nnz = summed(grid.col_comm(), col_nnz(a.local));
+  const std::vector<Index> b_nnz = summed(grid.row_comm(), col_nnz(bt));
+
+  // 2. The transpose rank (j, i, k) holds A's columns of my B part i and
+  // B's rows of my A part j, at the same layer slice.
+  std::vector<Index> mine = a_nnz;
+  mine.insert(mine.end(), b_nnz.begin(), b_nnz.end());
+  std::vector<Index> peer = mine;
+  const int transpose = grid.col() * grid.q() + grid.row();
+  if (grid.row() != grid.col()) {
+    grid.layer_comm().send_vec<Index>(transpose, kTransposeSwapTag, mine);
+    peer = grid.layer_comm().recv_vec<Index>(transpose, kTransposeSwapTag);
+  }
+  CASP_CHECK_MSG(peer.size() == mine.size(),
+                 "rebalance_inner: A column and B row slices disagree");
+  std::vector<Index> share = {a.cols.start, a.cols.count, b.rows.start,
+                              b.rows.count};
+  for (std::size_t t = 0; t < a_nnz.size(); ++t)
+    share.push_back(a_nnz[t] * peer[b_nnz.size() + t]);
+  for (std::size_t t = 0; t < b_nnz.size(); ++t)
+    share.push_back(b_nnz[t] * peer[t]);
+
+  // 3. Every fiber member learns the flops of both whole parts.
+  vmpi::Comm& fiber = grid.fiber_comm();
+  const std::vector<Index> all = fiber.allgather_vec<Index>(share);
+  std::vector<LocalRange> a_from, b_from;
+  std::vector<Index> a_f, b_f;
+  for (auto it = all.begin(); it != all.end(); it += 4 + it[1] + it[3]) {
+    a_from.push_back({it[0], it[1]});
+    b_from.push_back({it[2], it[3]});
+    a_f.insert(a_f.end(), it + 4, it + 4 + it[1]);
+    b_f.insert(b_f.end(), it + 4 + it[1], it + 4 + it[1] + it[3]);
+  }
+
+  // 4. Cut both parts and move the slices along the fiber.
+  Moved am = move_columns(fiber, a_from, a_f, a.cols, a.local);
+  const Moved bm = move_columns(fiber, b_from, b_f, b.rows, bt);
+  std::pair<DistMat3D, DistMat3D> out{
+      {std::move(am.local), a.global_rows, a.global_cols, a.global_nnz,
+       a.rows, am.range},
+      {bm.local.transpose(), b.global_rows, b.global_cols, b.global_nnz,
+       bm.range, b.cols}};
+
+  // A layer's flops sum over all inner parts, one per rank of my grid row.
+  const std::vector<Index> layer = summed(grid.row_comm(), am.layer_flops);
+  const auto mid = layer.begin() + grid.layers();
+  rec.set_counter("summa.layer_flops_max_in",
+                  *std::max_element(layer.begin(), mid));
+  rec.set_counter("summa.layer_flops_max", *std::max_element(mid, layer.end()));
+  return out;
 }
 
 }  // namespace casp

@@ -11,10 +11,12 @@
 // SUMMA2D align exactly: A's column slice (part s, sub k) meets B's row
 // slice (part s, sub k).
 //
-// All partition boundaries use part_low (floor) arithmetic, so nothing
-// requires divisibility; nested splits compose exactly (see common/math.hpp).
+// distribute_* cut every boundary with part_low (floor) arithmetic, so
+// nothing requires divisibility (see common/math.hpp); rebalance_inner then
+// moves the inner dimension's layer slices to equal-flops boundaries.
 #pragma once
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -63,5 +65,20 @@ DistMat3D distribute_b_style(const Grid3D& grid, const CscMat& global);
 /// and result verification). Works for both styles since DistMat3D carries
 /// its global ranges.
 CscMat gather_dist(Grid3D& grid, const DistMat3D& dist);
+
+/// The parts + 1 boundaries of an equal-flops cut of flops.size() indices:
+/// boundary m is the first index whose prefix sum reaches m/parts of the
+/// total, so a slice may be empty. All-zero flops keep the part_low split.
+std::vector<Index> equal_flops_cut(std::span<const Index> flops, Index parts);
+
+/// Collective over the whole grid: moves A's columns and B's rows along the
+/// fiber so each layer slice of every inner part carries an equal share
+/// (equal_flops_cut) of f(t) = nnz(A(:,t)) * nnz(B(t,:)), from any input
+/// slices that agree across A and B. C's layout is unchanged. Traffic goes
+/// to steps::kInnerBalance; counters summa.layer_flops_max_in and
+/// summa.layer_flops_max give the heaviest layer before and after.
+std::pair<DistMat3D, DistMat3D> rebalance_inner(Grid3D& grid,
+                                                const DistMat3D& a,
+                                                const DistMat3D& b);
 
 }  // namespace casp

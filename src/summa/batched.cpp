@@ -34,13 +34,20 @@ std::string summa_ckpt_job_id(Index rows, Index inner, Index cols,
 }
 
 template <typename SR>
-BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a,
-                              const DistMat3D& b, Bytes total_memory,
+BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
+                              const DistMat3D& b_in, Bytes total_memory,
                               const SummaOptions& opts,
                               const BatchCallback& on_batch,
                               bool keep_output) {
-  CASP_CHECK_MSG(a.global_cols == b.global_rows,
+  CASP_CHECK_MSG(a_in.global_cols == b_in.global_rows,
                  "batched_summa3d: inner dimension mismatch");
+
+  // Equal-flops layer slices first, so Symbolic3D, Eq. (2) and every batch
+  // see them; C's layout, and everything below keyed on it, is unchanged.
+  std::pair<DistMat3D, DistMat3D> balanced;
+  if (grid.layers() > 1) balanced = rebalance_inner(grid, a_in, b_in);
+  const DistMat3D& a = grid.layers() > 1 ? balanced.first : a_in;
+  const DistMat3D& b = grid.layers() > 1 ? balanced.second : b_in;
 
   MemoryCharge input_charge;
   if (opts.memory != nullptr)

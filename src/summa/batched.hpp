@@ -84,6 +84,9 @@ std::string summa_ckpt_job_id(Index rows, Index inner, Index cols,
 
 /// Collective over the whole grid. `a` must be A-style distributed and `b`
 /// B-style distributed (see grid/dist.hpp); inner dimensions must agree.
+/// At l > 1 it first moves the inner dimension's layer slices to
+/// equal-flops boundaries (rebalance_inner); the output keeps the A-style
+/// layout of C.
 /// total_memory: aggregate byte budget M across all ranks (0 = unlimited).
 /// When opts.memory is set, per-rank allocations are enforced against it.
 template <typename SR = PlusTimes>

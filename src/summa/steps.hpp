@@ -44,6 +44,10 @@ inline constexpr const char* kRebatchConsensus = "Rebatch-Consensus";
 /// on the common restore point (ranks may hold generations one save apart,
 /// since a crash is not a barrier).
 inline constexpr const char* kCkptResume = "Ckpt-Resume";
+
+/// Also outside the seven steps: rebalance_inner's equal-flops layer cut
+/// of the inner dimension (grid/dist.hpp), once per job when l > 1.
+inline constexpr const char* kInnerBalance = "Inner-Balance";
 }  // namespace steps
 
 /// Knobs for the SUMMA family. Defaults are this paper's configuration

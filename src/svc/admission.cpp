@@ -1,6 +1,7 @@
 #include "svc/admission.hpp"
 
 #include <sstream>
+#include <tuple>
 
 #include "common/math.hpp"
 #include "grid/dist.hpp"
@@ -26,6 +27,8 @@ AdmissionEstimate estimate_admission(const JobSpec& spec, const CscMat& a,
         Grid3D grid(world, spec.layers);
         DistMat3D da = distribute_a_style(grid, a);
         DistMat3D db = distribute_b_style(grid, b);
+        // The layout batched_summa3d runs on, so Eq. (2) sizes that one.
+        if (spec.layers > 1) std::tie(da, db) = rebalance_inner(grid, da, db);
         SummaOptions opts = spec.summa_options();
         SymbolicResult local =
             symbolic3d(grid, da.local, db.local, /*total_memory=*/0, opts);

@@ -2,9 +2,14 @@
 // layouts of Fig. 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 
+#include "common/math.hpp"
+#include "gen/rmat.hpp"
 #include "grid/dist.hpp"
 #include "test_util.hpp"
 #include "vmpi/runtime.hpp"
@@ -158,6 +163,121 @@ TEST(ExtractBlock, ReindexesAndFilters) {
   EXPECT_EQ(bt.entries()[1].row, 1);  // global (3,1) -> local (1,0)
   EXPECT_EQ(bt.entries()[2].col, 3);  // global (2,4) -> local (0,3)
 }
+
+TEST(EqualFlopsCut, SlicesCarryEqualFlops) {
+  const std::vector<Index> even = {2, 2, 2, 2, 2, 2, 2, 2};
+  EXPECT_EQ(equal_flops_cut(even, 4), (std::vector<Index>{0, 2, 4, 6, 8}));
+  // Total 32: boundary m is the first index whose prefix reaches 8m, so
+  // the slices carry 9, 7, 8 and 8 flops.
+  const std::vector<Index> skewed = {9, 1, 1, 1, 4, 4, 1, 1, 2, 6, 1, 1};
+  EXPECT_EQ(equal_flops_cut(skewed, 4),
+            (std::vector<Index>{0, 1, 5, 9, 12}));
+  // Products near the Index limit: the comparison must not overflow.
+  const Index big = std::numeric_limits<Index>::max() / 2;
+  EXPECT_EQ(equal_flops_cut(std::vector<Index>{big, big, big}, 3),
+            (std::vector<Index>{0, 1, 2, 3}));
+}
+
+TEST(EqualFlopsCut, OneHeavyIndexLeavesEmptySlices) {
+  // Index 1 carries 40 of 44 flops, more than 1/4: the slices between
+  // the one holding it and the last are empty.
+  const std::vector<Index> f = {1, 40, 1, 1, 1};
+  EXPECT_EQ(equal_flops_cut(f, 4), (std::vector<Index>{0, 2, 2, 2, 5}));
+}
+
+TEST(EqualFlopsCut, AllZeroFlopsKeepPartLow) {
+  const std::vector<Index> zeros(10, 0);
+  std::vector<Index> uniform;
+  for (Index m = 0; m <= 4; ++m) uniform.push_back(part_low(m, 4, 10));
+  EXPECT_EQ(equal_flops_cut(zeros, 4), uniform);
+  EXPECT_EQ(equal_flops_cut(std::vector<Index>{}, 3),
+            (std::vector<Index>{0, 0, 0, 0}));
+}
+
+/// An R-MAT graph: its hubs sit at low indices, so the part_low layer
+/// slices of the inner dimension carry very different flops.
+CscMat skewed_graph(int scale, std::uint64_t seed) {
+  RmatParams p;
+  p.scale = scale;
+  p.edge_factor = 6.0;
+  p.seed = seed;
+  return generate_rmat(p);
+}
+
+struct BalanceCase {
+  int p;
+  int l;
+};
+
+class RebalanceInner : public ::testing::TestWithParam<BalanceCase> {};
+
+TEST_P(RebalanceInner, MovesOnlyInnerSlicesAndEveryRankAgreesOnTheCut) {
+  const auto [p, l] = GetParam();
+  // Different A and B, so a mix-up of the transpose swap shows.
+  const CscMat a = skewed_graph(8, 3);
+  const CscMat b = skewed_graph(8, 4);
+  const Index n = a.ncols();
+  std::mutex mutex;
+  // (inner part s, layer k) -> every range reported for it.
+  std::map<std::pair<int, int>, std::vector<std::pair<Index, Index>>> seen;
+  Index max_in = 0, max_cut = 0;
+  vmpi::run(p, [&, l = l](vmpi::Comm& world) {
+    Grid3D grid(world, l);
+    const auto [ra, rb] = rebalance_inner(grid, distribute_a_style(grid, a),
+                                          distribute_b_style(grid, b));
+    if (world.rank() == 0) {
+      max_in = world.recorder().counters().at("summa.layer_flops_max_in");
+      max_cut = world.recorder().counters().at("summa.layer_flops_max");
+    }
+    EXPECT_EQ(ra.local.ncols(), ra.cols.count);
+    EXPECT_EQ(rb.local.nrows(), rb.rows.count);
+    EXPECT_EQ(ra.rows.start, a_style_row_range(grid, n).start);
+    EXPECT_EQ(rb.cols.start, b_style_col_range(grid, n).start);
+    testing::expect_mat_near(gather_dist(grid, ra), a, 0.0);
+    testing::expect_mat_near(gather_dist(grid, rb), b, 0.0);
+    // From a non-uniform input the cut is read off the senders' actual
+    // ranges, so cutting again moves nothing.
+    const auto [again_a, again_b] = rebalance_inner(grid, ra, rb);
+    EXPECT_EQ(again_a.cols.start, ra.cols.start);
+    EXPECT_EQ(again_a.cols.count, ra.cols.count);
+    EXPECT_EQ(again_b.rows.start, rb.rows.start);
+    testing::expect_same_arrays(again_b.local, rb.local);
+    std::lock_guard<std::mutex> lock(mutex);
+    seen[{grid.col(), grid.layer()}].push_back({ra.cols.start, ra.cols.count});
+    seen[{grid.row(), grid.layer()}].push_back({rb.rows.start, rb.rows.count});
+  });
+
+  // A's column slice of part s at layer k (on every grid row) and B's row
+  // slice of part s at layer k (on every grid column) are one range, and
+  // the layers tile each part in order.
+  std::vector<Index> layer_flops(static_cast<std::size_t>(l), 0);
+  std::vector<Index> a_col(static_cast<std::size_t>(n)), b_row(a_col);
+  for (Index t = 0; t < n; ++t)
+    a_col[static_cast<std::size_t>(t)] = a.col_nnz(t);
+  for (const Index r : b.rowids()) ++b_row[static_cast<std::size_t>(r)];
+  Index next = 0;
+  for (const auto& [key, ranges] : seen) {
+    for (const auto& r : ranges) EXPECT_EQ(r, ranges.front());
+    const auto [start, count] = ranges.front();
+    if (key.second == 0) next = start;
+    EXPECT_EQ(start, next) << "part " << key.first << " layer " << key.second;
+    next = start + count;
+    for (Index t = start; t < start + count; ++t) {
+      const auto tu = static_cast<std::size_t>(t);
+      const auto k = static_cast<std::size_t>(key.second);
+      layer_flops[k] += a_col[tu] * b_row[tu];
+    }
+  }
+  EXPECT_EQ(next, n);
+  EXPECT_EQ(max_cut, *std::max_element(layer_flops.begin(), layer_flops.end()));
+  EXPECT_LT(max_cut, max_in);
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, RebalanceInner,
+                         ::testing::Values(BalanceCase{4, 4},   // 1x1x4
+                                           BalanceCase{8, 2},   // 2x2x2
+                                           BalanceCase{16, 4},  // 2x2x4
+                                           BalanceCase{18, 2}));  // 3x3x2
 
 }  // namespace
 }  // namespace casp

@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 
+#include "gen/rmat.hpp"
 #include "grid/dist.hpp"
 #include "kernels/reference.hpp"
 #include "summa/batched.hpp"
@@ -425,6 +426,157 @@ TEST(BatchedMemoryTracking, PeakStaysWithinBudgetWhenStreaming) {
         /*keep_output=*/false);
     EXPECT_LE(tracker.peak(), tracker.budget());
   });
+}
+
+// Equal-flops layer slices (rebalance_inner, run by batched_summa3d at
+// l > 1). Partial sums regroup under the cut, so the product is compared
+// with the oracle to 1e-9 rather than bitwise with the part_low split.
+CscMat skewed_graph(int scale, std::uint64_t seed) {
+  RmatParams p;
+  p.scale = scale;
+  p.edge_factor = 8.0;
+  p.seed = seed;
+  return generate_rmat(p);
+}
+
+/// Collects streamed pieces as global triples.
+BatchCallback collect_into(TripleMat& into, std::mutex& mutex) {
+  return [&into, &mutex](CscMat&& piece, const BatchInfo& info) {
+    std::lock_guard<std::mutex> lock(mutex);
+    for (Index j = 0; j < piece.ncols(); ++j) {
+      const auto rows = piece.col_rowids(j);
+      const auto vals = piece.col_vals(j);
+      for (std::size_t k = 0; k < rows.size(); ++k)
+        into.push_back(rows[k] + info.global_rows.start,
+                       j + info.global_cols.start, vals[k]);
+    }
+  };
+}
+
+struct LayerCase {
+  int p;
+  int l;
+};
+
+class InnerBalance : public ::testing::TestWithParam<LayerCase> {};
+
+TEST_P(InnerBalance, SkewedRmatMatchesReferenceWithBalancedLayerFlops) {
+  const auto [p, l] = GetParam();
+  const CscMat a = skewed_graph(10, 5);
+  const CscMat expected = reference_multiply<PlusTimes>(a, a);
+  Index total_flops = 0;
+  const vmpi::RunResult run = vmpi::run(p, [&, l = l](vmpi::Comm& world) {
+    Grid3D grid(world, l);
+    const DistMat3D da = distribute_a_style(grid, a);
+    const DistMat3D db = distribute_b_style(grid, a);
+    const BatchedResult r = batched_summa3d<PlusTimes>(grid, da, db, 0);
+    // C keeps its A-style layout.
+    EXPECT_EQ(r.c.cols.start, a_style_col_range(grid, a.ncols()).start);
+    testing::expect_mat_near(gather_dist(grid, r.c), expected, 1e-9);
+    if (world.rank() == 0) total_flops = r.symbolic.total_flops;
+  });
+  const auto& counters = run.recorders.at(0).counters();
+  const double mean = static_cast<double>(total_flops) / l;
+  EXPECT_LE(static_cast<double>(counters.at("summa.layer_flops_max")),
+            1.25 * mean);
+  // The part_low split of this input is well off balance.
+  EXPECT_GT(static_cast<double>(counters.at("summa.layer_flops_max_in")),
+            1.5 * mean);
+  EXPECT_GT(run.traffic_summary().total_per_phase.count(steps::kInnerBalance),
+            0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, InnerBalance,
+                         ::testing::Values(LayerCase{4, 4},    // 1x1x4
+                                           LayerCase{8, 2}));  // 2x2x2
+
+class InnerBalanceDeep : public ::testing::TestWithParam<LayerCase> {};
+
+TEST_P(InnerBalanceDeep, OneHeavyIndexLeavesEmptyLayerSlicesThatStillMultiply) {
+  const auto [p, l] = GetParam();
+  // An arrow: dense row 0 and column 0 plus the diagonal. Index 0 carries
+  // n*n flops, more than 1/l of its part, so the layers between the one
+  // holding it and the last get empty slices.
+  const Index n = 24;
+  TripleMat t(n, n);
+  for (Index i = 0; i < n; ++i) {
+    t.push_back(i, 0, 1.0 + static_cast<double>(i));
+    if (i > 0) t.push_back(0, i, 0.5 * static_cast<double>(i));
+    if (i > 0) t.push_back(i, i, 2.0);
+  }
+  const CscMat a = CscMat::from_triples(std::move(t));
+  const CscMat expected = reference_multiply<PlusTimes>(a, a);
+  std::mutex mutex;
+  int empty_slices = 0;
+  vmpi::run(p, [&, l = l](vmpi::Comm& world) {
+    Grid3D grid(world, l);
+    const DistMat3D da = distribute_a_style(grid, a);
+    const DistMat3D db = distribute_b_style(grid, a);
+    const auto [ra, rb] = rebalance_inner(grid, da, db);
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (ra.cols.count == 0) ++empty_slices;
+    }
+    const BatchedResult r = batched_summa3d<PlusTimes>(grid, da, db, 0);
+    testing::expect_mat_near(gather_dist(grid, r.c), expected, 1e-9);
+  });
+  EXPECT_GT(empty_slices, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, InnerBalanceDeep,
+                         ::testing::Values(LayerCase{4, 4},     // 1x1x4
+                                           LayerCase{16, 4}));  // 2x2x4
+
+TEST(InnerBalance, AdaptiveRebatchStaysBitIdenticalOnTheBalancedGrid) {
+  const int p = 8, l = 2;
+  const Index batches = 2;
+  const CscMat a = skewed_graph(9, 6);
+  const CscMat expected = reference_multiply<PlusTimes>(a, a);
+  std::mutex mutex;
+  std::vector<Bytes> peak(static_cast<std::size_t>(p), 0);
+  std::vector<Bytes> inputs(static_cast<std::size_t>(p), 0);
+  TripleMat base_triples(a.nrows(), a.ncols());
+  vmpi::run(p, [&](vmpi::Comm& world) {
+    Grid3D grid(world, l);
+    const DistMat3D da = distribute_a_style(grid, a);
+    const DistMat3D db = distribute_b_style(grid, a);
+    // The inputs the run charges are the balanced ones.
+    const auto [ra, rb] = rebalance_inner(grid, da, db);
+    MemoryTracker tracker(0);
+    SummaOptions opts;
+    opts.force_batches = batches;
+    opts.memory = &tracker;
+    const BatchedResult r = batched_summa3d<PlusTimes>(
+        grid, da, db, 0, opts, collect_into(base_triples, mutex),
+        /*keep_output=*/false);
+    EXPECT_EQ(r.rebatch_events, 0);
+    const auto rank = static_cast<std::size_t>(world.rank());
+    peak[rank] = tracker.peak();
+    inputs[rank] =
+        static_cast<Bytes>(ra.local.nnz() + rb.local.nnz()) * kBytesPerNonzero;
+  });
+  const CscMat base = CscMat::from_triples(std::move(base_triples));
+  testing::expect_mat_near(base, expected, 1e-9);
+
+  TripleMat adaptive_triples(a.nrows(), a.ncols());
+  Index rebatch_events = 0;
+  vmpi::run(p, [&](vmpi::Comm& world) {
+    Grid3D grid(world, l);
+    const DistMat3D da = distribute_a_style(grid, a);
+    const DistMat3D db = distribute_b_style(grid, a);
+    const auto rank = static_cast<std::size_t>(world.rank());
+    MemoryTracker tracker(inputs[rank] + (peak[rank] - inputs[rank]) * 3 / 5);
+    SummaOptions opts;
+    opts.force_batches = batches;
+    opts.memory = &tracker;
+    const BatchedResult r = batched_summa3d<PlusTimes>(
+        grid, da, db, 0, opts, collect_into(adaptive_triples, mutex),
+        /*keep_output=*/false);
+    if (world.rank() == 0) rebatch_events = r.rebatch_events;
+  });
+  EXPECT_GE(rebatch_events, 1);
+  const CscMat adaptive = CscMat::from_triples(std::move(adaptive_triples));
+  testing::expect_mat_near(adaptive, base, 0.0);
 }
 
 }  // namespace

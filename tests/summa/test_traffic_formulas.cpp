@@ -54,6 +54,37 @@ TEST_P(TrafficFormulas, MessageCountsMatchClosedForms) {
   EXPECT_EQ(messages(steps::kAllToAllFiber), fiber_msgs);
 }
 
+TEST_P(TrafficFormulas, InnerBalanceMessagesMatchClosedForm) {
+  const auto [p, l, b] = GetParam();
+  const std::uint64_t q = static_cast<std::uint64_t>(std::sqrt(p / l));
+  const std::uint64_t L = static_cast<std::uint64_t>(l);
+  const CscMat a = testing::random_matrix(40, 40, 3.0, 173);
+  auto result = vmpi::run(p, [&, l = l, b = b](vmpi::Comm& world) {
+    Grid3D grid(world, l);
+    const DistMat3D da = distribute_a_style(grid, a);
+    const DistMat3D db = distribute_b_style(grid, a);
+    SummaOptions opts;
+    opts.force_batches = b;
+    (void)batched_summa3d<PlusTimes>(grid, da, db, 0, opts);
+  });
+  const auto traffic = result.traffic_summary().total_per_phase;
+  const auto it = traffic.find(steps::kInnerBalance);
+  const std::uint64_t got = it == traffic.end() ? 0 : it->second.messages;
+  if (l == 1) {
+    EXPECT_EQ(got, 0u) << "no inner cut runs at l = 1";
+    return;
+  }
+  // Once per job, independent of b. Per layer, three allreduces over the
+  // q grid rows or columns (A's column nnz, B's row nnz, the layer-flops
+  // counters), 2(q-1) messages each on each of the q communicators, plus
+  // one transpose swap per off-diagonal rank: 7q(q-1) per layer. Per fiber
+  // (q*q of them), one allgather of 2(l-1) messages and two alltoalls of
+  // l(l-1) each.
+  const std::uint64_t per_layer = 7 * q * (q - 1);
+  const std::uint64_t per_fiber = 2 * (L - 1) + 2 * L * (L - 1);
+  EXPECT_EQ(got, L * per_layer + q * q * per_fiber);
+}
+
 TEST_P(TrafficFormulas, ABcastBytesScaleLinearlyWithBatches) {
   const auto [p, l, b] = GetParam();
   if (p / l < 4) GTEST_SKIP();  // need q >= 2 for nonzero broadcasts

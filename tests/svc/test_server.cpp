@@ -12,7 +12,10 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "grid/dist.hpp"
+#include "summa/symbolic3d.hpp"
 #include "svc/server.hpp"
+#include "vmpi/runtime.hpp"
 
 namespace casp::svc {
 namespace {
@@ -66,6 +69,46 @@ TEST(Server, AdmissionEstimatesBatchesForFittingJobs) {
   // Terminal states release the reservation.
   EXPECT_EQ(server.tenant("alice").reserved(), 0u);
   EXPECT_GT(server.tenant("alice").peak_reserved(), 0u);
+}
+
+TEST(Server, AdmissionSizesTheBalancedLayoutALayeredJobRunsOn) {
+  // A skewed 1x1x4 product: batched_summa3d cuts the inner dimension into
+  // equal-flops layer slices, and admission must apply Eq. (2) to that
+  // layout, not to the part_low one, or its b is not the one that runs.
+  JobSpec spec = small_spgemm("alice");
+  spec.a = MatrixSource::rmat_graph(9, 8.0, 11);
+  spec.layers = 4;
+  const CscMat in = spec.a.materialize();
+  SymbolicResult uniform, balanced;
+  vmpi::run(spec.ranks, [&](vmpi::Comm& world) {
+    Grid3D grid(world, spec.layers);
+    const DistMat3D da = distribute_a_style(grid, in);
+    const DistMat3D db = distribute_b_style(grid, in);
+    SymbolicResult u = symbolic3d(grid, da.local, db.local, 0);
+    const auto [ra, rb] = rebalance_inner(grid, da, db);
+    SymbolicResult b = symbolic3d(grid, ra.local, rb.local, 0);
+    if (world.rank() == 0) {
+      uniform = std::move(u);
+      balanced = std::move(b);
+    }
+  });
+  // Eq. (2) gives b = 2 on the balanced layout; the part_low layout's
+  // heavy layer would need more (or would not fit at all).
+  const Bytes r = kBytesPerNonzero;
+  const Bytes share =
+      r * static_cast<Bytes>(balanced.max_nnz_a + balanced.max_nnz_b) +
+      r * static_cast<Bytes>(balanced.max_nnz_c) * 3 / 5;
+  const Bytes uniform_inputs =
+      r * static_cast<Bytes>(uniform.max_nnz_a + uniform.max_nnz_b);
+  ASSERT_TRUE(share <= uniform_inputs ||
+              r * static_cast<Bytes>(uniform.max_nnz_c) >
+                  2 * (share - uniform_inputs));
+  spec.memory_bytes = 4 * share;
+  Server server(ServerOptions{});
+  const JobRecord& job = server.wait(server.submit(std::move(spec)));
+  ASSERT_EQ(job.state, JobState::kDone) << job.reason;
+  EXPECT_EQ(job.admission.batches, 2);
+  EXPECT_EQ(job.admission.batches, job.batches);
 }
 
 TEST(Server, MemoryQuotaRejectsOversizedReservationOutright) {
