@@ -107,8 +107,8 @@ Json JobReport::deterministic_json() const {
 
 JobBilling bill_traffic(const vmpi::RunResult& result) {
   JobBilling bill;
-  for (const vmpi::TrafficStats& stats : result.traffic) {
-    const vmpi::PhaseTraffic t = stats.total();
+  for (const Recorder& rec : result.recorders) {
+    const vmpi::PhaseTraffic t = rec.traffic().total();
     bill.messages += t.messages;
     bill.logical_bytes += t.bytes;
     bill.shipped_bytes += t.shipped;

@@ -82,8 +82,8 @@ RunReport build_report(const vmpi::RunResult& result) {
   report.ranks = result.size;
   report.wall_seconds = result.wall_seconds;
 
-  for (const vmpi::TrafficStats& stats : result.traffic) {
-    for (const auto& [phase, t] : stats.per_phase()) {
+  for (const Recorder& rec : result.recorders) {
+    for (const auto& [phase, t] : rec.traffic().per_phase()) {
       PhaseEntry& e = report.phases[phase];
       e.total += t;
       e.max.messages = std::max(e.max.messages, t.messages);
@@ -91,15 +91,16 @@ RunReport build_report(const vmpi::RunResult& result) {
       e.max.shipped = std::max(e.max.shipped, t.shipped);
     }
   }
-  for (const TimeAccumulator& acc : result.times) {
-    for (const auto& [name, seconds] : acc.all()) {
+  for (const Recorder& rec : result.recorders) {
+    for (const auto& [name, seconds] : rec.times().all()) {
       PhaseEntry& e = report.phases[name];
       e.seconds_sum += seconds;
       e.seconds_max = std::max(e.seconds_max, seconds);
     }
   }
-  for (std::size_t r = 0; r < result.traffic.size(); ++r) {
-    for (const auto& [phase, dests] : result.traffic[r].per_dest()) {
+  for (std::size_t r = 0; r < result.recorders.size(); ++r) {
+    const vmpi::TrafficStats& traffic = result.recorders[r].traffic();
+    for (const auto& [phase, dests] : traffic.per_dest()) {
       TrafficMatrix& m = ensure_matrix(report.matrices, phase, result.size);
       for (const auto& [dst, t] : dests) {
         m.msg_at(static_cast<int>(r), dst) += t.messages;

@@ -376,123 +376,6 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
   return result;
 }
 
-namespace {
-/// Vertical concatenation of row-batch pieces (ascending, disjoint rows).
-CscMat concat_rows(const std::vector<CscMat>& pieces, Index total_rows) {
-  CASP_CHECK(!pieces.empty());
-  const Index ncols = pieces.front().ncols();
-  Index nnz = 0;
-  for (const CscMat& m : pieces) {
-    CASP_CHECK(m.ncols() == ncols);
-    nnz += m.nnz();
-  }
-  TripleMat triples(total_rows, ncols);
-  triples.reserve(nnz);
-  Index row_base = 0;
-  for (const CscMat& m : pieces) {
-    for (Index j = 0; j < m.ncols(); ++j) {
-      const auto rows = m.col_rowids(j);
-      const auto vals = m.col_vals(j);
-      for (std::size_t k = 0; k < rows.size(); ++k)
-        triples.push_back(rows[k] + row_base, j, vals[k]);
-    }
-    row_base += m.nrows();
-  }
-  CASP_CHECK(row_base == total_rows);
-  return CscMat::from_triples(std::move(triples));
-}
-}  // namespace
-
-template <typename SR>
-BatchedResult batched_summa3d_rowwise(Grid3D& grid, const DistMat3D& a,
-                                      const DistMat3D& b, Bytes total_memory,
-                                      const SummaOptions& opts,
-                                      const BatchCallback& on_batch,
-                                      bool keep_output) {
-  CASP_CHECK_MSG(a.global_cols == b.global_rows,
-                 "batched_summa3d_rowwise: inner dimension mismatch");
-
-  BatchedResult result;
-  if (opts.force_batches > 0) {
-    result.batches = opts.force_batches;
-  } else {
-    // Eq. 2 is symmetric in how the output is sliced: the per-batch
-    // unmerged output shrinks ~1/b whether C is cut by rows or columns.
-    result.symbolic = symbolic3d(grid, a.local, b.local, total_memory, opts);
-    result.batches = result.symbolic.batches;
-  }
-  result.batches = std::max<Index>(
-      1, std::min(result.batches, std::max<Index>(1, a.global_rows)));
-  const Index num_batches = result.batches;
-
-  obs::Recorder& rec = grid.world().recorder();
-  rec.set_counter("batches", num_batches);
-
-  std::vector<CscMat> kept_pieces;
-  if (keep_output) kept_pieces.reserve(static_cast<std::size_t>(num_batches));
-
-  const Index my_rows = a.rows.count;
-  const LocalRange out_cols = a_style_col_range(grid, b.global_cols);
-  for (Index bi = 0; bi < num_batches; ++bi) {
-    obs::ScopedTag batch_tag(rec, obs::ScopedTag::Kind::kBatch,
-                             static_cast<int>(bi));
-    const Index lo = part_low(bi, num_batches, my_rows);
-    const Index hi = part_low(bi + 1, num_batches, my_rows);
-    CscMat a_batch = a.local.slice_rows(lo, hi);
-    MemoryCharge batch_charge;
-    if (opts.memory != nullptr)
-      batch_charge = MemoryCharge(
-          *opts.memory, static_cast<Bytes>(a_batch.nnz()) * kBytesPerNonzero,
-          "A batch slice");
-
-    // Row batches keep B (and hence the output column set) intact, and a
-    // row subset can only shrink each column, so the full-run symbolic
-    // counts remain valid upper bounds as-is.
-    SummaOptions batch_opts = opts;
-    if (!result.symbolic.col_nnz.empty() &&
-        static_cast<Index>(result.symbolic.col_nnz.size()) == b.local.ncols())
-      batch_opts.symbolic_col_nnz = result.symbolic.col_nnz;
-
-    CscMat c_piece = summa3d<SR>(grid, a_batch, b.local, batch_opts);
-
-    BatchInfo info;
-    info.batch_index = bi;
-    info.num_batches = num_batches;
-    info.global_nrows = a.global_rows;
-    info.global_ncols = b.global_cols;
-    info.global_rows = {a.rows.start + lo, hi - lo};
-    info.global_cols = out_cols;
-    CASP_CHECK(c_piece.nrows() == info.global_rows.count);
-    CASP_CHECK(c_piece.ncols() == info.global_cols.count);
-
-    if (keep_output) kept_pieces.push_back(c_piece);
-    if (on_batch) on_batch(std::move(c_piece), info);
-  }
-
-  if (keep_output) {
-    result.c.global_rows = a.global_rows;
-    result.c.global_cols = b.global_cols;
-    result.c.rows = a.rows;
-    result.c.cols = out_cols;
-    result.c.local = concat_rows(kept_pieces, my_rows);
-  }
-  result.final_batches = num_batches;
-  return result;
-}
-
-template BatchedResult batched_summa3d_rowwise<PlusTimes>(
-    Grid3D&, const DistMat3D&, const DistMat3D&, Bytes, const SummaOptions&,
-    const BatchCallback&, bool);
-template BatchedResult batched_summa3d_rowwise<MinPlus>(
-    Grid3D&, const DistMat3D&, const DistMat3D&, Bytes, const SummaOptions&,
-    const BatchCallback&, bool);
-template BatchedResult batched_summa3d_rowwise<MaxMin>(
-    Grid3D&, const DistMat3D&, const DistMat3D&, Bytes, const SummaOptions&,
-    const BatchCallback&, bool);
-template BatchedResult batched_summa3d_rowwise<OrAnd>(
-    Grid3D&, const DistMat3D&, const DistMat3D&, Bytes, const SummaOptions&,
-    const BatchCallback&, bool);
-
 template BatchedResult batched_summa3d<PlusTimes>(Grid3D&, const DistMat3D&,
                                                   const DistMat3D&, Bytes,
                                                   const SummaOptions&,

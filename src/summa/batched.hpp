@@ -96,18 +96,4 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a,
                               const BatchCallback& on_batch = nullptr,
                               bool keep_output = true);
 
-/// Row-wise batching variant (Sec. IV-B's remark): when nnz(A) >> nnz(B),
-/// column batching re-broadcasts the expensive A once per batch; batching
-/// C *by rows* slices A instead, so B is the operand re-communicated.
-/// A batch computes a contiguous block of C's rows (no block-cyclic
-/// interleaving needed — the fiber exchange splits columns, which row
-/// batching leaves untouched). Each callback piece covers
-/// (row block of this batch within my row part) x (A-style column range).
-template <typename SR = PlusTimes>
-BatchedResult batched_summa3d_rowwise(Grid3D& grid, const DistMat3D& a,
-                                      const DistMat3D& b, Bytes total_memory,
-                                      const SummaOptions& opts = {},
-                                      const BatchCallback& on_batch = nullptr,
-                                      bool keep_output = true);
-
 }  // namespace casp

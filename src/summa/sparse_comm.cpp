@@ -271,36 +271,4 @@ CscView assemble_sparse_block(std::span<const Payload> messages) {
   return unpack_csc_view(Payload::wrap(std::move(buf)));
 }
 
-SparseAExchange::SparseAExchange(vmpi::Comm& row_comm, const CscMat& local_a,
-                                 const Machine* machine)
-    : row_comm_(row_comm), local_a_(local_a), machine_(machine) {}
-
-void SparseAExchange::post(int stage, const CscConstRef& b_view) {
-  Payload request;
-  if (row_comm_.rank() != stage) {
-    const std::vector<Index> support = row_support(b_view);
-    const std::vector<ColRange> ranges =
-        coalesce_cols(support, kSparseCoalesceGap);
-    request = pack_need_request(ranges);
-  }
-  pending_ = row_comm_.isparse_exchange(stage, std::move(request));
-  posted_stage_ = stage;
-}
-
-CscView SparseAExchange::wait(int stage) {
-  CASP_CHECK_MSG(stage == posted_stage_,
-                 "SparseAExchange: wait(" << stage << ") but stage "
-                                          << posted_stage_ << " is posted");
-  auto serve = [this](int /*src*/, Payload req) {
-    return make_sparse_reply(packed_, req, machine_);
-  };
-  if (row_comm_.rank() == stage) {
-    if (packed_.size() == 0) packed_ = pack_csc_payload(local_a_);
-    (void)row_comm_.sparse_wait(pending_, serve);
-    return unpack_csc_view(packed_);
-  }
-  std::vector<Payload> messages = row_comm_.sparse_wait(pending_, serve);
-  return assemble_sparse_block(messages);
-}
-
 }  // namespace casp

@@ -85,31 +85,4 @@ vmpi::SparseReply make_sparse_reply(const Payload& packed_block,
 /// the row support the request covered).
 CscView assemble_sparse_block(std::span<const Payload> messages);
 
-/// Stage-loop driver shared by summa2d and symbolic3d: posts the stage's
-/// exchange from the received B block's row support and completes it on
-/// either side. One exchange in flight at a time (post s, wait s, post
-/// s+1, ...), matching the pipeline order of the callers.
-class SparseAExchange {
- public:
-  /// `local_a` must outlive *this; `machine` (optional, not owned) enables
-  /// the latency-aware fallback predicate on root replies.
-  SparseAExchange(vmpi::Comm& row_comm, const CscMat& local_a,
-                  const Machine* machine = nullptr);
-
-  /// Post the stage-s exchange. `b_view` is the received stage-s B block.
-  void post(int stage, const CscConstRef& b_view);
-  /// Complete the stage-s exchange: the root serves every peer, then reads
-  /// its own packed block; peers reassemble their reply. Returns the
-  /// full-width A view for the stage's multiply.
-  CscView wait(int stage);
-
- private:
-  vmpi::Comm& row_comm_;
-  const CscMat& local_a_;
-  const Machine* machine_;
-  Payload packed_;  ///< my block, packed once on first root duty
-  vmpi::PendingSparse pending_;
-  int posted_stage_ = -1;
-};
-
 }  // namespace casp

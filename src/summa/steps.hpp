@@ -59,12 +59,6 @@ struct SummaOptions {
   MergeKind merge_kind = MergeKind::kUnsortedHash;
   /// Sort the final output's columns (done once, after Merge-Fiber).
   bool sort_final = true;
-  /// Prefetch stage s+1's A/B broadcasts (nonblocking ibcast) while stage
-  /// s's Local-Multiply runs. Off = post and complete each stage's
-  /// broadcasts before its multiply (the classic blocking schedule). Both
-  /// modes send exactly the same messages in the same phases, so Table II
-  /// traffic accounting is unchanged.
-  bool pipeline = true;
   /// Sparsity-aware A exchange (summa/sparse_comm.hpp): replace the dense
   /// A-Bcast with a need-list request round plus need-only replies shipped
   /// as zero-copy subviews. Results are bit-identical either way; the

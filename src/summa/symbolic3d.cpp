@@ -7,17 +7,14 @@
 #include "common/math.hpp"
 #include "kernels/symbolic.hpp"
 #include "obs/recorder.hpp"
-#include "sparse/serialize.hpp"
 #include "sparse/stats.hpp"
-#include "summa/sparse_comm.hpp"
+#include "summa/stages.hpp"
 
 namespace casp {
 
 SymbolicResult symbolic3d(Grid3D& grid, const CscMat& local_a,
                           const CscMat& local_b, Bytes total_memory,
                           const SummaOptions& opts) {
-  vmpi::Comm& row_comm = grid.row_comm();
-  vmpi::Comm& col_comm = grid.col_comm();
   vmpi::Comm& world = grid.world();
   const int stages = grid.q();
 
@@ -27,21 +24,6 @@ SymbolicResult symbolic3d(Grid3D& grid, const CscMat& local_a,
   // phase covers the row/column broadcasts too.
   obs::Recorder& rec = world.recorder();
   obs::PhaseSpan world_span(rec, steps::kSymbolic);
-
-  // Same broadcast schedule as summa2d: handle-forwarding ibcasts, with
-  // stage s+1 prefetched during stage s's symbolic pass when pipelining.
-  struct StageBcasts {
-    vmpi::PendingBcast a;
-    vmpi::PendingBcast b;
-  };
-  auto post_stage = [&](int s) {
-    StageBcasts pending;
-    pending.a = row_comm.ibcast_payload(
-        s, row_comm.rank() == s ? pack_csc_payload(local_a) : Payload{});
-    pending.b = col_comm.ibcast_payload(
-        s, col_comm.rank() == s ? pack_csc_payload(local_b) : Payload{});
-    return pending;
-  };
 
   Index my_unmerged = 0;
   Index my_flops = 0;
@@ -62,43 +44,14 @@ SymbolicResult symbolic3d(Grid3D& grid, const CscMat& local_a,
     my_flops += multiply_flops(a_view, b_view);
   };
 
-  if (opts.sparse_comm) {
-    // Same need-list A exchange as the numeric loop (summa2d_sparse): B
-    // keeps its ibcast schedule, each stage's A request is derived from
-    // the row support of that stage's B block.
-    SparseAExchange a_exchange(row_comm, local_a);
-    auto post_b = [&](int s) {
-      return col_comm.ibcast_payload(
-          s, col_comm.rank() == s ? pack_csc_payload(local_b) : Payload{});
-    };
-    auto prepare_stage = [&](int s, vmpi::PendingBcast& b_pending) {
-      CscView view = unpack_csc_view(col_comm.bcast_wait(b_pending));
-      a_exchange.post(s, view);
-      return view;
-    };
-    vmpi::PendingBcast b_pending = post_b(0);
-    CscView b_view = prepare_stage(0, b_pending);
-    for (int s = 0; s < stages; ++s) {
-      obs::ScopedTag stage_tag(rec, obs::ScopedTag::Kind::kStage, s);
-      if (opts.pipeline && s + 1 < stages) b_pending = post_b(s + 1);
-      CscView a_view = a_exchange.wait(s);
-      tally_stage(a_view, b_view);
-      if (s + 1 < stages) {
-        if (!opts.pipeline) b_pending = post_b(s + 1);
-        b_view = prepare_stage(s + 1, b_pending);
-      }
-    }
-  } else {
-    StageBcasts current = post_stage(0);
-    for (int s = 0; s < stages; ++s) {
-      obs::ScopedTag stage_tag(rec, obs::ScopedTag::Kind::kStage, s);
-      CscView a_view = unpack_csc_view(row_comm.bcast_wait(current.a));
-      CscView b_view = unpack_csc_view(col_comm.bcast_wait(current.b));
-      if (opts.pipeline && s + 1 < stages) current = post_stage(s + 1);
-
-      tally_stage(a_view, b_view);
-      if (!opts.pipeline && s + 1 < stages) current = post_stage(s + 1);
-    }
+  // Same stage schedule as summa2d. No phases of its own: the Symbolic
+  // span above already holds this traffic, and a nested span of the same
+  // name would count its time twice.
+  StageStream stream(grid, local_a, local_b, opts.sparse_comm, {});
+  for (int s = 0; s < stages; ++s) {
+    obs::ScopedTag stage_tag(rec, obs::ScopedTag::Kind::kStage, s);
+    auto [a_view, b_view] = stream.next(s);
+    tally_stage(a_view, b_view);
   }
 
   SymbolicResult result;

@@ -282,7 +282,6 @@ SummaOptions JobSpec::summa_options() const {
     opts.merge_kind = MergeKind::kUnsortedHash;
   }
   opts.sort_final = sort_final;
-  opts.pipeline = pipeline;
   opts.sparse_comm = sparse_comm;
   opts.threads = threads;
   opts.force_batches = force_batches;
@@ -361,7 +360,6 @@ obs::Json JobSpec::to_json() const {
   j.set("memory_bytes", memory_bytes);
   j.set("kernel", kernel);
   j.set("sort_final", sort_final);
-  j.set("pipeline", pipeline);
   j.set("sparse_comm", sparse_comm);
   j.set("threads", threads);
   j.set("force_batches", static_cast<std::int64_t>(force_batches));
@@ -394,7 +392,6 @@ JobSpec JobSpec::from_json(const obs::Json& j) {
       spec.memory_bytes = static_cast<Bytes>(v.as_int());
     else if (key == "kernel") spec.kernel = v.as_string();
     else if (key == "sort_final") spec.sort_final = v.as_bool();
-    else if (key == "pipeline") spec.pipeline = v.as_bool();
     else if (key == "sparse_comm") spec.sparse_comm = v.as_bool();
     else if (key == "threads") spec.threads = static_cast<int>(v.as_int());
     else if (key == "force_batches") spec.force_batches = v.as_int();

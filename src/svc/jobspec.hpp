@@ -97,7 +97,6 @@ struct JobSpec {
   /// "hash" (this paper's unsorted-hash kernels) or "hybrid" (prior work).
   std::string kernel = "hash";
   bool sort_final = true;
-  bool pipeline = true;
   bool sparse_comm = false;
   int threads = 1;
   Index force_batches = 0;

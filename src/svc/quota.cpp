@@ -8,8 +8,8 @@ void TenantLedger::bill(const obs::JobBilling& bill,
   logical_billed_ += bill.logical_bytes;
   shipped_billed_ += bill.shipped_bytes;
   restarts_billed_ += bill.restarts;
-  for (const vmpi::TrafficStats& stats : run.traffic)
-    for (const auto& [phase, t] : stats.per_phase())
+  for (const obs::Recorder& rec : run.recorders)
+    for (const auto& [phase, t] : rec.traffic().per_phase())
       logical_by_phase_[phase] += t.bytes;
 }
 

@@ -13,8 +13,8 @@ namespace casp::vmpi {
 
 TrafficSummary RunResult::traffic_summary() const {
   TrafficSummary summary;
-  for (const TrafficStats& stats : traffic) {
-    for (const auto& [phase, t] : stats.per_phase()) {
+  for (const obs::Recorder& rec : recorders) {
+    for (const auto& [phase, t] : rec.traffic().per_phase()) {
       summary.total_per_phase[phase] += t;
       PhaseTraffic& mx = summary.max_per_phase[phase];
       mx.messages = std::max(mx.messages, t.messages);
@@ -27,14 +27,15 @@ TrafficSummary RunResult::traffic_summary() const {
 
 double RunResult::max_time(const std::string& name) const {
   double mx = 0.0;
-  for (const TimeAccumulator& acc : times) mx = std::max(mx, acc.get(name));
+  for (const obs::Recorder& rec : recorders)
+    mx = std::max(mx, rec.times().get(name));
   return mx;
 }
 
 std::vector<std::string> RunResult::time_names() const {
   std::set<std::string> names;
-  for (const TimeAccumulator& acc : times)
-    for (const auto& [name, seconds] : acc.all()) names.insert(name);
+  for (const obs::Recorder& rec : recorders)
+    for (const auto& [name, seconds] : rec.times().all()) names.insert(name);
   return {names.begin(), names.end()};
 }
 
@@ -284,8 +285,6 @@ JobExec::JobExec(int size, const RunOptions& options)
 
   result_.size = size;
   result_.recorders.resize(static_cast<std::size_t>(size));
-  result_.traffic.resize(static_cast<std::size_t>(size));
-  result_.times.resize(static_cast<std::size_t>(size));
 }
 
 void JobExec::rank_main(int r, const std::function<void(Comm&)>& body) {
@@ -323,8 +322,6 @@ void JobExec::rank_main(int r, const std::function<void(Comm&)>& body) {
     st.finished = true;
   }
   result_.recorders[static_cast<std::size_t>(r)] = comm.recorder();
-  result_.traffic[static_cast<std::size_t>(r)] = comm.traffic();
-  result_.times[static_cast<std::size_t>(r)] = comm.times();
 }
 
 void JobExec::start_watchdog() {

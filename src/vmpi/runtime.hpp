@@ -88,14 +88,8 @@ struct RunResult {
   /// Wall time of the whole job (launch to last join), seconds.
   double wall_seconds = 0.0;
   /// Per-rank observability recorders (timeline events, traffic ledger,
-  /// timings, counters, memory high-water), indexed by rank. The `traffic`
-  /// and `times` vectors below are convenience copies of the recorders'
-  /// ledgers, kept for existing callers.
+  /// timings, counters, memory high-water), indexed by rank.
   std::vector<obs::Recorder> recorders;
-  /// Per-rank traffic ledgers, indexed by rank.
-  std::vector<TrafficStats> traffic;
-  /// Per-rank named timings, indexed by rank.
-  std::vector<TimeAccumulator> times;
 
   /// Set iff the job failed and RunOptions::capture_failure was true.
   std::optional<FailureReport> failure;

@@ -61,24 +61,6 @@ TEST(BatchIo, StreamedBatchesReloadToTheExactProduct) {
   testing::expect_mat_near(loaded, expected, 1e-9);
 }
 
-TEST(BatchIo, RowwiseBatchesAlsoRoundTrip) {
-  const std::string dir = fresh_dir("rowwise");
-  const Index n = 20;
-  const CscMat a = testing::random_matrix(n, n, 3.0, 141);
-  const CscMat expected = reference_multiply<PlusTimes>(a, a);
-  vmpi::run(4, [&](vmpi::Comm& world) {
-    Grid3D grid(world, 1);
-    const DistMat3D da = distribute_a_style(grid, a);
-    const DistMat3D db = distribute_b_style(grid, a);
-    SummaOptions opts;
-    opts.force_batches = 4;
-    batched_summa3d_rowwise<PlusTimes>(
-        grid, da, db, 0, opts, make_disk_batch_writer(dir, world.rank()),
-        /*keep_output=*/false);
-  });
-  testing::expect_mat_near(load_batch_directory(dir), expected, 1e-9);
-}
-
 TEST(BatchIo, PreservesEmptyBorderRowsAndCols) {
   // The header carries the global shape even when the last rows/columns of
   // the product are empty.

@@ -276,13 +276,6 @@ TEST(RedistributeShrink, SparseCommVariant) {
   expect_full_coverage_regrid(9, 4, opts, "sparse");
 }
 
-TEST(RedistributeShrink, BlockingScheduleVariant) {
-  SummaOptions opts;
-  opts.force_batches = 3;
-  opts.pipeline = false;
-  expect_full_coverage_regrid(9, 4, opts, "blocking");
-}
-
 TEST(RedistributeShrink, LayeredWriterGrid) {
   // The writer grid uses l=2 layers; the coordinates are grid-independent
   // so a flat survivor grid still consumes them.

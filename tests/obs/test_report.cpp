@@ -161,8 +161,9 @@ TEST(RunReport, MatrixRowSumsReproducePerRankTotals) {
         row_msgs += m.messages[i];
         row_bytes += m.bytes[i];
       }
-      const auto& per_phase =
-          result.traffic[static_cast<std::size_t>(src)].per_phase();
+      const auto& per_phase = result.recorders[static_cast<std::size_t>(src)]
+                                  .traffic()
+                                  .per_phase();
       const auto it = per_phase.find(phase);
       const std::uint64_t want_msgs =
           it == per_phase.end() ? 0 : it->second.messages;

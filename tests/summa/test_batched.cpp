@@ -196,70 +196,6 @@ TEST(BatchedRectangular, AatViaExplicitTranspose) {
   });
 }
 
-class RowwiseBatched : public ::testing::TestWithParam<BatchedCase> {};
-
-TEST_P(RowwiseBatched, MatchesReference) {
-  const auto [p, l, batches, n, density] = GetParam();
-  const CscMat a = testing::random_matrix(n, n, density, 131);
-  const CscMat b = testing::random_matrix(n, n, density, 132);
-  const CscMat expected = reference_multiply<PlusTimes>(a, b);
-  vmpi::run(p, [&, l = l, batches = batches](vmpi::Comm& world) {
-    Grid3D grid(world, l);
-    const DistMat3D da = distribute_a_style(grid, a);
-    const DistMat3D db = distribute_b_style(grid, b);
-    SummaOptions opts;
-    opts.force_batches = batches;
-    BatchedResult result =
-        batched_summa3d_rowwise<PlusTimes>(grid, da, db, 0, opts);
-    EXPECT_EQ(result.c.rows.start, a_style_row_range(grid, n).start);
-    EXPECT_EQ(result.c.cols.count, a_style_col_range(grid, n).count);
-    testing::expect_mat_near(gather_dist(grid, result.c), expected, 1e-9);
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, RowwiseBatched,
-    ::testing::Values(BatchedCase{1, 1, 3, 17, 3.0},
-                      BatchedCase{4, 1, 2, 20, 3.0},
-                      BatchedCase{8, 2, 4, 26, 3.0},
-                      BatchedCase{16, 4, 5, 31, 3.0},
-                      BatchedCase{12, 3, 6, 29, 3.5},
-                      // more batches than per-part rows
-                      BatchedCase{8, 2, 16, 9, 2.0}));
-
-TEST(RowwiseBatched, CallbackPiecesAreRowBlocks) {
-  const int p = 8, l = 2;
-  const Index n = 24, batches = 3;
-  const CscMat a = testing::random_matrix(n, n, 3.0, 133);
-  const CscMat expected = reference_multiply<PlusTimes>(a, a);
-  std::mutex mutex;
-  TripleMat assembled(n, n);
-  vmpi::run(p, [&](vmpi::Comm& world) {
-    Grid3D grid(world, l);
-    const DistMat3D da = distribute_a_style(grid, a);
-    const DistMat3D db = distribute_b_style(grid, a);
-    SummaOptions opts;
-    opts.force_batches = batches;
-    batched_summa3d_rowwise<PlusTimes>(
-        grid, da, db, 0, opts,
-        [&](CscMat&& piece, const BatchInfo& info) {
-          EXPECT_EQ(piece.nrows(), info.global_rows.count);
-          std::lock_guard<std::mutex> lock(mutex);
-          for (Index j = 0; j < piece.ncols(); ++j) {
-            const auto rows = piece.col_rowids(j);
-            const auto vals = piece.col_vals(j);
-            for (std::size_t k = 0; k < rows.size(); ++k)
-              assembled.push_back(rows[k] + info.global_rows.start,
-                                  j + info.global_cols.start, vals[k]);
-          }
-        },
-        /*keep_output=*/false);
-  });
-  CscMat full = CscMat::from_triples(std::move(assembled));
-  EXPECT_EQ(full.nnz(), expected.nnz()) << "row pieces overlapped";
-  testing::expect_mat_near(full, expected, 1e-9);
-}
-
 // Adaptive re-batching (the graceful-degradation protocol): when the
 // enforced budget is below what Eq. 2's estimate assumed, the run must
 // split batches at the overrun consensus and still produce output

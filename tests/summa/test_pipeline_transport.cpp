@@ -1,16 +1,11 @@
-// Pipelined vs. blocking SUMMA broadcasts: the prefetch schedule must
-// change wall-clock only — results bit-equal and the per-phase traffic
-// ledger (messages and bytes) identical, so the Table II accounting pinned
-// by test_traffic_formulas is preserved by the transport rework.
+// The prefetching SUMMA stage schedule (summa/stages.hpp) keeps the
+// Table II broadcast accounting: the handle-forwarding nonblocking trees
+// record exactly the closed-form message counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
-#include <string>
 
 #include "grid/dist.hpp"
-#include "kernels/reference.hpp"
-#include "summa/batched.hpp"
 #include "summa/summa3d.hpp"
 #include "test_util.hpp"
 #include "vmpi/runtime.hpp"
@@ -25,64 +20,13 @@ struct GridCase {
 
 class PipelineTransport : public ::testing::TestWithParam<GridCase> {};
 
-vmpi::RunResult run_summa(const CscMat& a, const CscMat& b, int p, int l,
-                          bool pipeline, CscMat* out = nullptr) {
-  return vmpi::run(p, [&, l, pipeline](vmpi::Comm& world) {
+vmpi::RunResult run_summa(const CscMat& a, const CscMat& b, int p, int l) {
+  return vmpi::run(p, [&, l](vmpi::Comm& world) {
     Grid3D grid(world, l);
     const DistMat3D da = distribute_a_style(grid, a);
     const DistMat3D db = distribute_b_style(grid, b);
-    SummaOptions opts;
-    opts.pipeline = pipeline;
-    DistMat3D dc;
-    dc.global_rows = a.nrows();
-    dc.global_cols = b.ncols();
-    dc.rows = a_style_row_range(grid, a.nrows());
-    dc.cols = a_style_col_range(grid, b.ncols());
-    dc.local = summa3d<PlusTimes>(grid, da.local, db.local, opts);
-    CscMat gathered = gather_dist(grid, dc);
-    if (out != nullptr && world.rank() == 0) *out = std::move(gathered);
+    summa3d<PlusTimes>(grid, da.local, db.local, SummaOptions{});
   });
-}
-
-TEST_P(PipelineTransport, PipelinedMatchesBlockingAndReference) {
-  const auto [p, l] = GetParam();
-  const Index n = 24;
-  const CscMat a = testing::random_matrix(n, n, 3.5, 310);
-  const CscMat b = testing::random_matrix(n, n, 3.5, 311);
-  const CscMat expected = reference_multiply<PlusTimes>(a, b);
-
-  CscMat with_pipeline;
-  CscMat without_pipeline;
-  run_summa(a, b, p, l, /*pipeline=*/true, &with_pipeline);
-  run_summa(a, b, p, l, /*pipeline=*/false, &without_pipeline);
-
-  testing::expect_mat_near(with_pipeline, expected, 1e-9);
-  testing::expect_mat_near(without_pipeline, expected, 1e-9);
-  testing::expect_mat_near(with_pipeline, without_pipeline, 0.0);
-}
-
-TEST_P(PipelineTransport, PerPhaseTrafficIsBitIdenticalEitherMode) {
-  const auto [p, l] = GetParam();
-  const Index n = 32;
-  const CscMat a = testing::random_matrix(n, n, 4.0, 312);
-  const CscMat b = testing::random_matrix(n, n, 4.0, 313);
-
-  const auto on = run_summa(a, b, p, l, /*pipeline=*/true).traffic_summary();
-  const auto off =
-      run_summa(a, b, p, l, /*pipeline=*/false).traffic_summary();
-
-  auto expect_same = [](const std::map<std::string, vmpi::PhaseTraffic>& x,
-                        const std::map<std::string, vmpi::PhaseTraffic>& y) {
-    ASSERT_EQ(x.size(), y.size());
-    for (const auto& [phase, t] : x) {
-      const auto it = y.find(phase);
-      ASSERT_NE(it, y.end()) << "phase " << phase << " missing";
-      EXPECT_EQ(t.messages, it->second.messages) << "phase " << phase;
-      EXPECT_EQ(t.bytes, it->second.bytes) << "phase " << phase;
-    }
-  };
-  expect_same(on.total_per_phase, off.total_per_phase);
-  expect_same(on.max_per_phase, off.max_per_phase);
 }
 
 TEST_P(PipelineTransport, PipelinedBcastCountsStillMatchTableII) {
@@ -94,8 +38,7 @@ TEST_P(PipelineTransport, PipelinedBcastCountsStillMatchTableII) {
   const Index n = 32;
   const CscMat a = testing::random_matrix(n, n, 4.0, 314);
 
-  const auto traffic =
-      run_summa(a, a, p, l, /*pipeline=*/true).traffic_summary();
+  const auto traffic = run_summa(a, a, p, l).traffic_summary();
   auto messages = [&](const char* s) -> std::uint64_t {
     const auto it = traffic.total_per_phase.find(s);
     return it == traffic.total_per_phase.end() ? 0 : it->second.messages;
@@ -110,34 +53,6 @@ INSTANTIATE_TEST_SUITE_P(Grids, PipelineTransport,
                          ::testing::Values(GridCase{1, 1}, GridCase{2, 2},
                                            GridCase{4, 1}, GridCase{4, 4},
                                            GridCase{8, 2}));
-
-TEST(PipelineTransport, BatchedPipelineTogglePreservesResultAndTraffic) {
-  // Whole batched pipeline (symbolic + batched broadcasts) under both
-  // schedules: same math, same ledger.
-  const Index n = 30;
-  const CscMat a = testing::random_matrix(n, n, 3.5, 315);
-  const CscMat expected = reference_multiply<PlusTimes>(a, a);
-  std::map<std::string, vmpi::PhaseTraffic> ledgers[2];
-  int idx = 0;
-  for (const bool pipeline : {true, false}) {
-    auto result = vmpi::run(16, [&, pipeline](vmpi::Comm& world) {
-      Grid3D grid(world, 4);
-      const DistMat3D da = distribute_a_style(grid, a);
-      const DistMat3D db = distribute_b_style(grid, a);
-      SummaOptions opts;
-      opts.pipeline = pipeline;
-      opts.force_batches = 3;
-      const BatchedResult r = batched_summa3d<PlusTimes>(grid, da, db, 0, opts);
-      testing::expect_mat_near(gather_dist(grid, r.c), expected, 1e-9);
-    });
-    ledgers[idx++] = result.traffic_summary().total_per_phase;
-  }
-  ASSERT_EQ(ledgers[0].size(), ledgers[1].size());
-  for (const auto& [phase, t] : ledgers[0]) {
-    EXPECT_EQ(t.messages, ledgers[1][phase].messages) << "phase " << phase;
-    EXPECT_EQ(t.bytes, ledgers[1][phase].bytes) << "phase " << phase;
-  }
-}
 
 }  // namespace
 }  // namespace casp

@@ -3,8 +3,13 @@
 // minimal under Eq. 2's accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "gen/rmat.hpp"
 #include "grid/dist.hpp"
 #include "kernels/reference.hpp"
 #include "sparse/stats.hpp"
@@ -123,6 +128,78 @@ TEST(Symbolic3D, MoreMemoryNeverMoreBatches) {
       prev = sym.batches;
     }
   });
+}
+
+// Symbolic3D and SUMMA2D share one stage schedule (summa/stages.hpp). The
+// sparse A exchange changes only how A travels, so every count is the same
+// either way, and the symbolic pass keeps all of its traffic and time
+// under its one Symbolic span.
+TEST(Symbolic3D, SameCountsWithAndWithoutSparseExchange) {
+  RmatParams rp;
+  rp.scale = 6;
+  rp.edge_factor = 4.0;
+  rp.seed = 916;
+  const CscMat a = generate_rmat(rp);
+  for (const auto& [p, l] : std::vector<std::pair<int, int>>{
+           {1, 1}, {2, 2}, {4, 1}, {4, 4}, {8, 2}, {16, 4}}) {
+    SCOPED_TRACE("p=" + std::to_string(p) + " l=" + std::to_string(l));
+    std::vector<SymbolicResult> out;
+    auto run_symbolic = [&, p = p, l = l](bool sparse_comm, Bytes memory) {
+      out.assign(static_cast<std::size_t>(p), {});
+      return vmpi::run(p, [&, l, sparse_comm, memory](vmpi::Comm& world) {
+        Grid3D grid(world, l);
+        const DistMat3D da = distribute_a_style(grid, a);
+        const DistMat3D db = distribute_b_style(grid, a);
+        SummaOptions opts;
+        opts.sparse_comm = sparse_comm;
+        out[static_cast<std::size_t>(world.rank())] =
+            symbolic3d(grid, da.local, db.local, memory, opts);
+      });
+    };
+
+    // A budget that leaves room for about a third of the unmerged output,
+    // so Eq. 2 picks b > 1.
+    run_symbolic(false, 0);
+    const SymbolicResult base = out.front();
+    const Bytes memory =
+        static_cast<Bytes>(p) * kBytesPerNonzero *
+        (base.max_nnz_a + base.max_nnz_b + (base.max_nnz_c + 2) / 3);
+
+    const vmpi::RunResult dense_run = run_symbolic(false, memory);
+    const std::vector<SymbolicResult> dense = out;
+    const vmpi::RunResult sparse_run = run_symbolic(true, memory);
+    const std::vector<SymbolicResult>& sparse = out;
+    EXPECT_GT(dense.front().batches, 1);
+    for (int r = 0; r < p; ++r) {
+      SCOPED_TRACE("rank " + std::to_string(r));
+      const SymbolicResult& d = dense[static_cast<std::size_t>(r)];
+      const SymbolicResult& s = sparse[static_cast<std::size_t>(r)];
+      EXPECT_EQ(s.col_nnz, d.col_nnz);
+      EXPECT_EQ(s.max_nnz_a, d.max_nnz_a);
+      EXPECT_EQ(s.max_nnz_b, d.max_nnz_b);
+      EXPECT_EQ(s.max_nnz_c, d.max_nnz_c);
+      EXPECT_EQ(s.total_unmerged_nnz, d.total_unmerged_nnz);
+      EXPECT_EQ(s.total_flops, d.total_flops);
+      EXPECT_EQ(s.batches, d.batches);
+    }
+
+    for (const vmpi::RunResult* run : {&dense_run, &sparse_run}) {
+      for (const obs::Recorder& rec : run->recorders) {
+        for (const char* bcast : {steps::kABcast, steps::kBBcast}) {
+          EXPECT_EQ(rec.traffic().per_phase().count(bcast), 0u) << bcast;
+          EXPECT_EQ(rec.times().all().count(bcast), 0u) << bcast;
+        }
+        const auto& events = rec.events();
+        EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                                [](const obs::TimelineEvent& ev) {
+                                  return ev.kind ==
+                                             obs::TimelineEvent::Kind::kBegin &&
+                                         ev.name == steps::kSymbolic;
+                                }),
+                  1);
+      }
+    }
+  }
 }
 
 }  // namespace

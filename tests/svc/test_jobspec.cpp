@@ -21,7 +21,6 @@ JobSpec full_spec() {
   s.memory_bytes = 1 << 20;
   s.kernel = "hybrid";
   s.sort_final = false;
-  s.pipeline = false;
   s.sparse_comm = true;
   s.threads = 2;
   s.force_batches = 2;
@@ -60,7 +59,6 @@ TEST(JobSpec, RoundTripPreservesEveryField) {
   EXPECT_EQ(r.memory_bytes, Bytes{1} << 20);
   EXPECT_EQ(r.kernel, "hybrid");
   EXPECT_FALSE(r.sort_final);
-  EXPECT_FALSE(r.pipeline);
   EXPECT_TRUE(r.sparse_comm);
   EXPECT_EQ(r.threads, 2);
   EXPECT_EQ(r.force_batches, 2);
@@ -76,6 +74,8 @@ TEST(JobSpec, RoundTripPreservesEveryField) {
 
 TEST(JobSpec, StrictParseRejectsUnknownKeys) {
   EXPECT_THROW(JobSpec::parse(R"({"bogus": 1})"), InvalidArgument);
+  // The stage schedule always prefetches; the old toggle is not a key.
+  EXPECT_THROW(JobSpec::parse(R"({"pipeline": false})"), InvalidArgument);
   EXPECT_THROW(JobSpec::parse(R"({"a": {"kind": "er", "er": {"zzz": 1}}})"),
                InvalidArgument);
 }
@@ -134,7 +134,6 @@ TEST(JobSpec, SummaOptionsViewMapsKernelAndKnobs) {
   EXPECT_EQ(hybrid.local_kind, SpGemmKind::kHybrid);
   EXPECT_EQ(hybrid.merge_kind, MergeKind::kSortedHeap);
   EXPECT_FALSE(hybrid.sort_final);
-  EXPECT_FALSE(hybrid.pipeline);
   EXPECT_TRUE(hybrid.sparse_comm);
   EXPECT_EQ(hybrid.threads, 2);
   EXPECT_EQ(hybrid.force_batches, 2);

@@ -111,6 +111,15 @@ test (see tests/CMakeLists.txt). Rules:
                   `health_.assign(n, RankHealth::kAlive)` (before any
                   edge exists) stays allowed: it carries no `=` into the
                   enum token.
+  stage-schedule-single-source
+                  In src/, outside src/vmpi/, the calls that post and
+                  complete the SUMMA stage messages (`ibcast_payload(`,
+                  `bcast_wait(`, `isparse_exchange(`, `sparse_wait(`)
+                  appear only in src/summa/stages.cpp. StageStream is the
+                  one stage schedule the numeric and symbolic passes
+                  share; a second hand-written loop drifts from it (its
+                  own prefetch order, its own phase spans) and a new way
+                  to fetch A belongs inside StageStream, not beside it.
 
 Waivers (use sparingly, justify in a comment on the same line):
   // casp-lint: allow(<rule>)        — waives <rule> on this or next line
@@ -155,6 +164,13 @@ PAYLOAD_TYPE_RE = re.compile(r"\b(Payload|CscView)\b")
 # sanctioned ways to put block bytes on the wire there are subview handles
 # of the packed block (descriptors may be wrapped fresh).
 SPARSE_DEEP_COPY_RE = re.compile(r"\bPayload::copy_of\s*\(|\.\s*materialize\s*\(")
+
+# The stage-schedule communication calls and the one file allowed to make
+# them outside the runtime.
+STAGE_SCHEDULE_CALL_RE = re.compile(
+    r"\b(ibcast_payload|bcast_wait|isparse_exchange|sparse_wait)\s*\("
+)
+STAGE_SCHEDULE_FILE = "src/summa/stages.cpp"
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+([<"][^>"]+[>"])')
 
@@ -365,6 +381,8 @@ class Linter:
             self.check_failure_kind_classified(
                 rel, strip_code(text, keep_strings=True), waived)
             self.check_health_transition_classified(rel, code_text, waived)
+        if in_src and not in_vmpi and rel != STAGE_SCHEDULE_FILE:
+            self.check_stage_schedule_single_source(rel, code_lines, waived)
         self.check_cast_pairing(rel, code_lines, waived)
         self.check_empty_catch(rel, code_text, waived)
         self.check_payload_ownership(rel, code_lines, waived)
@@ -595,6 +613,16 @@ class Linter:
                 "bare assignment can fabricate an illegal edge (e.g. "
                 "resurrect a quarantined rank past the probation "
                 "handshake)")
+
+    def check_stage_schedule_single_source(self, rel, code_lines, waived):
+        for idx, line in enumerate(code_lines):
+            m = STAGE_SCHEDULE_CALL_RE.search(line)
+            if m and not waived("stage-schedule-single-source", idx):
+                self.error(
+                    rel, idx + 1, "stage-schedule-single-source",
+                    f"{m.group(1)}( outside {STAGE_SCHEDULE_FILE} — the "
+                    "SUMMA stage schedule lives in StageStream; take the "
+                    "stage blocks from StageStream::next")
 
     def check_cast_pairing(self, rel, code_lines, waived):
         for idx, line in enumerate(code_lines):
