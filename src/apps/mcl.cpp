@@ -297,13 +297,15 @@ MclResult mcl_cluster_distributed(Grid3D& grid, const CscMat& similarity,
     // inflated/pruned immediately, so the unpruned square never exists.
     //
     // Inflation and pruning are column-global, but a batch piece holds only
-    // this rank's *row slice* of each column (C is A-style distributed, so
-    // a global column spans the q ranks of the process column). HipMCL
+    // this rank's *row slice* of each column (C's rows are A-style
+    // distributed, and the ranks of a process column get the same column
+    // cut, so a global column spans those q ranks). HipMCL
     // performs the column-wise reductions along process columns; here the
     // batch piece is exchanged within col_comm so every member sees the
     // full columns of the batch, prunes them, and keeps its own row slice.
     // Memory stays bounded by the batch, never the whole square.
     std::vector<CscMat> pruned_pieces;
+    LocalRange pruned_cols;  // the pieces tile my slice of C in order
     Index batches = 1;
     const Index nrows = m.nrows();
     const Index q = grid.q();
@@ -311,6 +313,10 @@ MclResult mcl_cluster_distributed(Grid3D& grid, const CscMat& similarity,
         grid, da, db, total_memory, iter_opts,
         [&](CscMat&& piece, const BatchInfo& info) {
           batches = info.num_batches;
+          if (pruned_pieces.empty()) pruned_cols.start = info.global_cols.start;
+          CASP_CHECK(info.global_cols.start ==
+                     pruned_cols.start + pruned_cols.count);
+          pruned_cols.count += info.global_cols.count;
           // Assemble full columns across the process column. The gathered
           // payloads are read in place (unpack_csc_view): every member of
           // the process column shares one broadcast concatenation buffer.
@@ -342,7 +348,7 @@ MclResult mcl_cluster_distributed(Grid3D& grid, const CscMat& similarity,
     pruned.global_rows = m.nrows();
     pruned.global_cols = m.ncols();
     pruned.rows = a_style_row_range(grid, m.nrows());
-    pruned.cols = a_style_col_range(grid, m.ncols());
+    pruned.cols = pruned_cols;
     pruned.local = CscMat::concat_cols(pruned_pieces);
     // Re-replicate for the next iteration (and to evaluate global chaos).
     m = gather_dist(grid, pruned);

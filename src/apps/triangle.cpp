@@ -47,19 +47,19 @@ Index count_triangles_distributed(Grid3D& grid, const CscMat& adjacency,
   const DistMat3D dl = distribute_a_style(grid, lower);
   const DistMat3D du = distribute_b_style(grid, upper);
 
-  // C = L*U is distributed like L, so the mask lookup is rank-local: batch
-  // piece entry (lr, lc) with global column g masks against local L column
-  // (g - dl.cols.start).
+  // C = L*U shares L's rows but not, at l > 1, its columns (the fiber
+  // split cuts them by work), so the mask looks up each piece entry at its
+  // global coordinates in the replicated L.
   Index my_count = 0;
   batched_summa3d<PlusTimes>(
       grid, dl, du, total_memory, opts,
       [&](CscMat&& piece, const BatchInfo& info) {
         for (Index j = 0; j < piece.ncols(); ++j) {
-          const Index local_col = info.global_cols.start + j - dl.cols.start;
+          const Index col = info.global_cols.start + j;
           const auto rows = piece.col_rowids(j);
           const auto vals = piece.col_vals(j);
           for (std::size_t k = 0; k < rows.size(); ++k) {
-            if (column_contains(dl.local, local_col, rows[k]))
+            if (column_contains(lower, col, rows[k] + info.global_rows.start))
               my_count += static_cast<Index>(vals[k] + 0.5);
           }
         }

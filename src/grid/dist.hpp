@@ -1,9 +1,11 @@
 // Matrix distribution on the 3D grid (Fig. 1).
 //
-// A-style (used for A, C, and the per-layer D): rows are split into q
-// parts by grid row i; columns are split into q parts by grid column j and
-// each part further into l layer slices by k — so layer k holds an
+// A-style (used for A, the per-layer D, and C's rows): rows are split into
+// q parts by grid row i; columns are split into q parts by grid column j
+// and each part further into l layer slices by k — so layer k holds an
 // n x (n/l) slice of A that respects the 2D block boundaries (Fig. 1c-e).
+// At l > 1 batched_summa3d cuts C's layer slices by work instead (the
+// fiber split), so C is A-style only in its rows there.
 //
 // B-style: the mirror image — rows get the (part j -> then -> layer slice)
 // treatment keyed by grid *row* i, columns are split into q parts by grid

@@ -108,16 +108,6 @@ StepSeconds predict_steps(const Machine& machine, const ProblemStats& stats,
   return t;
 }
 
-bool sparse_exchange_pays_off(const Machine& machine, Bytes dense_bytes,
-                              Bytes sparse_bytes,
-                              std::uint64_t extra_messages) {
-  if (sparse_bytes >= dense_bytes) return false;
-  const double saved =
-      machine.beta * static_cast<double>(dense_bytes - sparse_bytes);
-  const double added = machine.alpha * static_cast<double>(extra_messages);
-  return saved > added;
-}
-
 double total_seconds(const StepSeconds& steps) {
   double total = 0.0;
   for (const auto& [name, seconds] : steps) total += seconds;

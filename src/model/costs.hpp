@@ -80,16 +80,6 @@ StepSeconds predict_steps(const Machine& machine, const ProblemStats& stats,
 /// Sum of all step times.
 double total_seconds(const StepSeconds& steps);
 
-/// Fallback predicate for the sparse exchange (DESIGN.md Sec. 5h): shipping
-/// `sparse_bytes` in `extra_messages` additional messages beats shipping
-/// `dense_bytes` in one only when the bandwidth saved exceeds the latency
-/// added. The runtime packer consults this when given a Machine; with no
-/// Machine it falls back on the pure byte comparison (the in-process
-/// transport has no per-message latency).
-bool sparse_exchange_pays_off(const Machine& machine, Bytes dense_bytes,
-                              Bytes sparse_bytes,
-                              std::uint64_t extra_messages);
-
 /// Eq. 2 / Alg. 3 line 12: predicted batch count for aggregate memory M
 /// (bytes) on p processes with l layers. Mirrors Symbolic3D but uses the
 /// model's statistics instead of a distributed run. Throws MemoryError if

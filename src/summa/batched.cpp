@@ -1,6 +1,9 @@
 #include "summa/batched.hpp"
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -22,6 +25,44 @@ namespace casp {
 // global piece coordinates (cross-grid redistribution).
 using PieceMeta = ckpt::SummaPieceMeta;
 static_assert(std::is_trivially_copyable_v<PieceMeta>);
+
+namespace {
+
+/// Fiber-Balance (DESIGN.md §5o): the unmerged nnz of each column of my B
+/// part, summed over every rank that shares the part. The fiber sum comes
+/// first because it is my fiber's Merge-Fiber input per column, which the
+/// counters read; the col_comm sum then gives all ranks (., j, .) the same
+/// weights, so they cut at the same boundaries.
+std::vector<Index> fiber_weights(Grid3D& grid, std::vector<Index> col_nnz) {
+  obs::Recorder& rec = grid.world().recorder();
+  obs::PhaseSpan span(rec, steps::kFiberBalance);
+  const std::vector<Index> fiber = grid.fiber_comm().allreduce<Index>(
+      std::move(col_nnz), std::plus<Index>());
+  std::vector<Index> w = fiber;
+  if (grid.q() > 1)
+    w = grid.col_comm().allreduce<Index>(std::move(w), std::plus<Index>());
+
+  // The heaviest layer's Merge-Fiber input in my fiber, over all batches:
+  // by nesting, a layer's blocks tile its part of the l-way cut.
+  const Index l = grid.layers();
+  const auto n = static_cast<Index>(w.size());
+  const std::vector<Index> cut = equal_flops_cut(w, l);
+  const auto nnz_in = [&](Index lo, Index hi) {
+    return std::accumulate(fiber.begin() + lo, fiber.begin() + hi, Index{0});
+  };
+  Index max_in = 0, max_cut = 0;
+  for (Index k = 0; k < l; ++k) {
+    max_in = std::max(max_in,
+                      nnz_in(part_low(k, l, n), part_low(k + 1, l, n)));
+    max_cut = std::max(max_cut, nnz_in(cut[static_cast<std::size_t>(k)],
+                                       cut[static_cast<std::size_t>(k) + 1]));
+  }
+  rec.set_counter("summa.fiber_nnz_max_in", max_in);
+  rec.set_counter("summa.fiber_nnz_max", max_cut);
+  return w;
+}
+
+}  // namespace
 
 std::string summa_ckpt_job_id(Index rows, Index inner, Index cols,
                               Index global_nnz_a, Index global_nnz_b,
@@ -76,14 +117,25 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
   obs::Recorder& rec = grid.world().recorder();
   rec.set_counter("batches", num_batches);
 
+  // Fiber split (DESIGN.md §5o): the l*b column blocks of my B part take
+  // equal shares of these weights, so every layer's Merge-Fiber gets an
+  // equal share. Without Symbolic3D's counts, or at l = 1, the weights are
+  // all zero and equal_flops_cut keeps part_low.
+  const std::vector<Index> weights =
+      opts.force_batches == 0 && l > 1
+          ? fiber_weights(grid, result.symbolic.col_nnz)
+          : std::vector<Index>(static_cast<std::size_t>(psize), 0);
+  CASP_CHECK(static_cast<Index>(weights.size()) == psize);
+  std::vector<Index> cut;  // the l * eff_batches + 1 block boundaries
+
   std::vector<CscMat> kept_pieces;
   if (keep_output) kept_pieces.reserve(static_cast<std::size_t>(num_batches));
 
   // Adaptive re-batch state. eff_batches is the current granularity and bi
   // the next batch at that granularity; when a batch overruns the budget,
-  // both double (part_low nesting: batch bi of b == batches 2bi, 2bi+1 of
-  // 2b, so completed coarser batches and the refined remainder still tile
-  // my layer's column slice in ascending order). Empty blocks past
+  // both double (the cut nests: batch bi of b == batches 2bi, 2bi+1 of 2b,
+  // so completed coarser batches and the refined remainder still tile my
+  // layer's column slice in ascending order). Empty blocks past
   // max_batches cannot shrink further, so a failure there is final.
   const bool adaptive = opts.adaptive_rebatch && opts.memory != nullptr;
   const Index max_batches = std::max<Index>(1, b.global_cols);
@@ -202,6 +254,11 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
     obs::ScopedTag batch_tag(rec, obs::ScopedTag::Kind::kBatch,
                              static_cast<int>(bi));
     const Index nblocks = l * eff_batches;
+    if (static_cast<Index>(cut.size()) != nblocks + 1)
+      cut = equal_flops_cut(weights, nblocks);
+    const auto block_low = [&](Index t) {
+      return cut[static_cast<std::size_t>(t)];
+    };
     const Index my_block =
         bi + static_cast<Index>(grid.layer()) * eff_batches;
     BatchInfo info;
@@ -210,8 +267,8 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
     info.global_nrows = a.global_rows;
     info.global_ncols = b.global_cols;
     info.global_rows = a.rows;
-    info.global_cols = {b.cols.start + part_low(my_block, nblocks, psize),
-                        part_size(my_block, nblocks, psize)};
+    info.global_cols = {b.cols.start + block_low(my_block),
+                        block_low(my_block + 1) - block_low(my_block)};
     const auto emit = [&](CscMat piece) {
       CASP_CHECK(piece.ncols() == info.global_cols.count);
       if (keep_output) kept_pieces.push_back(piece);
@@ -262,8 +319,7 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
     std::vector<Index> splits(static_cast<std::size_t>(l) + 1, 0);
     for (Index m = 0; m < l; ++m) {
       const Index t = bi + m * eff_batches;
-      ranges[static_cast<std::size_t>(m)] = {part_low(t, nblocks, psize),
-                                             part_low(t + 1, nblocks, psize)};
+      ranges[static_cast<std::size_t>(m)] = {block_low(t), block_low(t + 1)};
       splits[static_cast<std::size_t>(m) + 1] =
           splits[static_cast<std::size_t>(m)] +
           (ranges[static_cast<std::size_t>(m)].second -
@@ -354,14 +410,15 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
 
   if (keep_output && !result.paused) {
     // Line 7, Alg. 4: batch pieces are blocks layer*b .. layer*b + b - 1 in
-    // ascending global order, so plain concatenation restores the A-style
-    // layer slice of C exactly (part_low nesting: see common/math.hpp).
+    // ascending global order, so plain concatenation restores my layer's
+    // slice of C exactly: by nesting, it is part `layer` of the l-way cut.
     result.c.global_rows = a.global_rows;
     result.c.global_cols = b.global_cols;
     result.c.rows = a.rows;
-    const Index k = grid.layer();
-    result.c.cols = {b.cols.start + part_low(k, l, psize),
-                     part_size(k, l, psize)};
+    const std::vector<Index> layer_cut = equal_flops_cut(weights, l);
+    const auto k = static_cast<std::size_t>(grid.layer());
+    result.c.cols = {b.cols.start + layer_cut[k],
+                     layer_cut[k + 1] - layer_cut[k]};
     result.c.local = CscMat::concat_cols(kept_pieces);
     CASP_CHECK(result.c.local.ncols() == result.c.cols.count);
     if (opts.memory != nullptr) {

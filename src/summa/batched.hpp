@@ -5,6 +5,9 @@
 // step; the batch columns are chosen *block-cyclically* with l blocks per
 // batch (Fig. 1(i)) so that after AllToAll-Fiber every layer merges an
 // equal share — a plain block split would leave Merge-Fiber imbalanced.
+// At l > 1 the l*b blocks are cut by Symbolic3D's per-column counts
+// (equal_flops_cut), not by index range, so the shares are equal in work
+// on skewed inputs too (DESIGN.md §5o).
 // Each finished batch is handed to the application through a callback
 // (prune it, write it to disk, feed it to a matching pass, ...) and can be
 // discarded; keeping the concatenated C is optional and only sensible when
@@ -15,9 +18,10 @@
 // aborting: the batch runs inside a MemoryTracker probe window, ranks
 // allreduce an overrun flag at the batch boundary, and on consensus the
 // failed batch's partial state is released and the remaining work re-runs
-// at double the batch count. part_low's nesting property (block t of l*b
-// == blocks 2t, 2t+1 of 2*l*b) makes the recovered output bit-identical
-// to the unconstrained run no matter where splits happen.
+// at double the batch count. The cut's nesting property (block t of l*b
+// == blocks 2t, 2t+1 of 2*l*b, for equal_flops_cut as for part_low) makes
+// the recovered output bit-identical to the unconstrained run no matter
+// where splits happen.
 #pragma once
 
 #include <functional>
@@ -43,7 +47,9 @@ struct BatchInfo {
   LocalRange global_rows;
   /// Global columns covered by the local piece: contiguous, because a
   /// rank's share of batch i is exactly block (i + layer*b) of the
-  /// (l*b)-way block-cyclic split of its B column part.
+  /// (l*b)-way block-cyclic split of its B column part. At l > 1 the
+  /// blocks follow the fiber split, not part_low: read C's columns from
+  /// here, never from a_style_col_range.
   LocalRange global_cols;
 };
 
@@ -52,7 +58,9 @@ struct BatchInfo {
 using BatchCallback = std::function<void(CscMat&& local_c, const BatchInfo&)>;
 
 struct BatchedResult {
-  /// Concatenated output (A-style distributed); empty if keep_output=false.
+  /// Concatenated output; empty if keep_output=false. Its rows are
+  /// A-style; at l > 1 its columns are the layer's part of the fiber
+  /// split, so they are A-style only when Symbolic3D did not run.
   DistMat3D c;
   /// What the symbolic step measured/decided.
   SymbolicResult symbolic;
@@ -85,8 +93,10 @@ std::string summa_ckpt_job_id(Index rows, Index inner, Index cols,
 /// Collective over the whole grid. `a` must be A-style distributed and `b`
 /// B-style distributed (see grid/dist.hpp); inner dimensions must agree.
 /// At l > 1 it first moves the inner dimension's layer slices to
-/// equal-flops boundaries (rebalance_inner); the output keeps the A-style
-/// layout of C.
+/// equal-flops boundaries (rebalance_inner), and after Symbolic3D it cuts
+/// C's columns into equal-work layer slices (the fiber split, traffic in
+/// steps::kFiberBalance, counters summa.fiber_nnz_max_in and
+/// summa.fiber_nnz_max). C is A-style in its rows only.
 /// total_memory: aggregate byte budget M across all ranks (0 = unlimited).
 /// When opts.memory is set, per-rank allocations are enforced against it.
 template <typename SR = PlusTimes>

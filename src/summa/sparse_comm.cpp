@@ -4,7 +4,6 @@
 #include <type_traits>
 
 #include "common/error.hpp"
-#include "model/costs.hpp"
 #include "sparse/serialize.hpp"
 
 namespace casp {
@@ -100,8 +99,7 @@ std::vector<ColRange> unpack_need_request(const Payload& request) {
 }
 
 vmpi::SparseReply make_sparse_reply(const Payload& packed_block,
-                                    const Payload& request,
-                                    const Machine* machine) {
+                                    const Payload& request) {
   const CscView block = unpack_csc_view(packed_block);
   const std::vector<ColRange> ranges = unpack_need_request(request);
   const std::span<const Index> colptr = block.colptr();
@@ -124,13 +122,7 @@ vmpi::SparseReply make_sparse_reply(const Payload& packed_block,
       static_cast<Bytes>(desc_words * kWord) +
       static_cast<Bytes>(range_nnz) * (sizeof(Index) + sizeof(Value));
 
-  bool go_sparse = sparse_bytes < reply.dense_equivalent_bytes;
-  if (go_sparse && machine != nullptr)
-    go_sparse = sparse_exchange_pays_off(
-        *machine, reply.dense_equivalent_bytes, sparse_bytes,
-        2 * static_cast<std::uint64_t>(ranges.size()));
-
-  if (!go_sparse) {
+  if (sparse_bytes >= reply.dense_equivalent_bytes) {
     // Dense fallback: a one-word descriptor plus the whole packed block as
     // a single subview handle — no worse than the dense broadcast path
     // beyond the fixed metadata.

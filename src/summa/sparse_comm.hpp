@@ -25,16 +25,13 @@
 //       then per range: the rowids subview and the vals subview of the
 //       packed block.
 // The root falls back to kind 0 whenever the sparse reply would ship at
-// least as many bytes as the dense block, and additionally (when a Machine
-// is supplied) when the cost model says the extra per-range messages cost
-// more latency than the saved bandwidth is worth.
+// least as many bytes as the dense block.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "common/payload.hpp"
-#include "model/machine.hpp"
 #include "sparse/csc_ref.hpp"
 #include "sparse/csc_view.hpp"
 #include "vmpi/comm.hpp"
@@ -72,12 +69,9 @@ std::vector<ColRange> unpack_need_request(const Payload& request);
 
 /// Root side: build the reply for one peer from the root's packed CSC
 /// block. All block bytes are subviews of `packed_block`; only the small
-/// descriptor is freshly built. `machine` null = byte-count fallback rule
-/// only (the in-process transport has no per-message latency); non-null
-/// additionally applies sparse_exchange_pays_off.
+/// descriptor is freshly built.
 vmpi::SparseReply make_sparse_reply(const Payload& packed_block,
-                                    const Payload& request,
-                                    const Machine* machine = nullptr);
+                                    const Payload& request);
 
 /// Receiver side: reassemble a reply into a full-width block whose
 /// requested columns are bit-identical to the sender's. Unrequested

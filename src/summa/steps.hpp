@@ -48,6 +48,11 @@ inline constexpr const char* kCkptResume = "Ckpt-Resume";
 /// Also outside the seven steps: rebalance_inner's equal-flops layer cut
 /// of the inner dimension (grid/dist.hpp), once per job when l > 1.
 inline constexpr const char* kInnerBalance = "Inner-Balance";
+
+/// Also outside the seven steps: batched_summa3d's sum of Symbolic3D's
+/// per-column counts over the ranks sharing a B column part, which cuts
+/// the fiber split (DESIGN.md §5o); once per job when l > 1.
+inline constexpr const char* kFiberBalance = "Fiber-Balance";
 }  // namespace steps
 
 /// Knobs for the SUMMA family. Defaults are this paper's configuration
@@ -80,7 +85,7 @@ struct SummaOptions {
   /// Batched algorithm only, and only with opts.memory set: when a batch
   /// overruns the budget, reach consensus at the batch boundary and re-run
   /// the remaining work at double the batch count instead of failing the
-  /// job. part_low's nesting property keeps the recovered output
+  /// job. The column cut's nesting property keeps the recovered output
   /// bit-identical to the unconstrained run (see batched.cpp).
   bool adaptive_rebatch = true;
   /// Batch-boundary checkpointing (batched_summa3d only). Not owned; null

@@ -28,7 +28,9 @@
 #include "apps/mcl.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/redistribute.hpp"
+#include "gen/rmat.hpp"
 #include "grid/dist.hpp"
+#include "kernels/reference.hpp"
 #include "sparse/triple_mat.hpp"
 #include "summa/batched.hpp"
 #include "test_util.hpp"
@@ -65,10 +67,8 @@ std::int64_t counter_sum(const vmpi::RunResult& result,
 // ER matrix with values forced onto small integers: products of these are
 // exact in double no matter how a grid shape associates the partial sums,
 // which is what makes a cross-grid tolerance-0.0 comparison legitimate.
-CscMat integer_matrix(Index rows, Index cols, double density,
-                      std::uint64_t seed) {
-  const CscMat m = testing::random_matrix(rows, cols, density, seed);
-  TripleMat t(rows, cols);
+CscMat integer_values(const CscMat& m) {
+  TripleMat t(m.nrows(), m.ncols());
   for (Index j = 0; j < m.ncols(); ++j) {
     const auto ids = m.col_rowids(j);
     const auto vs = m.col_vals(j);
@@ -76,6 +76,11 @@ CscMat integer_matrix(Index rows, Index cols, double density,
       t.push_back(ids[k], j, 1.0 + std::floor(vs[k] * 8.0));
   }
   return CscMat::from_triples(std::move(t));
+}
+
+CscMat integer_matrix(Index rows, Index cols, double density,
+                      std::uint64_t seed) {
+  return integer_values(testing::random_matrix(rows, cols, density, seed));
 }
 
 struct GridRun {
@@ -313,6 +318,88 @@ TEST(RedistributeShrink, MismatchedShapeCacheIsIgnored) {
   const GridRun with_cache = run_spgemm(4, 1, a, opts, "", &cache);
   testing::expect_mat_near(with_cache.c, plain.c, 0.0);
   EXPECT_EQ(counter_sum(with_cache.result, "summa.cached_batches"), 0);
+}
+
+// ---------------------------------------------------------------------------
+// The fiber split (DESIGN.md §5o) cuts C's columns by Symbolic3D's counts,
+// which depend on the grid shape. A layered run paused on one grid resumes
+// on another whose blocks fall elsewhere: the cache serves the batches it
+// covers, the rest recompute, and C stays exact.
+
+TEST(RedistributeFiberCut, PausedLayeredRunResumesOnAGridWithAnotherCut) {
+  RmatParams rp;
+  rp.scale = 8;
+  rp.seed = 7;
+  const CscMat a = integer_values(generate_rmat(rp));
+  const Index n = a.ncols();
+  const CscMat expected = reference_multiply<PlusTimes>(a, a);
+  const std::string ck_dir = fresh_dir("fiber_cut");
+
+  // The budget M at which Eq. (2) picks `batches` on a 1x1xl grid.
+  const auto budget_for = [&](int l, Index batches) {
+    Bytes budget = 0;
+    vmpi::run(l, [&](vmpi::Comm& world) {
+      Grid3D grid(world, l);
+      const auto [ra, rb] = rebalance_inner(
+          grid, distribute_a_style(grid, a), distribute_b_style(grid, a));
+      const SymbolicResult sym = symbolic3d(grid, ra.local, rb.local, 0);
+      const double r = static_cast<double>(kBytesPerNonzero);
+      const double per_rank =
+          r * static_cast<double>(sym.max_nnz_a + sym.max_nnz_b) +
+          r * static_cast<double>(sym.max_nnz_c) /
+              (static_cast<double>(batches) - 0.5);
+      if (world.rank() == 0) budget = static_cast<Bytes>(l * per_rank);
+    });
+    return budget;
+  };
+
+  const auto run = [&](int l, Index batches, const SummaOptions& opts,
+                       bool checkpoint, CscMat* c_out) {
+    const Bytes budget = budget_for(l, batches);
+    return vmpi::run(l, [&](vmpi::Comm& world) {
+      SummaOptions o = opts;
+      ckpt::Checkpointer ck;
+      if (checkpoint) {
+        ck = ckpt::Checkpointer(ck_dir, world.rank(), /*every=*/1,
+                                &world.recorder());
+        o.ckpt = &ck;
+      }
+      Grid3D grid(world, l);
+      const DistMat3D da = distribute_a_style(grid, a);
+      const DistMat3D db = distribute_b_style(grid, a);
+      BatchedResult r = batched_summa3d<PlusTimes>(grid, da, db, budget, o,
+                                                   nullptr,
+                                                   /*keep_output=*/true);
+      EXPECT_EQ(r.batches, batches);
+      EXPECT_EQ(r.paused, c_out == nullptr);
+      if (r.paused) return;
+      CscMat full = gather_dist(grid, r.c);
+      if (world.rank() == 0) *c_out = std::move(full);
+    });
+  };
+
+  // Writer: 1x1x4 at b = 4, paused before each layer's last block with a
+  // forced checkpoint.
+  SummaOptions writer_opts;
+  writer_opts.pause_after_batches = 3;
+  const vmpi::RunResult writer = run(4, 4, writer_opts, true, nullptr);
+  EXPECT_GT(counter_sum(writer, "summa.fiber_nnz_max_in"),
+            counter_sum(writer, "summa.fiber_nnz_max"));
+
+  // Reader: 1x1x2 at b = 8, with its own counts and cut. Its finer blocks
+  // let some batches fall wholly inside the writer's covered columns.
+  const ckpt::ResumeCache cache = ckpt::redistribute_for_grid(
+      ck_dir, summa_ckpt_job_id(n, n, n, a.nnz(), a.nnz(), ""));
+  ASSERT_FALSE(cache.empty());
+  ASSERT_FALSE(cache.cols_covered(0, n)) << "the writer must stop midway";
+  SummaOptions reader_opts;
+  reader_opts.resume = &cache;
+  CscMat resumed;
+  const vmpi::RunResult reader = run(2, 8, reader_opts, false, &resumed);
+  const std::int64_t cached = counter_sum(reader, "summa.cached_batches");
+  EXPECT_GT(cached, 0);
+  EXPECT_LT(cached, 2 * 8) << "some batches must recompute";
+  testing::expect_mat_near(resumed, expected, 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -194,6 +194,35 @@ TEST(EqualFlopsCut, AllZeroFlopsKeepPartLow) {
             (std::vector<Index>{0, 0, 0, 0}));
 }
 
+TEST(EqualFlopsCut, BoundariesNestUnderDoubling) {
+  // Adaptive re-batching doubles the block count of the fiber split and
+  // relies on block t of n being blocks 2t, 2t+1 of 2n.
+  const Index big = std::numeric_limits<Index>::max() / 4;
+  std::vector<Index> geometric;
+  for (Index x = 0; x < 40; ++x) geometric.push_back(Index{1} << (x % 20));
+  std::vector<Index> power_law;
+  for (Index x = 1; x <= 97; ++x) power_law.push_back(10000 / (x * x));
+  const std::vector<std::vector<Index>> cases = {
+      {9, 1, 1, 1, 4, 4, 1, 1, 2, 6, 1, 1},
+      {1, 40, 1, 1, 1},
+      {0, 0, 7, 0, 0, 0, 3, 0, 0, 0, 0, 1, 0},
+      {big, 1, big, 3, big},
+      geometric,
+      power_law,
+      std::vector<Index>(11, 0),
+  };
+  for (const std::vector<Index>& w : cases) {
+    for (Index n = 1; n <= 12; ++n) {
+      const std::vector<Index> coarse = equal_flops_cut(w, n);
+      const std::vector<Index> fine = equal_flops_cut(w, 2 * n);
+      for (Index t = 0; t <= n; ++t)
+        EXPECT_EQ(fine[static_cast<std::size_t>(2 * t)],
+                  coarse[static_cast<std::size_t>(t)])
+            << "n = " << n << ", t = " << t << ", |w| = " << w.size();
+    }
+  }
+}
+
 /// An R-MAT graph: its hubs sit at low indices, so the part_low layer
 /// slices of the inner dimension carry very different flops.
 CscMat skewed_graph(int scale, std::uint64_t seed) {

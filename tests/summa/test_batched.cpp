@@ -396,21 +396,46 @@ struct LayerCase {
 
 class InnerBalance : public ::testing::TestWithParam<LayerCase> {};
 
+/// Checks that the C column ranges the ranks report, keyed by (grid
+/// column, layer), agree within each key and tile [0, n) in (grid column,
+/// layer) order.
+void expect_layers_tile_columns(
+    const std::map<std::pair<int, int>, std::vector<LocalRange>>& cols,
+    Index n) {
+  Index next = 0;
+  for (const auto& [key, ranges] : cols) {
+    for (const LocalRange& r : ranges) {
+      EXPECT_EQ(r.start, ranges.front().start);
+      EXPECT_EQ(r.count, ranges.front().count);
+    }
+    EXPECT_EQ(ranges.front().start, next)
+        << "grid column " << key.first << ", layer " << key.second;
+    next = ranges.front().start + ranges.front().count;
+  }
+  EXPECT_EQ(next, n);
+}
+
 TEST_P(InnerBalance, SkewedRmatMatchesReferenceWithBalancedLayerFlops) {
   const auto [p, l] = GetParam();
   const CscMat a = skewed_graph(10, 5);
   const CscMat expected = reference_multiply<PlusTimes>(a, a);
   Index total_flops = 0;
+  std::mutex mutex;
+  std::map<std::pair<int, int>, std::vector<LocalRange>> c_cols;
   const vmpi::RunResult run = vmpi::run(p, [&, l = l](vmpi::Comm& world) {
     Grid3D grid(world, l);
     const DistMat3D da = distribute_a_style(grid, a);
     const DistMat3D db = distribute_b_style(grid, a);
     const BatchedResult r = batched_summa3d<PlusTimes>(grid, da, db, 0);
-    // C keeps its A-style layout.
-    EXPECT_EQ(r.c.cols.start, a_style_col_range(grid, a.ncols()).start);
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      c_cols[{grid.col(), grid.layer()}].push_back(r.c.cols);
+    }
     testing::expect_mat_near(gather_dist(grid, r.c), expected, 1e-9);
     if (world.rank() == 0) total_flops = r.symbolic.total_flops;
   });
+  // C's layer slices tile every grid column's part in layer order.
+  expect_layers_tile_columns(c_cols, a.ncols());
   const auto& counters = run.recorders.at(0).counters();
   const double mean = static_cast<double>(total_flops) / l;
   EXPECT_LE(static_cast<double>(counters.at("summa.layer_flops_max")),
@@ -425,6 +450,128 @@ TEST_P(InnerBalance, SkewedRmatMatchesReferenceWithBalancedLayerFlops) {
 INSTANTIATE_TEST_SUITE_P(Grids, InnerBalance,
                          ::testing::Values(LayerCase{4, 4},    // 1x1x4
                                            LayerCase{8, 2}));  // 2x2x2
+
+// The fiber split (DESIGN.md §5o): at l > 1 each B column part is cut by
+// Symbolic3D's column counts, so every layer's Merge-Fiber gets an equal
+// share of the unmerged output.
+struct FiberCase {
+  int p;
+  int l;
+  /// How far past the mean the part_low split puts the heaviest layer on
+  /// this input. At l = 2 that layer carries at most 2x the mean, and the
+  /// R-MAT's hub columns put 63 % of the fiber's input there (1.26x).
+  double skew_in;
+};
+
+class FiberBalance : public ::testing::TestWithParam<FiberCase> {};
+
+TEST_P(FiberBalance, SkewedRmatGivesEveryLayerAnEqualMergeFiberShare) {
+  const auto [p, l, skew_in] = GetParam();
+  const CscMat a = skewed_graph(10, 5);
+  const CscMat expected = reference_multiply<PlusTimes>(a, a);
+  std::mutex mutex;
+  Index fiber_nnz = 0;  // rank 0's fiber: the ranks (0, 0, .)
+  std::map<std::pair<int, int>, std::vector<LocalRange>> c_cols;
+  const vmpi::RunResult run = vmpi::run(p, [&, l = l](vmpi::Comm& world) {
+    Grid3D grid(world, l);
+    const DistMat3D da = distribute_a_style(grid, a);
+    const DistMat3D db = distribute_b_style(grid, a);
+    const BatchedResult r = batched_summa3d<PlusTimes>(grid, da, db, 0);
+    testing::expect_mat_near(gather_dist(grid, r.c), expected, 1e-9);
+    std::lock_guard<std::mutex> lock(mutex);
+    c_cols[{grid.col(), grid.layer()}].push_back(r.c.cols);
+    if (grid.row() == 0 && grid.col() == 0)
+      for (Index v : r.symbolic.col_nnz) fiber_nnz += v;
+  });
+  expect_layers_tile_columns(c_cols, a.ncols());
+
+  const auto& counters = run.recorders.at(0).counters();
+  const double mean = static_cast<double>(fiber_nnz) / l;
+  EXPECT_LE(static_cast<double>(counters.at("summa.fiber_nnz_max")),
+            1.25 * mean);
+  // The part_low split of this input is well off balance.
+  EXPECT_GT(static_cast<double>(counters.at("summa.fiber_nnz_max_in")),
+            skew_in * mean);
+  EXPECT_GT(run.traffic_summary().total_per_phase.count(steps::kFiberBalance),
+            0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Grids, FiberBalance,
+                         ::testing::Values(FiberCase{4, 4, 1.5},    // 1x1x4
+                                           FiberCase{8, 2, 1.2}));  // 2x2x2
+
+TEST(FiberBalance, AdaptiveRebatchOnTheCutIsBitIdentical) {
+  // Symbolic3D runs (no force_batches), so the blocks follow the cut; a
+  // tight budget then doubles the batch count, and the nested cut keeps
+  // every column's partial sums where they were.
+  const int p = 8, l = 2;
+  const auto ranks = static_cast<std::size_t>(p);
+  const CscMat a = skewed_graph(9, 6);
+  std::mutex mutex;
+  std::vector<Bytes> peak(ranks, 0);
+  std::vector<Bytes> inputs(ranks, 0);
+  // Each run's layer slice of C per rank: its pieces, joined.
+  std::vector<LocalRange> base_slice(ranks), adaptive_slice(ranks);
+  const auto joining = [](BatchCallback inner, LocalRange& slice) {
+    return [inner, &slice](CscMat&& piece, const BatchInfo& info) {
+      if (info.batch_index == 0) slice = {info.global_cols.start, 0};
+      EXPECT_EQ(info.global_cols.start, slice.start + slice.count);
+      slice.count += info.global_cols.count;
+      inner(std::move(piece), info);
+    };
+  };
+  TripleMat base_triples(a.nrows(), a.ncols());
+  const vmpi::RunResult base_run = vmpi::run(p, [&](vmpi::Comm& world) {
+    Grid3D grid(world, l);
+    const DistMat3D da = distribute_a_style(grid, a);
+    const DistMat3D db = distribute_b_style(grid, a);
+    const auto [ra, rb] = rebalance_inner(grid, da, db);
+    const auto rank = static_cast<std::size_t>(world.rank());
+    MemoryTracker tracker(0);
+    SummaOptions opts;
+    opts.memory = &tracker;
+    const BatchedResult r = batched_summa3d<PlusTimes>(
+        grid, da, db, 0, opts,
+        joining(collect_into(base_triples, mutex), base_slice[rank]),
+        /*keep_output=*/false);
+    EXPECT_EQ(r.batches, 1);
+    EXPECT_EQ(r.rebatch_events, 0);
+    peak[rank] = tracker.peak();
+    inputs[rank] =
+        static_cast<Bytes>(ra.local.nnz() + rb.local.nnz()) * kBytesPerNonzero;
+  });
+  const auto& counters = base_run.recorders.at(0).counters();
+  ASSERT_LT(counters.at("summa.fiber_nnz_max"),
+            counters.at("summa.fiber_nnz_max_in"))
+      << "the cut must differ from part_low for this test to mean anything";
+  const CscMat base = CscMat::from_triples(std::move(base_triples));
+  testing::expect_mat_near(base, reference_multiply<PlusTimes>(a, a), 1e-9);
+
+  TripleMat adaptive_triples(a.nrows(), a.ncols());
+  Index rebatch_events = 0;
+  vmpi::run(p, [&](vmpi::Comm& world) {
+    Grid3D grid(world, l);
+    const DistMat3D da = distribute_a_style(grid, a);
+    const DistMat3D db = distribute_b_style(grid, a);
+    const auto rank = static_cast<std::size_t>(world.rank());
+    MemoryTracker tracker(inputs[rank] + (peak[rank] - inputs[rank]) * 3 / 5);
+    SummaOptions opts;
+    opts.memory = &tracker;
+    const BatchedResult r = batched_summa3d<PlusTimes>(
+        grid, da, db, 0, opts,
+        joining(collect_into(adaptive_triples, mutex), adaptive_slice[rank]),
+        /*keep_output=*/false);
+    if (world.rank() == 0) rebatch_events = r.rebatch_events;
+  });
+  EXPECT_GE(rebatch_events, 1);
+  const CscMat adaptive = CscMat::from_triples(std::move(adaptive_triples));
+  testing::expect_mat_near(adaptive, base, 0.0);
+  // The finer blocks tile the same layer slices as the coarse ones.
+  for (std::size_t r = 0; r < ranks; ++r) {
+    EXPECT_EQ(adaptive_slice[r].start, base_slice[r].start) << "rank " << r;
+    EXPECT_EQ(adaptive_slice[r].count, base_slice[r].count) << "rank " << r;
+  }
+}
 
 class InnerBalanceDeep : public ::testing::TestWithParam<LayerCase> {};
 

@@ -132,17 +132,6 @@ TEST(SparseComm, WholeBlockRequestFallsBackToDenseSubview) {
   EXPECT_EQ(got.nnz(), block.nnz());
 }
 
-TEST(SparseComm, PaysOffPredicateWeighsLatencyAgainstSavedBytes) {
-  Machine m;
-  m.alpha = 1e-6;
-  m.beta = 1e-9;  // 1 GB/s: 1 us buys 1000 bytes
-  EXPECT_TRUE(sparse_exchange_pays_off(m, 1 << 20, 1 << 10, 4));
-  EXPECT_FALSE(sparse_exchange_pays_off(m, 2048, 1024, 4));  // saves 1024 B,
-                                                             // costs 4 us
-  EXPECT_FALSE(sparse_exchange_pays_off(m, 1024, 1024, 0));  // no savings
-  EXPECT_FALSE(sparse_exchange_pays_off(m, 1024, 4096, 0));
-}
-
 TEST(SparseComm, CostModelSparseTermDropsWithNeedFraction) {
   const Machine m = cori_knl();
   ProblemStats stats;

@@ -85,6 +85,47 @@ TEST_P(TrafficFormulas, InnerBalanceMessagesMatchClosedForm) {
   EXPECT_EQ(got, L * per_layer + q * q * per_fiber);
 }
 
+TEST_P(TrafficFormulas, FiberBalanceMatchesClosedForm) {
+  const auto [p, l, b] = GetParam();
+  const std::uint64_t q = static_cast<std::uint64_t>(std::sqrt(p / l));
+  const std::uint64_t L = static_cast<std::uint64_t>(l);
+  const Index n = 40;
+  const CscMat a = testing::random_matrix(n, n, 3.0, 174);
+  // No force_batches: Symbolic3D runs and, at M = 0, picks b = 1.
+  auto result = vmpi::run(p, [&, l = l](vmpi::Comm& world) {
+    Grid3D grid(world, l);
+    const DistMat3D da = distribute_a_style(grid, a);
+    const DistMat3D db = distribute_b_style(grid, a);
+    (void)batched_summa3d<PlusTimes>(grid, da, db, 0);
+  });
+  const auto traffic = result.traffic_summary().total_per_phase;
+  const auto it = traffic.find(steps::kFiberBalance);
+  const std::uint64_t msgs = it == traffic.end() ? 0 : it->second.messages;
+  const std::uint64_t bytes =
+      it == traffic.end() ? 0 : static_cast<std::uint64_t>(it->second.bytes);
+  if (l == 1) {
+    EXPECT_EQ(it, traffic.end()) << "no fiber cut runs at l = 1";
+  } else {
+    // Once per job. Two allreduces (binomial reduce + broadcast, 2(c-1)
+    // messages on a c-rank communicator) of an Index vector as wide as the
+    // B column part: over each of the q*q fibers, then over each of the
+    // q*l grid columns' col_comms, skipped at q = 1. The part widths of a
+    // layer's grid columns sum to n.
+    const std::uint64_t w = static_cast<std::uint64_t>(n) * sizeof(Index);
+    EXPECT_EQ(msgs, q * q * 2 * (L - 1) + q * L * 2 * (q - 1));
+    EXPECT_EQ(bytes, w * (q * 2 * (L - 1) + L * 2 * (q - 1)));
+  }
+
+  // Table II's phases are those of the forced b = 1 run.
+  const auto messages = [&](const char* s) -> std::uint64_t {
+    const auto found = traffic.find(s);
+    return found == traffic.end() ? 0 : found->second.messages;
+  };
+  EXPECT_EQ(messages(steps::kABcast), L * q * q * (q - 1));
+  EXPECT_EQ(messages(steps::kBBcast), L * q * q * (q - 1));
+  EXPECT_EQ(messages(steps::kAllToAllFiber), q * q * L * (L - 1));
+}
+
 TEST_P(TrafficFormulas, ABcastBytesScaleLinearlyWithBatches) {
   const auto [p, l, b] = GetParam();
   if (p / l < 4) GTEST_SKIP();  // need q >= 2 for nonzero broadcasts

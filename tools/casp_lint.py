@@ -120,6 +120,13 @@ test (see tests/CMakeLists.txt). Rules:
                   share; a second hand-written loop drifts from it (its
                   own prefetch order, its own phase spans) and a new way
                   to fetch A belongs inside StageStream, not beside it.
+  c-layout-from-batchinfo
+                  In src/apps/ and src/svc/, no `a_style_col_range(`. At
+                  l > 1 batched_summa3d cuts C's columns by Symbolic3D's
+                  counts (the fiber split), so C is A-style only in its
+                  rows; a consumer that recomputes its columns from the
+                  part_low layout reads the wrong ones. Take them from
+                  the pieces' BatchInfo or from BatchedResult::c.cols.
 
 Waivers (use sparingly, justify in a comment on the same line):
   // casp-lint: allow(<rule>)        — waives <rule> on this or next line
@@ -171,6 +178,11 @@ STAGE_SCHEDULE_CALL_RE = re.compile(
     r"\b(ibcast_payload|bcast_wait|isparse_exchange|sparse_wait)\s*\("
 )
 STAGE_SCHEDULE_FILE = "src/summa/stages.cpp"
+
+# C's column layout: consumers of batched_summa3d's output, and the one
+# helper that would recompute it from the part_low layout.
+C_LAYOUT_DIRS = ("src/apps/", "src/svc/")
+A_STYLE_COL_RE = re.compile(r"\ba_style_col_range\s*\(")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+([<"][^>"]+[>"])')
 
@@ -383,6 +395,8 @@ class Linter:
             self.check_health_transition_classified(rel, code_text, waived)
         if in_src and not in_vmpi and rel != STAGE_SCHEDULE_FILE:
             self.check_stage_schedule_single_source(rel, code_lines, waived)
+        if rel.startswith(C_LAYOUT_DIRS):
+            self.check_c_layout_from_batchinfo(rel, code_lines, waived)
         self.check_cast_pairing(rel, code_lines, waived)
         self.check_empty_catch(rel, code_text, waived)
         self.check_payload_ownership(rel, code_lines, waived)
@@ -624,6 +638,16 @@ class Linter:
                     "SUMMA stage schedule lives in StageStream; take the "
                     "stage blocks from StageStream::next")
 
+    def check_c_layout_from_batchinfo(self, rel, code_lines, waived):
+        for idx, line in enumerate(code_lines):
+            if (A_STYLE_COL_RE.search(line)
+                    and not waived("c-layout-from-batchinfo", idx)):
+                self.error(
+                    rel, idx + 1, "c-layout-from-batchinfo",
+                    "a_style_col_range( in a consumer of C — at l > 1 the "
+                    "fiber split cuts C's columns by work, not part_low; "
+                    "take them from BatchInfo or BatchedResult::c.cols")
+
     def check_cast_pairing(self, rel, code_lines, waived):
         for idx, line in enumerate(code_lines):
             if not REINTERPRET_RE.search(line):
@@ -737,6 +761,7 @@ class Linter:
 
 
 FIXTURE_RULES_RE = re.compile(r"lint-rules:\s*([a-z, -]+)")
+FIXTURE_PATH_RE = re.compile(r"lint-path:\s*(src/\S+)")
 
 
 def self_test(root: Path) -> int:
@@ -747,7 +772,9 @@ def self_test(root: Path) -> int:
     fixture declares the rule(s) it exercises with a `// lint-rules: a,b`
     header line — errors from other rules are ignored, so a fixture only
     tests what it claims to. Fixtures without the header default to
-    rank-divergent-collective (the original corpus)."""
+    rank-divergent-collective (the original corpus). A `// lint-path:
+    src/...` line lints the fixture under that path instead of
+    src/<stem>, for rules scoped to a subdirectory."""
     fixtures = sorted((root / "tests" / "lint" / "fixtures").glob("*.cpp.txt"))
     if not fixtures:
         print("casp_lint --self-test: no fixtures found", file=sys.stderr)
@@ -764,8 +791,10 @@ def self_test(root: Path) -> int:
         m = FIXTURE_RULES_RE.search(text)
         if m:
             rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
+        pretend = FIXTURE_PATH_RE.search(text)
         linter = Linter(root)
-        linter.lint_text(f"src/{path.stem}", text)
+        linter.lint_text(pretend.group(1) if pretend else f"src/{path.stem}",
+                         text)
         got = {
             int(e.split(":")[1])
             for e in linter.errors
