@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/block_pool.hpp"
 #include "common/schedhook.hpp"
 
 namespace casp {
@@ -158,6 +159,7 @@ class Payload {
       if (observed == 1) {
         CASP_SCHED_EVENT(kSteal, owner_.get(), observed);
         std::vector<std::byte> out = std::move(owner_->bytes);
+        BlockPool::global().disown(out);
         drop();
         return out;
       }
@@ -183,6 +185,7 @@ class Payload {
       if (observed == 1) {
         CASP_SCHED_EVENT(kSteal, owner_.get(), observed);
         std::vector<std::byte> out = std::move(owner_->bytes);
+        BlockPool::global().disown(out);
         drop();
         return out;
       }
@@ -217,9 +220,13 @@ class Payload {
   // Bytes are immutable while shared; `handles` counts live Payload handles
   // on this buffer (released with memory_order_release in drop()) so
   // release_or_copy can prove sole ownership with proper ordering before
-  // mutating `bytes`. The shared_ptr only manages lifetime.
+  // mutating `bytes`. The shared_ptr only manages lifetime; the last
+  // owner's drop returns the bytes to the block pool.
   struct Buffer {
     explicit Buffer(std::vector<std::byte> b) : bytes(std::move(b)) {}
+    Buffer(const Buffer&) = delete;
+    Buffer& operator=(const Buffer&) = delete;
+    ~Buffer() { BlockPool::global().give(std::move(bytes)); }
     std::vector<std::byte> bytes;
     std::atomic<long> handles{1};
   };

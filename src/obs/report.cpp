@@ -111,9 +111,15 @@ RunReport build_report(const vmpi::RunResult& result) {
       }
     }
   }
+  // One merge rule: a "_max" counter is the maximum of a quantity that
+  // differs by rank (one grid row's or one fiber's), so the job's value is
+  // the max over ranks; every other counter keeps the first rank's value.
   for (const obs::Recorder& rec : result.recorders) {
-    for (const auto& [name, v] : rec.counters())
-      report.counters.emplace(name, v);
+    for (const auto& [name, v] : rec.counters()) {
+      const auto [it, fresh] = report.counters.emplace(name, v);
+      if (!fresh && name.find("_max") != std::string::npos)
+        it->second = std::max(it->second, v);
+    }
     report.peak_bytes_per_rank.push_back(rec.peak_bytes());
     report.peak_bytes_max = std::max(report.peak_bytes_max, rec.peak_bytes());
   }

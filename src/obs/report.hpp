@@ -112,7 +112,9 @@ struct RunReport {
   double wall_seconds = 0.0;
   std::map<std::string, PhaseEntry> phases;
   std::map<std::string, TrafficMatrix> matrices;
-  /// Merged named counters (rank 0 wins on conflicts; SPMD counters are
+  /// Merged named counters. A name containing "_max" is a per-rank maximum
+  /// (summa.layer_flops_max*, summa.fiber_nnz_max*) and merges by max over
+  /// the ranks; any other name keeps rank 0's value (SPMD counters are
   /// identical across ranks anyway).
   std::map<std::string, std::int64_t> counters;
   std::vector<Bytes> peak_bytes_per_rank;

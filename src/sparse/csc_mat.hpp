@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/block_pool.hpp"
 #include "common/types.hpp"
 #include "sparse/triple_mat.hpp"
 
@@ -27,6 +28,27 @@ class CscMat {
   /// Build from raw CSC arrays. colptr must have ncols+1 entries.
   CscMat(Index nrows, Index ncols, std::vector<Index> colptr,
          std::vector<Index> rowids, std::vector<Value> vals);
+
+  // The row-id and value arrays go back to the block pool when the matrix
+  // is destroyed or assigned over (common/block_pool.hpp).
+  CscMat(const CscMat&) = default;
+  CscMat(CscMat&&) noexcept = default;
+  CscMat& operator=(const CscMat& other) {
+    if (this != &other) *this = CscMat(other);
+    return *this;
+  }
+  CscMat& operator=(CscMat&& other) noexcept {
+    if (this != &other) {
+      return_arrays();
+      nrows_ = other.nrows_;
+      ncols_ = other.ncols_;
+      colptr_ = std::move(other.colptr_);
+      rowids_ = std::move(other.rowids_);
+      vals_ = std::move(other.vals_);
+    }
+    return *this;
+  }
+  ~CscMat() { return_arrays(); }
 
   /// Build from triples. The input is canonicalized first (sorted,
   /// duplicates summed), so the result has sorted, duplicate-free columns.
@@ -129,6 +151,11 @@ class CscMat {
   void check_valid() const;
 
  private:
+  void return_arrays() {
+    BlockPool::global().give(std::move(rowids_));
+    BlockPool::global().give(std::move(vals_));
+  }
+
   Index nrows_;
   Index ncols_;
   std::vector<Index> colptr_;

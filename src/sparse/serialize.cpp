@@ -89,7 +89,7 @@ CscWireImages::CscWireImages(Index nrows, std::span<const Index> splits,
   };
   for (std::size_t m = 0; m + 1 < splits_.size(); ++m)
     image_at_[m + 1] = image_at_[m] + layout(m).size;
-  bytes_.resize(image_at_.back());
+  bytes_ = BlockPool::global().take<std::byte>(image_at_.back());
   static_assert(std::is_trivially_copyable_v<Index> &&
                 std::is_trivially_copyable_v<Value>);
   for (std::size_t m = 0; m + 1 < splits_.size(); ++m) {
@@ -102,6 +102,10 @@ CscWireImages::CscWireImages(Index nrows, std::span<const Index> splits,
       vals_[j] = vals + (slice_[j] - slice_[c0]);
     }
   }
+}
+
+CscWireImages::~CscWireImages() {
+  BlockPool::global().give(std::move(bytes_));
 }
 
 std::vector<Payload> CscWireImages::finish(std::span<const Index> counts) && {

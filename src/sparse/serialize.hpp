@@ -22,7 +22,8 @@ CscMat unpack_csc(const std::vector<std::byte>& buffer);
 /// buffer) for handle-forwarding sends.
 Payload pack_csc_payload(const CscMat& mat);
 
-/// l wire images in one allocation, filled column by column by the kernel
+/// l wire images in one allocation from the block pool
+/// (common/block_pool.hpp), filled column by column by the kernel
 /// that produces the matrix: image m holds columns [splits[m], splits[m+1])
 /// and column j a slice of col_capacity[j] entries. finish(counts) writes
 /// the headers and colptrs, compacts short slices in place, and returns the
@@ -37,6 +38,9 @@ class CscWireImages {
   // original's buffer.
   CscWireImages(const CscWireImages&) = delete;
   CscWireImages& operator=(const CscWireImages&) = delete;
+  /// Returns the images' bytes to the block pool unless finish() handed
+  /// them on.
+  ~CscWireImages();
 
   Index col_capacity(Index j) const {
     return slice_[static_cast<std::size_t>(j) + 1] - slice_[static_cast<std::size_t>(j)];

@@ -195,6 +195,21 @@ TEST(RunReport, DeterministicJsonBitIdenticalAcrossRuns) {
   EXPECT_FALSE(abcast->contains("seconds_max"));
 }
 
+TEST(RunReport, MaxCountersMergeByMaxOverRanks) {
+  // Rank 2 holds the largest per-rank maximum; rank 0 the largest of the
+  // others, which keep rank 0's value.
+  const vmpi::RunResult run = vmpi::run(4, [](vmpi::Comm& world) {
+    const std::int64_t r = world.rank();
+    world.recorder().set_counter("summa.fiber_nnz_max", r == 2 ? 90 : 10 + r);
+    world.recorder().set_counter("summa.layer_flops_max_in", 100 - r);
+    world.recorder().set_counter("summa.final_batches", 7 - r);
+  });
+  const auto counters = obs::build_report(run).counters;
+  EXPECT_EQ(counters.at("summa.fiber_nnz_max"), 90);
+  EXPECT_EQ(counters.at("summa.layer_flops_max_in"), 100);
+  EXPECT_EQ(counters.at("summa.final_batches"), 7);
+}
+
 TEST(RunReport, FullDocumentSchemaKeyOrder) {
   const CscMat a = testing::random_matrix(30, 30, 3.0, 183);
   const vmpi::RunResult result = run_batched(a, 4, 1, 1);

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <mutex>
 
+#include "common/block_pool.hpp"
+#include "common/payload.hpp"
 #include "gen/rmat.hpp"
 #include "grid/dist.hpp"
 #include "kernels/reference.hpp"
+#include "obs/report.hpp"
 #include "summa/batched.hpp"
 #include "test_util.hpp"
 #include "vmpi/runtime.hpp"
@@ -375,6 +379,16 @@ CscMat skewed_graph(int scale, std::uint64_t seed) {
   return generate_rmat(p);
 }
 
+/// The report's value of counter `name` is its maximum over the ranks.
+void expect_max_over_ranks(const vmpi::RunResult& run,
+                           const std::map<std::string, std::int64_t>& merged,
+                           const std::string& name) {
+  std::int64_t max = 0;
+  for (const obs::Recorder& rec : run.recorders)
+    max = std::max(max, rec.counters().at(name));
+  EXPECT_EQ(merged.at(name), max) << name;
+}
+
 /// Collects streamed pieces as global triples.
 BatchCallback collect_into(TripleMat& into, std::mutex& mutex) {
   return [&into, &mutex](CscMat&& piece, const BatchInfo& info) {
@@ -436,7 +450,10 @@ TEST_P(InnerBalance, SkewedRmatMatchesReferenceWithBalancedLayerFlops) {
   });
   // C's layer slices tile every grid column's part in layer order.
   expect_layers_tile_columns(c_cols, a.ncols());
-  const auto& counters = run.recorders.at(0).counters();
+  // The report's value is the heaviest layer over every grid row.
+  const auto counters = obs::build_report(run).counters;
+  expect_max_over_ranks(run, counters, "summa.layer_flops_max");
+  expect_max_over_ranks(run, counters, "summa.layer_flops_max_in");
   const double mean = static_cast<double>(total_flops) / l;
   EXPECT_LE(static_cast<double>(counters.at("summa.layer_flops_max")),
             1.25 * mean);
@@ -470,7 +487,9 @@ TEST_P(FiberBalance, SkewedRmatGivesEveryLayerAnEqualMergeFiberShare) {
   const CscMat a = skewed_graph(10, 5);
   const CscMat expected = reference_multiply<PlusTimes>(a, a);
   std::mutex mutex;
-  Index fiber_nnz = 0;  // rank 0's fiber: the ranks (0, 0, .)
+  // Per fiber (grid row, grid column): its Merge-Fiber input and its ranks.
+  std::map<std::pair<int, int>, Index> fiber_nnz;
+  std::map<std::pair<int, int>, std::vector<int>> fiber_ranks;
   std::map<std::pair<int, int>, std::vector<LocalRange>> c_cols;
   const vmpi::RunResult run = vmpi::run(p, [&, l = l](vmpi::Comm& world) {
     Grid3D grid(world, l);
@@ -480,18 +499,31 @@ TEST_P(FiberBalance, SkewedRmatGivesEveryLayerAnEqualMergeFiberShare) {
     testing::expect_mat_near(gather_dist(grid, r.c), expected, 1e-9);
     std::lock_guard<std::mutex> lock(mutex);
     c_cols[{grid.col(), grid.layer()}].push_back(r.c.cols);
-    if (grid.row() == 0 && grid.col() == 0)
-      for (Index v : r.symbolic.col_nnz) fiber_nnz += v;
+    const std::pair<int, int> fiber{grid.row(), grid.col()};
+    fiber_ranks[fiber].push_back(world.rank());
+    for (Index v : r.symbolic.col_nnz) fiber_nnz[fiber] += v;
   });
   expect_layers_tile_columns(c_cols, a.ncols());
 
-  const auto& counters = run.recorders.at(0).counters();
-  const double mean = static_cast<double>(fiber_nnz) / l;
-  EXPECT_LE(static_cast<double>(counters.at("summa.fiber_nnz_max")),
-            1.25 * mean);
-  // The part_low split of this input is well off balance.
-  EXPECT_GT(static_cast<double>(counters.at("summa.fiber_nnz_max_in")),
-            skew_in * mean);
+  // Every fiber's heaviest layer is within 1.25x of its own mean.
+  for (const auto& [fiber, ranks] : fiber_ranks) {
+    const double mean = static_cast<double>(fiber_nnz.at(fiber)) / l;
+    for (int rank : ranks)
+      EXPECT_LE(static_cast<double>(run.recorders.at(static_cast<std::size_t>(rank))
+                                        .counters()
+                                        .at("summa.fiber_nnz_max")),
+                1.25 * mean)
+          << "fiber (" << fiber.first << ", " << fiber.second << ")";
+  }
+  // The report's value is the heaviest layer over every fiber.
+  const auto counters = obs::build_report(run).counters;
+  expect_max_over_ranks(run, counters, "summa.fiber_nnz_max");
+  expect_max_over_ranks(run, counters, "summa.fiber_nnz_max_in");
+  // The part_low split of this input is well off balance in rank 0's fiber.
+  const double mean0 = static_cast<double>(fiber_nnz.at({0, 0})) / l;
+  EXPECT_GT(static_cast<double>(
+                run.recorders.at(0).counters().at("summa.fiber_nnz_max_in")),
+            skew_in * mean0);
   EXPECT_GT(run.traffic_summary().total_per_phase.count(steps::kFiberBalance),
             0u);
 }
@@ -499,6 +531,66 @@ TEST_P(FiberBalance, SkewedRmatGivesEveryLayerAnEqualMergeFiberShare) {
 INSTANTIATE_TEST_SUITE_P(Grids, FiberBalance,
                          ::testing::Values(FiberCase{4, 4, 1.5},    // 1x1x4
                                            FiberCase{8, 2, 1.2}));  // 2x2x2
+
+// The block pool (DESIGN.md §5p): a repeated job takes every large buffer
+// — the wire images and Merge-Fiber's C arrays — back from the pool, with
+// the same result and the same transport copies.
+TEST(BlockPoolReuse, SecondJobTakesEveryPooledBlockFromThePool) {
+  constexpr int p = 4, l = 4;
+  const CscMat a = skewed_graph(12, 5);
+  // Each run keeps its C pieces until every rank is done, so no rank's C
+  // arrays can serve another rank's request within the run.
+  const auto run_job = [&]() {
+    std::vector<CscMat> pieces(p);
+    vmpi::run(p, [&](vmpi::Comm& world) {
+      Grid3D grid(world, l);
+      const DistMat3D da = distribute_a_style(grid, a);
+      const DistMat3D db = distribute_b_style(grid, a);
+      batched_summa3d<PlusTimes>(
+          grid, da, db, 0, {},
+          [&](CscMat&& piece, const BatchInfo&) {
+            pieces[static_cast<std::size_t>(world.rank())] = std::move(piece);
+          },
+          /*keep_output=*/false);
+    });
+    return pieces;
+  };
+  BlockPool& pool = BlockPool::global();
+  pool.release_retained();
+  const BlockPool::Stats s0 = pool.stats();
+  const std::uint64_t copies0 = Payload::deep_copies();
+  std::vector<CscMat> first = run_job();
+  const BlockPool::Stats s1 = pool.stats();
+  const std::uint64_t copies1 = Payload::deep_copies();
+  // Copies of the first C (below the pool: their blocks are not its own);
+  // dropping `first` returns its arrays.
+  const std::vector<CscMat> first_c = first;
+  first.clear();
+
+  const std::vector<CscMat> second = run_job();
+  const BlockPool::Stats s2 = pool.stats();
+  const std::uint64_t copies2 = Payload::deep_copies();
+
+  const std::uint64_t requests1 = (s1.hits + s1.misses) - (s0.hits + s0.misses);
+  ASSERT_GT(s1.misses - s0.misses, 0u) << "no buffer reached the pool's floor";
+  EXPECT_EQ(s2.misses - s1.misses, 0u);
+  EXPECT_EQ(s2.hits - s1.hits, requests1);
+  EXPECT_EQ(copies2 - copies1, copies1 - copies0);
+  for (std::size_t r = 0; r < second.size(); ++r) {
+    const CscMat& x = first_c[r];
+    const CscMat& y = second[r];
+    ASSERT_TRUE(x.colptr().size() == y.colptr().size() &&
+                std::equal(x.colptr().begin(), x.colptr().end(),
+                           y.colptr().begin()));
+    ASSERT_TRUE(x.nnz() == y.nnz() &&
+                std::equal(x.rowids().begin(), x.rowids().end(),
+                           y.rowids().begin()));
+    EXPECT_EQ(std::memcmp(x.vals().data(), y.vals().data(),
+                          x.vals().size_bytes()),
+              0)
+        << "rank " << r;
+  }
+}
 
 TEST(FiberBalance, AdaptiveRebatchOnTheCutIsBitIdentical) {
   // Symbolic3D runs (no force_batches), so the blocks follow the cut; a

@@ -5,7 +5,8 @@
 #   (b) release            configure + build + full ctest
 #   (c) thread sanitizer   configure + build + ctest -L tsan-safe
 #   (d) address/UB san     configure + build + full ctest
-#   (e) perf diff          e2ebench and tools/e2e_pairs.py self-tests,
+#   (e) perf diff          e2ebench, tools/e2e_pairs.py and
+#                          tools/fault_probe.py self-tests,
 #                          then rerun perf benches,
 #                          tools/perf_diff.py vs the committed BENCH_*.json
 #                          snapshots
@@ -145,7 +146,8 @@ else
   # The end-to-end benchmark's own self-tests (tail selection, quartile
   # spread, metric names, exact counts) guard the numbers it reports.
   python3 -m unittest discover -s e2ebench/tests
-  # tools/e2e_pairs.py's gain-rule verdict (wins, quartiles, IQR gap).
+  # tools/e2e_pairs.py's gain-rule verdict (wins, quartiles, IQR gap) and
+  # tools/fault_probe.py's set-up-cancelling difference.
   python3 -m unittest discover -s tools/tests
   # The benches write their JSON into the cwd; run them in a scratch dir so
   # a passing check never touches the committed snapshots.
