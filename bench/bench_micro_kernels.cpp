@@ -164,8 +164,10 @@ BENCHMARK(BM_FinalColumnSort)->Unit(benchmark::kMillisecond);
 
 void BM_SymbolicVsNumeric(benchmark::State& state) {
   // LocalSymbolic must be much cheaper than Local-Multiply for the
-  // symbolic step to be worth its communication (Sec. IV-A).
-  const CscMat a = bench_matrix(1);
+  // symbolic step to be worth its communication (Sec. IV-A). R-MAT's
+  // clustered columns put consecutive rows of one A column in one word
+  // of a row bitmap, the case a word-shared accumulator serializes on.
+  const CscMat a = bench_matrix(static_cast<int>(state.range(1)));
   const bool symbolic = state.range(0) == 1;
   for (auto _ : state) {
     if (symbolic) {
@@ -175,9 +177,12 @@ void BM_SymbolicVsNumeric(benchmark::State& state) {
       benchmark::DoNotOptimize(c.nnz());
     }
   }
-  state.SetLabel(symbolic ? "symbolic (count only)" : "numeric multiply");
+  state.SetLabel(std::string(symbolic ? "symbolic (count only)" : "numeric multiply") +
+                 " on " + matrix_name(static_cast<int>(state.range(1))));
 }
-BENCHMARK(BM_SymbolicVsNumeric)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SymbolicVsNumeric)
+    ->ArgsProduct({{0, 1}, {0, 1, 2}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PackUnpackCsc(benchmark::State& state) {
   // Serialization sits on every broadcast; it must be memcpy-bound.

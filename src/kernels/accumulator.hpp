@@ -2,26 +2,35 @@
 //
 // Symbolic, Local-Multiply, Merge-Layer/Fiber and the DCSC multiply each
 // build one output column at a time: fold (row, value) contributions into
-// an accumulator, emit its entries, reset, next column. Two storage sides
-// share one interface; a kernel picks a side once per call with
-// use_dense_rows() and is compiled against that side.
+// an accumulator, emit its entries, next column. Emitting empties the
+// accumulator; a column that is counted or dropped instead is emptied
+// with reset(). The kernels feed contributions a span at a time:
+// insert_all (count only), accumulate_all (rows and values times a scale)
+// and add_all. Two storage sides share one interface; a kernel picks a
+// side once per call with use_dense_rows() and is compiled against that
+// side.
 //
 //  - HashRows: open-addressing table keyed by row, sized per column from a
-//    bound (require), grown at 50% load, reset through its first-touch
+//    bound (require), grown at 50% load, emptied through its first-touch
 //    list. Its footprint follows the column, not the block height, so it
 //    is the side for tall and hyper-sparse blocks.
-//  - DenseRows: a row bitmap and a dense value array over the block's
-//    rows, plus a first-touch list. No probing; emit_sorted() walks the
-//    bitmap, so rows come out ascending without a comparison sort.
+//  - DenseRows: a byte flag and a value slot per row of the block, plus a
+//    first-touch list. No probing and no branch per contribution;
+//    emit_sorted() reads rows ascending off a bitmap instead of a
+//    comparison sort.
 //
-// Both sides emit in first-touch order and fold contributions in arrival
-// order, so a kernel's output is bitwise the same on either side. Sorted
-// output orders unique rows, which every correct sort agrees on.
+// Both sides emit in first-touch order and fold every contribution into
+// SR::zero() with SR::add, in arrival order, so a kernel's output is
+// bitwise the same on either side. Sorted output orders unique rows, which
+// every correct sort agrees on.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -32,14 +41,15 @@
 namespace casp {
 
 /// The side rule: dense when the block is no taller than the call's work
-/// (its flops, or its input nnz for a merge). The dense scratch -- 8 B of
-/// value and one bit per row, per thread -- then never exceeds about 8 B
-/// per unit of work, while a block taller than its work keeps a table the
-/// size of its columns.
+/// (its flops, or its input nnz for a merge). The dense scratch -- about
+/// 17 B per row, per thread: an 8 B value slot, an 8 B first-touch entry,
+/// a flag byte and a bitmap bit -- then never exceeds about 17 B per unit
+/// of work, while a block taller than its work keeps a table the size of
+/// its columns.
 constexpr bool use_dense_rows(Index nrows, Index work) { return nrows <= work; }
 
-/// Hash side. Reused across columns: reset() clears only the slots the
-/// previous column touched.
+/// Hash side. Reused across columns: emptying clears only the slots the
+/// column touched.
 template <typename SR = PlusTimes>
 class HashRows {
  public:
@@ -58,6 +68,7 @@ class HashRows {
     }
   }
 
+  /// Empties a column that is not emitted.
   void reset() {
     for (std::uint64_t slot : used_) keys_[slot] = kEmpty;
     used_.clear();
@@ -71,24 +82,40 @@ class HashRows {
     return true;
   }
 
+  /// Fold `contribution` into `row`; a new row folds it into SR::zero().
   void accumulate(Index row, Value contribution) {
     const std::uint64_t slot = find(row);
     if (keys_[slot] == row) {
       vals_[slot] = SR::add(vals_[slot], contribution);
       return;
     }
-    vals_[slot] = contribution;
+    vals_[slot] = SR::add(SR::zero(), contribution);
     claim(slot, row);
+  }
+
+  void insert_all(std::span<const Index> rows) {
+    for (const Index row : rows) insert(row);
+  }
+
+  void accumulate_all(std::span<const Index> rows, std::span<const Value> vals,
+                      Value scale) {
+    for (std::size_t k = 0; k < rows.size(); ++k)
+      accumulate(rows[k], SR::mul(vals[k], scale));
+  }
+
+  void add_all(std::span<const Index> rows, std::span<const Value> vals) {
+    for (std::size_t k = 0; k < rows.size(); ++k) accumulate(rows[k], vals[k]);
   }
 
   Index size() const { return static_cast<Index>(used_.size()); }
 
-  /// Entries in first-touch order.
-  void emit(Index* rowids, Value* vals) const {
+  /// Entries in first-touch order; leaves the table empty.
+  void emit(Index* rowids, Value* vals) {
     for (std::size_t k = 0; k < used_.size(); ++k) {
       rowids[k] = keys_[used_[k]];
       vals[k] = vals_[used_[k]];
     }
+    reset();
   }
 
   /// Entries ascending by row: emit order, then a comparison sort.
@@ -96,6 +123,7 @@ class HashRows {
     pairs_.resize(used_.size());
     for (std::size_t k = 0; k < used_.size(); ++k)
       pairs_[k] = {keys_[used_[k]], vals_[used_[k]]};
+    reset();
     std::sort(pairs_.begin(), pairs_.end(),
               [](const auto& x, const auto& y) { return x.first < y.first; });
     for (std::size_t k = 0; k < pairs_.size(); ++k) {
@@ -148,69 +176,152 @@ class HashRows {
 };
 
 /// Dense side over rows [0, nrows).
+///
+/// At rest every row's flag byte is 0, every value slot holds SR::zero()
+/// and the emit_sorted bitmap is clear. A touch writes the row into the
+/// first-touch list unconditionally and advances the cursor by the row's
+/// "fresh" flag, and a contribution is folded into its slot with SR::add.
+/// No step branches on whether the row is new, and consecutive rows touch
+/// separate bytes, so no store waits on the previous one. Only the span
+/// methods touch, each keeping the cursor and the array pointers in
+/// locals: a uint8_t store may alias anything, so a per-element member
+/// call would reload every member. Emitting restores each slot as it
+/// reads it.
 template <typename SR = PlusTimes>
 class DenseRows {
  public:
   explicit DenseRows(Index nrows)
-      : bits_(static_cast<std::size_t>(ceil_div(nrows, 64))),
-        vals_(static_cast<std::size_t>(nrows)) {}
+      : seen_(static_cast<std::size_t>(64 * ceil_div(nrows, 64)), 0),
+        vals_(static_cast<std::size_t>(nrows), SR::zero()),
+        // One spare slot: the unconditional write of a repeated row lands
+        // one past the last distinct row.
+        used_(std::make_unique_for_overwrite<Index[]>(
+            static_cast<std::size_t>(nrows) + 1)),
+        bits_(static_cast<std::size_t>(ceil_div(nrows, 64))) {}
 
   void require(Index /*min_capacity*/) {}
 
+  /// Restores flag and value of every touched row of a column that is not
+  /// emitted: one only counted (its values are still SR::zero()), or one
+  /// accumulated and then dropped.
   void reset() {
-    for (Index row : used_) bits_[static_cast<std::size_t>(row >> 6)] = 0;
-    used_.clear();
-  }
-
-  bool insert(Index row) {
-    std::uint64_t& word = bits_[static_cast<std::size_t>(row >> 6)];
-    const std::uint64_t bit = std::uint64_t{1} << (row & 63);
-    if ((word & bit) != 0) return false;
-    word |= bit;
-    used_.push_back(row);
-    return true;
-  }
-
-  void accumulate(Index row, Value contribution) {
-    Value& v = vals_[static_cast<std::size_t>(row)];
-    v = insert(row) ? contribution : SR::add(v, contribution);
-  }
-
-  Index size() const { return static_cast<Index>(used_.size()); }
-
-  void emit(Index* rowids, Value* vals) const {
-    for (std::size_t k = 0; k < used_.size(); ++k) {
-      rowids[k] = used_[k];
-      vals[k] = vals_[static_cast<std::size_t>(used_[k])];
+    std::uint8_t* seen = seen_.data();
+    for (std::size_t k = 0; k < n_; ++k) seen[used_[k]] = 0;
+    if (folded_) {
+      Value* v = vals_.data();
+      for (std::size_t k = 0; k < n_; ++k) v[used_[k]] = SR::zero();
     }
+    n_ = 0;
+    folded_ = false;
   }
 
-  /// Entries ascending by row, read off the bitmap. A column far shorter
+  void insert_all(std::span<const Index> rows) {
+    touch_all(rows, [](std::size_t, std::size_t) {});
+  }
+
+  void accumulate_all(std::span<const Index> rows, std::span<const Value> vals,
+                      Value scale) {
+    Value* v = vals_.data();
+    const Value* in = vals.data();
+    folded_ = true;
+    touch_all(rows, [v, in, scale](std::size_t r, std::size_t k) {
+      v[r] = SR::add(v[r], SR::mul(in[k], scale));
+    });
+  }
+
+  void add_all(std::span<const Index> rows, std::span<const Value> vals) {
+    Value* v = vals_.data();
+    const Value* in = vals.data();
+    folded_ = true;
+    touch_all(rows, [v, in](std::size_t r, std::size_t k) {
+      v[r] = SR::add(v[r], in[k]);
+    });
+  }
+
+  Index size() const { return static_cast<Index>(n_); }
+
+  /// Entries in first-touch order.
+  void emit(Index* rowids, Value* vals) {
+    std::uint8_t* seen = seen_.data();
+    Value* v = vals_.data();
+    const Index* used = used_.get();
+    for (std::size_t k = 0; k < n_; ++k) {
+      const auto r = static_cast<std::size_t>(used[k]);
+      rowids[k] = used[k];
+      vals[k] = v[r];
+      v[r] = SR::zero();
+      seen[r] = 0;
+    }
+    n_ = 0;
+    folded_ = false;
+  }
+
+  /// Entries ascending by row, read off a bitmap filled from the
+  /// first-touch list (the scan clears it again). A column far shorter
   /// than the bitmap sorts its few first-touch rows instead of scanning
   /// every word; both orders are the same.
   void emit_sorted(Index* rowids, Value* vals) {
-    if (bits_.size() > kScanWordsPerEntry * used_.size()) {
-      std::sort(used_.begin(), used_.end());
+    Index* used = used_.get();
+    if (bits_.size() > kScanWordsPerEntry * n_) {
+      std::sort(used, used + n_);
       emit(rowids, vals);
       return;
     }
+    std::uint64_t* bits = bits_.data();
+    // Two interleaved halves: consecutive first-touch rows often share a
+    // word, and each half's read-modify-write chain overlaps the other's.
+    const std::size_t half = n_ / 2;
+    for (std::size_t j = 0; j < half; ++j) {
+      bits[used[j] >> 6] |= std::uint64_t{1} << (used[j] & 63);
+      bits[used[half + j] >> 6] |= std::uint64_t{1} << (used[half + j] & 63);
+    }
+    if (n_ % 2 != 0)
+      bits[used[n_ - 1] >> 6] |= std::uint64_t{1} << (used[n_ - 1] & 63);
+    std::uint8_t* seen = seen_.data();
+    Value* v = vals_.data();
     std::size_t k = 0;
     for (std::size_t w = 0; w < bits_.size(); ++w) {
-      for (std::uint64_t word = bits_[w]; word != 0; word &= word - 1) {
+      std::uint64_t word = bits[w];
+      if (word == 0) continue;
+      bits[w] = 0;
+      std::memset(seen + 64 * w, 0, 64);
+      for (; word != 0; word &= word - 1) {
         const std::size_t row = 64 * w + static_cast<std::size_t>(std::countr_zero(word));
         rowids[k] = static_cast<Index>(row);
-        vals[k] = vals_[row];
+        vals[k] = v[row];
+        v[row] = SR::zero();
         ++k;
       }
     }
+    n_ = 0;
+    folded_ = false;
   }
 
  private:
   static constexpr std::size_t kScanWordsPerEntry = 8;
 
-  std::vector<std::uint64_t> bits_;
+  /// The one dense touch loop: record each row, then fold(row, k).
+  template <typename Fold>
+  void touch_all(std::span<const Index> rows, Fold fold) {
+    std::uint8_t* seen = seen_.data();
+    Index* used = used_.get();
+    std::size_t n = n_;
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const auto r = static_cast<std::size_t>(rows[k]);
+      used[n] = rows[k];
+      n += seen[r] ^ 1U;
+      seen[r] = 1;
+      fold(r, k);
+    }
+    n_ = n;
+  }
+
+  std::vector<std::uint8_t> seen_;  // flag per row, padded to whole bitmap words
   std::vector<Value> vals_;
-  std::vector<Index> used_;
+  std::unique_ptr<Index[]> used_;  // first-touch list, n_ live entries
+  std::size_t n_ = 0;
+  bool folded_ = false;  // this column's values may differ from SR::zero()
+  std::vector<std::uint64_t> bits_;  // emit_sorted scratch, zero at rest
 };
 
 }  // namespace casp

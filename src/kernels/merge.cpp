@@ -22,6 +22,44 @@ const char* to_string(MergeKind kind) {
 
 namespace {
 
+using HeapItem = std::pair<Index, std::size_t>;  // (row, piece index)
+
+/// Column j as a k-way heap merge of the pieces' sorted columns, into
+/// (out_rows, out_vals); returns its entry count. `heap` and `pos` are the
+/// caller's per-thread scratch, reused across columns.
+template <typename SR>
+Index heap_merge_column(std::span<const CscConstRef> pieces, Index j,
+                        std::vector<HeapItem>& heap,
+                        std::vector<std::size_t>& pos, Index* out_rows,
+                        Value* out_vals) {
+  heap.clear();
+  pos.assign(pieces.size(), 0);
+  for (std::size_t s = 0; s < pieces.size(); ++s) {
+    if (pieces[s].col_nnz(j) > 0)
+      heap.emplace_back(pieces[s].col_rowids(j)[0], s);
+  }
+  std::make_heap(heap.begin(), heap.end(), std::greater<>{});
+  Index cnt = 0;
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const auto [row, s] = heap.back();
+    heap.pop_back();
+    const Value v = pieces[s].col_vals(j)[pos[s]];
+    if (cnt > 0 && out_rows[cnt - 1] == row) {
+      out_vals[cnt - 1] = SR::add(out_vals[cnt - 1], v);
+    } else {
+      out_rows[cnt] = row;
+      out_vals[cnt] = v;
+      ++cnt;
+    }
+    if (++pos[s] < static_cast<std::size_t>(pieces[s].col_nnz(j))) {
+      heap.emplace_back(pieces[s].col_rowids(j)[pos[s]], s);
+      std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+    }
+  }
+  return cnt;
+}
+
 /// Merges every column into its slice of `out`, with one accumulator side
 /// per thread, and returns each column's merged nnz. Without `out` (hash
 /// merges only) it only counts, inserting the rows into the same side.
@@ -42,7 +80,6 @@ std::vector<Index> merge_columns(std::span<const CscConstRef> pieces,
     Rows table(pieces.front().nrows());
     // Per-thread scratch for the sorted-emit (heap) path, reused across all
     // columns this thread processes instead of reallocated per column.
-    using HeapItem = std::pair<Index, std::size_t>;  // (row, piece index)
     std::vector<HeapItem> heap;
     std::vector<std::size_t> pos;
 #if defined(CASP_HAVE_OPENMP)
@@ -57,52 +94,21 @@ std::vector<Index> merge_columns(std::span<const CscConstRef> pieces,
       Index cnt = 0;
       if (kind == MergeKind::kUnsortedHash) {
         table.require(cap);
-        table.reset();
         if (out == nullptr) {
-          for (const CscConstRef& m : pieces)
-            for (const Index row : m.col_rowids(j)) table.insert(row);
+          for (const CscConstRef& m : pieces) table.insert_all(m.col_rowids(j));
         } else {
-          for (const CscConstRef& m : pieces) {
-            const auto rows = m.col_rowids(j);
-            const auto mv = m.col_vals(j);
-            for (std::size_t k = 0; k < rows.size(); ++k)
-              table.accumulate(rows[k], mv[k]);
-          }
+          for (const CscConstRef& m : pieces)
+            table.add_all(m.col_rowids(j), m.col_vals(j));
         }
         cnt = table.size();
-        if (out != nullptr) {
-          if (sort_output)
-            table.emit_sorted(out_rows, out_vals);
-          else
-            table.emit(out_rows, out_vals);
-        }
+        if (out == nullptr)
+          table.reset();
+        else if (sort_output)
+          table.emit_sorted(out_rows, out_vals);
+        else
+          table.emit(out_rows, out_vals);
       } else {
-        // k-way heap merge over sorted input columns (min-heap maintained
-        // manually on the hoisted vector).
-        heap.clear();
-        pos.assign(pieces.size(), 0);
-        for (std::size_t s = 0; s < pieces.size(); ++s) {
-          if (pieces[s].col_nnz(j) > 0)
-            heap.emplace_back(pieces[s].col_rowids(j)[0], s);
-        }
-        std::make_heap(heap.begin(), heap.end(), std::greater<>{});
-        while (!heap.empty()) {
-          std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-          const auto [row, s] = heap.back();
-          heap.pop_back();
-          const Value v = pieces[s].col_vals(j)[pos[s]];
-          if (cnt > 0 && out_rows[cnt - 1] == row) {
-            out_vals[cnt - 1] = SR::add(out_vals[cnt - 1], v);
-          } else {
-            out_rows[cnt] = row;
-            out_vals[cnt] = v;
-            ++cnt;
-          }
-          if (++pos[s] < static_cast<std::size_t>(pieces[s].col_nnz(j))) {
-            heap.emplace_back(pieces[s].col_rowids(j)[pos[s]], s);
-            std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-          }
-        }
+        cnt = heap_merge_column<SR>(pieces, j, heap, pos, out_rows, out_vals);
       }
       counts[static_cast<std::size_t>(j)] = cnt;
     }

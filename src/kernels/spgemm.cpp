@@ -34,25 +34,21 @@ namespace {
 /// One output column through a row accumulator, into a slice of
 /// `out_capacity` entries. Returns the entry count; a count above
 /// `out_capacity` writes nothing (the caller's slice was sized from an
-/// undersized hint).
+/// undersized hint). Either way the accumulator is left empty.
 template <typename SR, typename Rows, typename MatA, typename MatB>
 Index accumulate_column(const MatA& a, const MatB& b, Index j, Rows& acc,
                         Index table_capacity, Index out_capacity,
                         Index* rowids, Value* vals, bool sort_output) {
   acc.require(table_capacity);
-  acc.reset();
   const auto brows = b.col_rowids(j);
   const auto bvals = b.col_vals(j);
-  for (std::size_t t = 0; t < brows.size(); ++t) {
-    const Index i = brows[t];
-    const Value bv = bvals[t];
-    const auto arows = a.col_rowids(i);
-    const auto avals = a.col_vals(i);
-    for (std::size_t k = 0; k < arows.size(); ++k)
-      acc.accumulate(arows[k], SR::mul(avals[k], bv));
-  }
+  for (std::size_t t = 0; t < brows.size(); ++t)
+    acc.accumulate_all(a.col_rowids(brows[t]), a.col_vals(brows[t]), bvals[t]);
   const Index cnt = acc.size();
-  if (cnt > out_capacity) return cnt;
+  if (cnt > out_capacity) {
+    acc.reset();
+    return cnt;
+  }
   if (sort_output)
     acc.emit_sorted(rowids, vals);
   else

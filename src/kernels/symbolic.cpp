@@ -19,10 +19,9 @@ std::vector<Index> count_columns(const CscConstRef& a, const CscConstRef& b,
     const Index cap = std::min(flops[static_cast<std::size_t>(j)], a.nrows());
     if (cap == 0) continue;
     set.require(cap);
-    set.reset();
-    for (Index i : b.col_rowids(j))
-      for (Index r : a.col_rowids(i)) set.insert(r);
+    for (Index i : b.col_rowids(j)) set.insert_all(a.col_rowids(i));
     nnz[static_cast<std::size_t>(j)] = set.size();
+    set.reset();
   }
   return nnz;
 }

@@ -54,9 +54,10 @@ void DcscMat::check_valid() const {
 }
 
 namespace {
-/// Appends the accumulator's column to (rows, vals) in first-touch order.
+/// Appends the accumulator's column to (rows, vals) in first-touch order,
+/// leaving the accumulator empty.
 template <typename SR>
-void append_column(const HashRows<SR>& acc, std::vector<Index>& rows,
+void append_column(HashRows<SR>& acc, std::vector<Index>& rows,
                    std::vector<Value>& vals) {
   const std::size_t at = rows.size();
   rows.resize(at + static_cast<std::size_t>(acc.size()));
@@ -87,7 +88,6 @@ CscMat hypersparse_spgemm(const DcscMat& a, const CscMat& b) {
     }
     if (cap > 0) {
       acc.require(std::min(cap, a.nrows()));
-      acc.reset();
       for (std::size_t t = 0; t < brows.size(); ++t) {
         if (hit[t] < 0) continue;
         const auto arows = a.nonempty_rowids(hit[t]);
@@ -125,7 +125,6 @@ DcscMat hypersparse_spgemm_dcsc(const DcscMat& a, const DcscMat& b) {
     }
     if (cap == 0) continue;
     acc.require(std::min(cap, a.nrows()));
-    acc.reset();
     for (std::size_t s = 0; s < brows.size(); ++s) {
       if (hit[s] < 0) continue;
       const auto arows = a.nonempty_rowids(hit[s]);

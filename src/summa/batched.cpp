@@ -128,6 +128,8 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
   CASP_CHECK(static_cast<Index>(weights.size()) == psize);
   std::vector<Index> cut;  // the l * eff_batches + 1 block boundaries
 
+  // The kept output's pieces when checkpoints are off; with them on,
+  // emitted_mats below holds the same sequence and is used instead.
   std::vector<CscMat> kept_pieces;
   if (keep_output) kept_pieces.reserve(static_cast<std::size_t>(num_batches));
 
@@ -220,9 +222,12 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
         info.global_cols = {pm.col_start, pm.col_count};
         CASP_CHECK(piece.ncols() == info.global_cols.count);
         emitted_meta.push_back(pm);
-        emitted_mats.push_back(piece);
-        if (keep_output) kept_pieces.push_back(piece);
-        if (on_batch) on_batch(std::move(piece), info);
+        if (on_batch) {
+          emitted_mats.push_back(piece);
+          on_batch(std::move(piece), info);
+        } else {
+          emitted_mats.push_back(std::move(piece));
+        }
       }
       const PieceMeta& last = emitted_meta.back();
       bi = last.batch_index + 1;
@@ -269,17 +274,24 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
     info.global_rows = a.rows;
     info.global_cols = {b.cols.start + block_low(my_block),
                         block_low(my_block + 1) - block_low(my_block)};
+    // Each piece is stored once: checkpoints keep it in emitted_mats,
+    // which then also serves as the kept output, and only a callback
+    // that takes the piece leaves the store with a copy.
     const auto emit = [&](CscMat piece) {
       CASP_CHECK(piece.ncols() == info.global_cols.count);
-      if (keep_output) kept_pieces.push_back(piece);
-      if (ckpt_on) {
+      if (ckpt_on)
         emitted_meta.push_back(PieceMeta{
             bi, eff_batches, result.rebatch_events, info.global_rows.start,
             info.global_rows.count, info.global_cols.start,
             info.global_cols.count});
-        emitted_mats.push_back(piece);
+      std::vector<CscMat>* store =
+          ckpt_on ? &emitted_mats : keep_output ? &kept_pieces : nullptr;
+      if (on_batch) {
+        if (store != nullptr) store->push_back(piece);
+        on_batch(std::move(piece), info);
+      } else if (store != nullptr) {
+        store->push_back(std::move(piece));
       }
-      if (on_batch) on_batch(std::move(piece), info);
       ++bi;
       if (ckpt_on && ck->due(emitted_meta.size())) save_ckpt();
     };
@@ -419,7 +431,7 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
     const auto k = static_cast<std::size_t>(grid.layer());
     result.c.cols = {b.cols.start + layer_cut[k],
                      layer_cut[k + 1] - layer_cut[k]};
-    result.c.local = CscMat::concat_cols(kept_pieces);
+    result.c.local = CscMat::concat_cols(ckpt_on ? emitted_mats : kept_pieces);
     CASP_CHECK(result.c.local.ncols() == result.c.cols.count);
     if (opts.memory != nullptr) {
       // The kept output is a deliberate *extra* cost on top of the batched

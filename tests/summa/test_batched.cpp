@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <mutex>
 
+#include "ckpt/checkpoint.hpp"
 #include "common/block_pool.hpp"
 #include "common/payload.hpp"
 #include "gen/rmat.hpp"
@@ -136,6 +138,52 @@ TEST(BatchedCallback, StreamedPiecesTileTheOutputExactly) {
   CscMat full = CscMat::from_triples(std::move(assembled));
   EXPECT_EQ(full.nnz(), expected.nnz()) << "pieces overlapped";
   testing::expect_mat_near(full, expected, 1e-9);
+}
+
+TEST(BatchedCheckpoint, KeptOutputIsTheSameWithCheckpointsAndOnResume) {
+  // With checkpoints on, the kept output is built from the checkpointed
+  // pieces. It must equal the output kept without checkpoints, bit for
+  // bit, and a relaunch that replays every saved piece must return it too.
+  const int p = 8, l = 2;
+  const Index batches = 3;
+  const CscMat a = testing::random_matrix(26, 26, 3.0, 35);
+  const std::string dir = ::testing::TempDir() + "/casp_batched_kept_ckpt";
+  std::filesystem::remove_all(dir);
+  const auto run = [&](bool ckpt_on, std::vector<CscMat>& local,
+                       std::vector<std::int64_t>& resumes) {
+    local.assign(static_cast<std::size_t>(p), CscMat());
+    resumes.assign(static_cast<std::size_t>(p), 0);
+    vmpi::run(p, [&](vmpi::Comm& world) {
+      ckpt::Checkpointer ck(dir, world.rank(), /*every=*/1, &world.recorder());
+      Grid3D grid(world, l);
+      const DistMat3D da = distribute_a_style(grid, a);
+      const DistMat3D db = distribute_b_style(grid, a);
+      SummaOptions opts;
+      opts.force_batches = batches;
+      if (ckpt_on) opts.ckpt = &ck;
+      BatchedResult r = batched_summa3d<PlusTimes>(grid, da, db, 0, opts, {},
+                                                   /*keep_output=*/true);
+      const auto rank = static_cast<std::size_t>(world.rank());
+      local[rank] = std::move(r.c.local);
+      const auto it = world.recorder().counters().find("ckpt.resumes");
+      if (it != world.recorder().counters().end()) resumes[rank] = it->second;
+    });
+  };
+  std::vector<CscMat> plain, saved, resumed;
+  std::vector<std::int64_t> plain_resumes, saved_resumes, resumed_resumes;
+  run(false, plain, plain_resumes);
+  run(true, saved, saved_resumes);
+  run(true, resumed, resumed_resumes);
+  for (int r = 0; r < p; ++r) {
+    const auto rank = static_cast<std::size_t>(r);
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_GT(plain[rank].ncols(), 0);
+    testing::expect_same_arrays(saved[rank], plain[rank]);
+    testing::expect_same_arrays(resumed[rank], plain[rank]);
+    EXPECT_EQ(saved_resumes[rank], 0);
+    EXPECT_EQ(resumed_resumes[rank], 1);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(BatchedSymbolic, TightMemoryForcesMultipleBatches) {
