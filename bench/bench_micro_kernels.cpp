@@ -19,7 +19,6 @@
 #include "kernels/merge.hpp"
 #include "kernels/spgemm.hpp"
 #include "kernels/symbolic.hpp"
-#include "sparse/dcsc_mat.hpp"
 #include "sparse/serialize.hpp"
 #include "sparse/stats.hpp"
 
@@ -200,11 +199,9 @@ BENCHMARK(BM_PackUnpackCsc)->Unit(benchmark::kMillisecond);
 void BM_HypersparseMultiply(benchmark::State& state) {
   // The Sec. V-D regime: with many layers both local operands are
   // hypersparse (nnz << ncols). The CSC pipeline pays O(ncols) per
-  // multiply for colptr/output scaffolding; the fully-DCSC pipeline
-  // touches only nonempty columns.
-  const bool dcsc = state.range(0) == 1;
+  // multiply for colptr/output scaffolding. Arg(0) keeps the op name the
+  // snapshot has always carried for this arm.
   const Index dim = 1 << 18;  // 262,144-wide blocks, a few hundred nonzeros
-  Rng rng(21);
   auto make_hypersparse = [&](std::uint64_t seed) {
     Rng local(seed);
     TripleMat t(dim, dim);
@@ -214,25 +211,16 @@ void BM_HypersparseMultiply(benchmark::State& state) {
     }
     return CscMat::from_triples(std::move(t));
   };
-  const CscMat a_csc = make_hypersparse(22);
+  const CscMat a = make_hypersparse(22);
   // B's rows must hit A's nonempty columns occasionally: reuse A.
-  const CscMat b_csc = a_csc;
-  const DcscMat a_dcsc = DcscMat::from_csc(a_csc);
-  const DcscMat b_dcsc = DcscMat::from_csc(b_csc);
+  const CscMat b = a;
   for (auto _ : state) {
-    if (dcsc) {
-      DcscMat c = hypersparse_spgemm_dcsc<PlusTimes>(a_dcsc, b_dcsc);
-      benchmark::DoNotOptimize(c.nnz());
-    } else {
-      CscMat c = local_spgemm<PlusTimes>(a_csc, b_csc,
-                                         SpGemmKind::kUnsortedHash);
-      benchmark::DoNotOptimize(c.nnz());
-    }
+    CscMat c = local_spgemm<PlusTimes>(a, b, SpGemmKind::kUnsortedHash);
+    benchmark::DoNotOptimize(c.nnz());
   }
-  state.SetLabel(dcsc ? "DCSC in/out (no O(ncols) term)"
-                      : "CSC (O(ncols) scaffolding per multiply)");
+  state.SetLabel("CSC (O(ncols) scaffolding per multiply)");
 }
-BENCHMARK(BM_HypersparseMultiply)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HypersparseMultiply)->Arg(0)->Unit(benchmark::kMillisecond);
 
 void BM_Transpose(benchmark::State& state) {
   const CscMat a = generate_er_square(8192, 8.0, 16);

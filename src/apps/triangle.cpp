@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "grid/dist.hpp"
 #include "kernels/spgemm.hpp"
-#include "sparse/csr_mat.hpp"
 #include "summa/batched.hpp"
 
 namespace casp {

@@ -1,14 +1,14 @@
 // Row accumulators for the column-at-a-time kernels (Sec. IV-D).
 //
-// Symbolic, Local-Multiply, Merge-Layer/Fiber and the DCSC multiply each
-// build one output column at a time: fold (row, value) contributions into
-// an accumulator, emit its entries, next column. Emitting empties the
-// accumulator; a column that is counted or dropped instead is emptied
-// with reset(). The kernels feed contributions a span at a time:
-// insert_all (count only), accumulate_all (rows and values times a scale)
-// and add_all. Two storage sides share one interface; a kernel picks a
-// side once per call with use_dense_rows() and is compiled against that
-// side.
+// Symbolic, Local-Multiply and Merge-Layer/Fiber each build one output
+// column at a time: fold (row, value) contributions into an accumulator,
+// emit its entries, next column. Emitting empties the accumulator; a
+// column that is counted or dropped instead is emptied with reset(). The
+// kernels feed contributions a span at a time: insert_all (count only),
+// accumulate_all (rows and values times a scale) and add_all; neither
+// side has a per-element entry point. Two storage sides share one
+// interface; a kernel picks a side once per call with use_dense_rows()
+// and is compiled against that side.
 //
 //  - HashRows: open-addressing table keyed by row, sized per column from a
 //    bound (require), grown at 50% load, emptied through its first-touch
@@ -53,7 +53,7 @@ constexpr bool use_dense_rows(Index nrows, Index work) { return nrows <= work; }
 template <typename SR = PlusTimes>
 class HashRows {
  public:
-  explicit HashRows(Index /*nrows*/ = 0) {}
+  explicit HashRows(Index /*nrows*/) {}
 
   /// Size the table for `min_capacity` distinct rows at <= 50% load. An
   /// undersized bound (a short symbolic hint) is safe: the table grows.
@@ -72,25 +72,6 @@ class HashRows {
   void reset() {
     for (std::uint64_t slot : used_) keys_[slot] = kEmpty;
     used_.clear();
-  }
-
-  /// Record `row` without a value (symbolic counting); true if it is new.
-  bool insert(Index row) {
-    const std::uint64_t slot = find(row);
-    if (keys_[slot] == row) return false;
-    claim(slot, row);
-    return true;
-  }
-
-  /// Fold `contribution` into `row`; a new row folds it into SR::zero().
-  void accumulate(Index row, Value contribution) {
-    const std::uint64_t slot = find(row);
-    if (keys_[slot] == row) {
-      vals_[slot] = SR::add(vals_[slot], contribution);
-      return;
-    }
-    vals_[slot] = SR::add(SR::zero(), contribution);
-    claim(slot, row);
   }
 
   void insert_all(std::span<const Index> rows) {
@@ -134,6 +115,23 @@ class HashRows {
 
  private:
   static constexpr Index kEmpty = -1;
+
+  /// Record `row` without a value (symbolic counting).
+  void insert(Index row) {
+    const std::uint64_t slot = find(row);
+    if (keys_[slot] != row) claim(slot, row);
+  }
+
+  /// Fold `contribution` into `row`; a new row folds it into SR::zero().
+  void accumulate(Index row, Value contribution) {
+    const std::uint64_t slot = find(row);
+    if (keys_[slot] == row) {
+      vals_[slot] = SR::add(vals_[slot], contribution);
+      return;
+    }
+    vals_[slot] = SR::add(SR::zero(), contribution);
+    claim(slot, row);
+  }
 
   /// The slot holding `row`, or the empty slot where it belongs.
   std::uint64_t find(Index row) const {

@@ -7,6 +7,7 @@
 #include "common/math.hpp"
 #include "kernels/symbolic.hpp"
 #include "sparse/stats.hpp"
+#include "summa/symbolic3d.hpp"
 
 namespace casp {
 
@@ -115,10 +116,7 @@ double total_seconds(const StepSeconds& steps) {
 }
 
 Index predict_batches(const ProblemStats& stats, Index p, Bytes total_memory) {
-  if (total_memory == 0) return 1;
   const double r = static_cast<double>(kBytesPerNonzero);
-  const double per_process =
-      static_cast<double>(total_memory) / static_cast<double>(p);
   // Most loaded process: average share scaled by the imbalance factor.
   const double max_inputs = r *
                             static_cast<double>(stats.nnz_a + stats.nnz_b) *
@@ -126,10 +124,9 @@ Index predict_batches(const ProblemStats& stats, Index p, Bytes total_memory) {
   const double max_unmerged = r *
                               static_cast<double>(stats.effective_unmerged()) *
                               stats.imbalance / static_cast<double>(p);
-  const double denom = per_process - max_inputs;
-  if (denom <= 0.0)
-    throw MemoryError("predict_batches: inputs alone exceed memory");
-  return std::max<Index>(1, static_cast<Index>(std::ceil(max_unmerged / denom)));
+  const Index b = eq2_batches(total_memory, p, max_inputs, max_unmerged);
+  if (b == 0) throw MemoryError("predict_batches: inputs alone exceed memory");
+  return b;
 }
 
 std::string format_steps(const StepSeconds& steps) {

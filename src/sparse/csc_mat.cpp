@@ -243,4 +243,16 @@ void CscMat::check_valid() const {
     CASP_CHECK_MSG(r >= 0 && r < nrows_, "row id " << r << " out of bounds");
 }
 
+CscMat lower_triangle(const CscMat& a) {
+  CscMat out = a;
+  out.prune([](Index row, Index col, Value) { return row > col; });
+  return out;
+}
+
+CscMat upper_triangle(const CscMat& a) {
+  CscMat out = a;
+  out.prune([](Index row, Index col, Value) { return row < col; });
+  return out;
+}
+
 }  // namespace casp

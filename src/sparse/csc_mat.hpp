@@ -163,4 +163,9 @@ class CscMat {
   std::vector<Value> vals_;
 };
 
+/// Strictly-lower-triangular part of a square matrix (CSC in, CSC out).
+CscMat lower_triangle(const CscMat& a);
+/// Strictly-upper-triangular part of a square matrix.
+CscMat upper_triangle(const CscMat& a);
+
 }  // namespace casp

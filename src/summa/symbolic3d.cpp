@@ -1,5 +1,6 @@
 #include "summa/symbolic3d.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -11,6 +12,17 @@
 #include "summa/stages.hpp"
 
 namespace casp {
+
+Index eq2_batches(Bytes total_memory, Index p, double max_input_bytes,
+                  double max_unmerged_bytes) {
+  if (total_memory == 0) return 1;
+  const double per_process_memory =
+      static_cast<double>(total_memory) / static_cast<double>(p);
+  const double denom = per_process_memory - max_input_bytes;
+  if (denom <= 0.0) return 0;
+  return std::max<Index>(
+      1, static_cast<Index>(std::ceil(max_unmerged_bytes / denom)));
+}
 
 SymbolicResult symbolic3d(Grid3D& grid, const CscMat& local_a,
                           const CscMat& local_b, Bytes total_memory,
@@ -62,25 +74,16 @@ SymbolicResult symbolic3d(Grid3D& grid, const CscMat& local_a,
   result.total_unmerged_nnz = world.allreduce_sum<Index>(my_unmerged);
   result.total_flops = world.allreduce_sum<Index>(my_flops);
 
-  if (total_memory == 0) {
-    result.batches = 1;
-    return result;
-  }
-
-  // Alg. 3 line 12: b = r * maxnnzC / (M/p - r * (maxnnzA + maxnnzB)).
   const double r = static_cast<double>(kBytesPerNonzero);
-  const double per_process_memory =
-      static_cast<double>(total_memory) / static_cast<double>(world.size());
-  const double input_bytes =
-      r * static_cast<double>(result.max_nnz_a + result.max_nnz_b);
-  const double denom = per_process_memory - input_bytes;
-  if (denom <= 0.0) {
+  result.batches = eq2_batches(
+      total_memory, world.size(),
+      r * static_cast<double>(result.max_nnz_a + result.max_nnz_b),
+      r * static_cast<double>(result.max_nnz_c));
+  if (result.batches == 0) {
     throw MemoryError(
         "symbolic3d: inputs alone exceed the per-process memory share; "
         "batching cannot help (Eq. 2 denominator <= 0)");
   }
-  const double b = r * static_cast<double>(result.max_nnz_c) / denom;
-  result.batches = std::max<Index>(1, static_cast<Index>(std::ceil(b)));
   return result;
 }
 

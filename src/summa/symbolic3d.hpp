@@ -38,6 +38,16 @@ struct SymbolicResult {
   std::vector<Index> col_nnz;
 };
 
+/// Eq. (2), Alg. 3 line 12: b = r*maxnnzC / (M/p - r*(maxnnzA + maxnnzB)),
+/// with M/p real-valued. `max_input_bytes` is r*(maxnnzA + maxnnzB) and
+/// `max_unmerged_bytes` is r*maxnnzC, both of the most loaded process.
+/// Returns 1 for an unlimited budget (total_memory == 0) and 0 when the
+/// denominator is non-positive: the inputs alone fill the per-process
+/// share and no batch count fits. Symbolic3D, admission and the cost
+/// model all size b here, so they agree.
+Index eq2_batches(Bytes total_memory, Index p, double max_input_bytes,
+                  double max_unmerged_bytes);
+
 /// Collective over the whole grid. total_memory is M, the aggregate memory
 /// in bytes across all p processes (0 = unlimited -> b = 1). Throws
 /// MemoryError when even the inputs do not fit (denominator of Eq. 2

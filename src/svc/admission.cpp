@@ -3,7 +3,6 @@
 #include <sstream>
 #include <tuple>
 
-#include "common/math.hpp"
 #include "grid/dist.hpp"
 #include "grid/grid3d.hpp"
 #include "summa/symbolic3d.hpp"
@@ -53,11 +52,14 @@ AdmissionEstimate estimate_admission(const JobSpec& spec, const CscMat& a,
   }
 
   adm.per_process_share = spec.memory_bytes / static_cast<Bytes>(spec.ranks);
-  if (adm.per_process_share <= adm.input_bytes) {
+  const Bytes unmerged_bytes = r * static_cast<Bytes>(sym.max_nnz_c);
+  adm.batches = eq2_batches(spec.memory_bytes, spec.ranks,
+                            static_cast<double>(adm.input_bytes),
+                            static_cast<double>(unmerged_bytes));
+  if (adm.batches == 0) {
     // Eq. (2) denominator M/p - r*(maxnnzA + maxnnzB) <= 0: the inputs
     // alone overflow the most loaded process; no batch count helps.
     adm.fits = false;
-    adm.batches = 0;
     std::ostringstream os;
     os << "admission: Eq. (2) denominator non-positive — per-process share "
        << adm.per_process_share << " B (M=" << spec.memory_bytes << " B / p="
@@ -70,9 +72,6 @@ AdmissionEstimate estimate_admission(const JobSpec& spec, const CscMat& a,
   }
 
   adm.fits = true;
-  adm.batches = std::max<Index>(
-      1, ceil_div(static_cast<Index>(r) * sym.max_nnz_c,
-                  static_cast<Index>(adm.per_process_share - adm.input_bytes)));
   return est;
 }
 

@@ -9,9 +9,11 @@
 //
 //   b = r * maxnnzC / (M/p - r * (maxnnzA + maxnnzB))
 //
-// The Eq. (2) arithmetic is then applied serially here so a rejection can
-// name its evidence (share, input bytes, the non-positive denominator)
-// instead of surfacing as a MemoryError thrown mid-run on some rank.
+// The run's own Eq. (2) arithmetic (eq2_batches, real-valued M/p) is then
+// applied serially here, so admission's b is the b the run picks and a
+// rejection can name its evidence (share, input bytes, the non-positive
+// denominator) instead of surfacing as a MemoryError thrown mid-run on
+// some rank.
 #pragma once
 
 #include <string>

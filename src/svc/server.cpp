@@ -230,6 +230,12 @@ struct Server::Exec {
   /// Fault kinds that already fired a shrink are disarmed on relaunch — a
   /// permanent crash is one event, not a property of every future attempt.
   std::vector<std::string> disarm;
+  /// Per-attempt pause plumbing (kSpGemm regrow path): begin_round arms
+  /// attempt_pause before dispatching an attempt that should park after
+  /// that many fresh batches (0 = run to completion); rank 0 of the
+  /// attempt acknowledges in attempt_paused. Reset every round.
+  Index attempt_pause = 0;
+  bool attempt_paused = false;
   obs::JobBilling bill;
   obs::RecoveryReport recovery;
   bool track_recovery = false;
@@ -376,10 +382,10 @@ Server::RoundStart Server::begin_round(Exec& e) {
   // fresh batch so admit_probationers can run and the next round can
   // regrow. Bounded: each pause is followed by exactly one handshake per
   // probationer, which admits or strikes (quarantine at max_failures).
-  rec.attempt_pause = 0;
-  rec.attempt_paused = false;
+  e.attempt_pause = 0;
+  e.attempt_paused = false;
   if (may_regrow(e) && !pool_.probation_ranks().empty())
-    rec.attempt_pause = 1;
+    e.attempt_pause = 1;
 
   e.chain.reset();
   if (spec.supervised()) {
@@ -394,14 +400,11 @@ Server::RoundStart Server::begin_round(Exec& e) {
 
 void Server::start_attempt(Exec& e) {
   JobRecord& rec = *e.rec;
-  const int layers = e.run_layers;
-  const ckpt::ResumeCache* attempt_resume = e.resume;
   // The job world is exactly members.size() ranks wide (members[i] backs
   // world rank i), so the body needs no split dance and fault plans key by
-  // job-world rank — identical whichever pool split hosts the attempt.
-  auto body = [this, &rec, layers, attempt_resume](vmpi::Comm& world) {
-    run_body(rec, world, layers, attempt_resume);
-  };
+  // job-world rank — identical whichever pool split hosts the attempt. The
+  // launcher leaves `e` alone until finish_job has collected the ticket.
+  auto body = [this, &e](vmpi::Comm& world) { run_body(e, world); };
   vmpi::RunOptions ropts;
   if (e.chain.has_value()) {
     ropts = e.chain->attempt_options();
@@ -459,7 +462,7 @@ void Server::complete_attempt(Exec& e) {
     // A clean run vouches for every rank that took part: watchdog
     // suspicion (no-culprit deadlock verdicts) does not outlive it.
     pool_.clear_suspects();
-    if (rec.attempt_paused) {
+    if (e.attempt_paused) {
       // Parked at a batch boundary for a membership change: handshake the
       // probationers now, then take the regrow decision at the top of the
       // next round. The forced checkpoint carries the emitted prefix.
@@ -633,8 +636,8 @@ void Server::run_queue(int width, const JobRecord* until) {
   }
 }
 
-void Server::run_body(JobRecord& rec, vmpi::Comm& world, int layers,
-                      const ckpt::ResumeCache* resume) {
+void Server::run_body(Exec& e, vmpi::Comm& world) {
+  JobRecord& rec = *e.rec;
   const JobSpec& spec = rec.spec;
   // Enforce each rank's share of the declared aggregate budget, exactly
   // like the standalone CLIs (Symbolic3D only estimates; adaptive
@@ -653,11 +656,11 @@ void Server::run_body(JobRecord& rec, vmpi::Comm& world, int layers,
                             &world.recorder());
     opts.ckpt = &ck;
   }
-  Grid3D grid(world, layers);
+  Grid3D grid(world, e.run_layers);
   switch (spec.op) {
     case JobOp::kSpGemm: {
-      opts.resume = resume;
-      opts.pause_after_batches = rec.attempt_pause;
+      opts.resume = e.resume;
+      opts.pause_after_batches = e.attempt_pause;
       const DistMat3D da = distribute_a_style(grid, rec.in_a);
       const DistMat3D db = distribute_b_style(grid, rec.in_b);
       BatchedResult r = batched_summa3d<PlusTimes>(
@@ -667,7 +670,7 @@ void Server::run_body(JobRecord& rec, vmpi::Comm& world, int layers,
         // Parked at a batch boundary (r.paused is SPMD-consistent, so
         // every rank skips the gather together); the forced checkpoint
         // carries the emitted prefix to the resumed attempt.
-        if (world.rank() == 0) rec.attempt_paused = true;
+        if (world.rank() == 0) e.attempt_paused = true;
         break;
       }
       CscMat full = gather_dist(grid, r.c);

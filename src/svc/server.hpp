@@ -115,13 +115,6 @@ struct JobRecord {
   /// executed; lets clients write Chrome traces without re-running.
   vmpi::RunResult run_result;
 
-  /// Transient per-attempt pause plumbing (kSpGemm regrow path): the
-  /// scheduler arms attempt_pause before dispatching an attempt that should
-  /// park after that many fresh batches (0 = run to completion); rank 0 of
-  /// the attempt acknowledges in attempt_paused. Reset every round.
-  Index attempt_pause = 0;
-  bool attempt_paused = false;
-
   bool terminal() const { return is_terminal(state); }
 };
 
@@ -221,11 +214,11 @@ class Server {
   /// Finish `rec` as kThrottled when its tenant's traffic quota is spent.
   bool throttle_if_exhausted(JobRecord& rec);
   int effective_concurrency() const;
-  /// One attempt's rank-local body. `layers` and `resume` override the
-  /// spec's grid shape and inject redistributed checkpoint state on
-  /// degraded relaunches (resume is null on the normal path).
-  void run_body(JobRecord& rec, vmpi::Comm& world, int layers,
-                const ckpt::ResumeCache* resume);
+  /// One attempt's rank-local body. The Exec's grid shape overrides the
+  /// spec's, its resume cache injects redistributed checkpoint state on
+  /// degraded relaunches (null on the normal path), and its pause fields
+  /// park the attempt at a batch boundary.
+  void run_body(Exec& e, vmpi::Comm& world);
   void finish(JobRecord& rec, JobState state, std::string reason);
   void release_reservation(JobRecord& rec);
 

@@ -62,11 +62,4 @@ class JobExec {
   std::thread watchdog_;
 };
 
-/// The supervised-restart loop shared by the free run_supervised and
-/// RankPool::run_supervised: a SupervisionChain driven to its end, with
-/// `attempt` running one capture_failure attempt under the chain's options.
-SupervisedResult supervise(
-    const std::function<RunResult(const RunOptions&)>& attempt,
-    const SupervisorOptions& options);
-
 }  // namespace casp::vmpi::detail

@@ -346,20 +346,4 @@ std::vector<int> RankPool::idle_ranks() const {
   return idle;
 }
 
-RunResult RankPool::run_job(const std::function<void(Comm&)>& body,
-                            const RunOptions& options) {
-  std::vector<int> all(static_cast<std::size_t>(size_));
-  for (int r = 0; r < size_; ++r) all[static_cast<std::size_t>(r)] = r;
-  return finish_job(start_job_on(all, body, options));
-}
-
-SupervisedResult RankPool::run_supervised(
-    const std::function<void(Comm&)>& body, const SupervisorOptions& options) {
-  return detail::supervise(
-      [this, &body](const RunOptions& attempt_opts) {
-        return run_job(body, attempt_opts);
-      },
-      options);
-}
-
 }  // namespace casp::vmpi

@@ -93,7 +93,8 @@ using JobTicketPtr = std::shared_ptr<JobTicket>;
 /// DISJOINT member sets run concurrently (the svc scheduler's split
 /// dispatch). A rank hosts at most one job at a time; start_job_on on a
 /// busy rank throws. All launcher-side calls (start_job_on, finish_job,
-/// run_job, admit_probationers) must come from one launcher thread.
+/// admit_probationers) must come from one launcher thread. Supervised
+/// restarts step a SupervisionChain over start_job_on/finish_job.
 class RankPool {
  public:
   explicit RankPool(int size);
@@ -106,17 +107,6 @@ class RankPool {
   /// Jobs dispatched so far (supervised restarts count per attempt).
   std::uint64_t jobs_run() const { return jobs_run_; }
 
-  /// Run one virtual job on ALL resident ranks. Semantics match
-  /// vmpi::run(size(), body, options) exactly, including capture_failure
-  /// and rethrow behaviour.
-  RunResult run_job(const std::function<void(Comm&)>& body,
-                    const RunOptions& options = {});
-
-  /// Supervised restart loop on the resident ranks; semantics match
-  /// vmpi::run_supervised(size(), body, options).
-  SupervisedResult run_supervised(const std::function<void(Comm&)>& body,
-                                  const SupervisorOptions& options = {});
-
   /// Launch a job asynchronously on the given pool ranks (ascending,
   /// currently idle). The job world has exactly members.size() ranks;
   /// members[i] backs world rank i. Returns after dispatch — the job runs
@@ -128,7 +118,8 @@ class RankPool {
 
   /// Block until the ticket's job finished on every member rank, then
   /// finalize it (classification / rethrow / leak sweeps) exactly like
-  /// run_job. Must be called exactly once per ticket.
+  /// vmpi::run, including capture_failure and rethrow behaviour. Must be
+  /// called exactly once per ticket.
   RunResult finish_job(const JobTicketPtr& ticket);
 
   /// Pool ranks whose slot is currently idle (no in-flight job), ascending.

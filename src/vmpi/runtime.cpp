@@ -523,15 +523,6 @@ RunResult JobExec::finalize(bool capture_failure) {
   return std::move(result_);
 }
 
-SupervisedResult supervise(
-    const std::function<RunResult(const RunOptions&)>& attempt,
-    const SupervisorOptions& options) {
-  SupervisionChain chain(options);
-  while (chain.absorb(attempt(chain.attempt_options()))) {
-  }
-  return std::move(chain.result());
-}
-
 }  // namespace detail
 
 RunResult run(int size, const std::function<void(Comm&)>& body,
@@ -617,11 +608,10 @@ bool SupervisionChain::absorb(RunResult attempt) {
 SupervisedResult run_supervised(int size,
                                 const std::function<void(Comm&)>& body,
                                 const SupervisorOptions& options) {
-  return detail::supervise(
-      [size, &body](const RunOptions& attempt_opts) {
-        return run(size, body, attempt_opts);
-      },
-      options);
+  SupervisionChain chain(options);
+  while (chain.absorb(run(size, body, chain.attempt_options()))) {
+  }
+  return std::move(chain.result());
 }
 
 SupervisedResult run_supervised(int size,

@@ -171,8 +171,8 @@ struct SupervisedResult {
 };
 
 /// One supervised restart chain, stepped an attempt at a time: the restart
-/// policy behind run_supervised, RankPool::run_supervised and the job
-/// service's per-job supervision. The caller launches each attempt with
+/// policy behind run_supervised and the job service's per-job
+/// supervision on its RankPool. The caller launches each attempt with
 /// attempt_options() and hands its RunResult to absorb().
 class SupervisionChain {
  public:

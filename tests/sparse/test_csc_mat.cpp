@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "sparse/csr_mat.hpp"
+#include "sparse/csc_mat.hpp"
 #include "test_util.hpp"
 
 namespace casp {

@@ -12,8 +12,11 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/math.hpp"
 #include "grid/dist.hpp"
+#include "summa/batched.hpp"
 #include "summa/symbolic3d.hpp"
+#include "svc/admission.hpp"
 #include "svc/server.hpp"
 #include "vmpi/runtime.hpp"
 
@@ -109,6 +112,58 @@ TEST(Server, AdmissionSizesTheBalancedLayoutALayeredJobRunsOn) {
   ASSERT_EQ(job.state, JobState::kDone) << job.reason;
   EXPECT_EQ(job.admission.batches, 2);
   EXPECT_EQ(job.admission.batches, job.batches);
+}
+
+TEST(Server, Eq2DividesTheBudgetByPAsARealNumber) {
+  // maxnnzA = maxnnzB = 100, p = 4, r = 24: the inputs take 4800 B.
+  const double inputs = 24.0 * 200;
+  // M = 19 299: M/p = 4824.75 B leaves 24.75 B, so b = 792 / 24.75 = 32.
+  // An integer share (4824 B) would leave 24 B and size b = 33.
+  EXPECT_EQ(eq2_batches(19299, 4, inputs, 24.0 * 33), 32);
+  // M = 19 203: M/p = 4800.75 B leaves 0.75 B, so b = 120 / 0.75 = 160.
+  // An integer share (4800 B) would leave nothing and reject the job.
+  EXPECT_EQ(eq2_batches(19203, 4, inputs, 24.0 * 5), 160);
+  EXPECT_EQ(eq2_batches(19200, 4, inputs, 24.0 * 5), 0);
+  EXPECT_EQ(eq2_batches(0, 4, inputs, 24.0 * 5), 1);  // unlimited
+}
+
+TEST(Server, AdmissionSizesTheRunsBatchesWhenMIsNotAMultipleOfP) {
+  JobSpec spec = small_spgemm("alice");
+  const CscMat in = spec.a.materialize();
+  const obs::JobAdmission maxima = estimate_admission(spec, in, in).admission;
+  const Index r = static_cast<Index>(kBytesPerNonzero);
+  const Index p = spec.ranks;
+  const Index inputs = r * (maxima.max_nnz_a + maxima.max_nnz_b);
+  const Index unmerged = r * maxima.max_nnz_c;
+  // The first budget with M % p != 0 where an integer share floor(M/p)
+  // would size a different b than the real-valued M/p does.
+  Bytes budget = 0;
+  for (Index m = p * inputs + 1; m < p * (inputs + unmerged) && budget == 0;
+       ++m) {
+    const Index share = m / p;
+    const Index integer_b =
+        share <= inputs ? 0 : ceil_div(unmerged, share - inputs);
+    const Index b = eq2_batches(static_cast<Bytes>(m), p,
+                                static_cast<double>(inputs),
+                                static_cast<double>(unmerged));
+    if (m % p != 0 && b >= 2 && b <= 8 && b != integer_b)
+      budget = static_cast<Bytes>(m);
+  }
+  ASSERT_NE(budget, 0u);
+
+  spec.memory_bytes = budget;
+  const AdmissionEstimate est = estimate_admission(spec, in, in);
+  ASSERT_TRUE(est.fits()) << est.reason;
+  Index run_batches = 0;
+  vmpi::run(spec.ranks, [&](vmpi::Comm& world) {
+    Grid3D grid(world, spec.layers);
+    const DistMat3D da = distribute_a_style(grid, in);
+    const DistMat3D db = distribute_b_style(grid, in);
+    const BatchedResult res = batched_summa3d<PlusTimes>(
+        grid, da, db, budget, spec.summa_options());
+    if (world.rank() == 0) run_batches = res.batches;
+  });
+  EXPECT_EQ(est.admission.batches, run_batches);
 }
 
 TEST(Server, MemoryQuotaRejectsOversizedReservationOutright) {

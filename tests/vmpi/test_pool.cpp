@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -11,6 +12,15 @@
 namespace casp::vmpi {
 namespace {
 
+/// One job on every pool rank, launched and collected the way svc::Server
+/// does it.
+RunResult run_on_all(RankPool& pool, std::function<void(Comm&)> body,
+                     const RunOptions& options = {}) {
+  std::vector<int> all(static_cast<std::size_t>(pool.size()));
+  for (int r = 0; r < pool.size(); ++r) all[static_cast<std::size_t>(r)] = r;
+  return pool.finish_job(pool.start_job_on(all, std::move(body), options));
+}
+
 TEST(Pool, RunsEveryRankOnResidentThreads) {
   RankPool pool(4);
   EXPECT_EQ(pool.size(), 4);
@@ -20,7 +30,7 @@ TEST(Pool, RunsEveryRankOnResidentThreads) {
   for (int job = 0; job < 3; ++job) {
     std::vector<std::thread::id> ids(4);
     std::atomic<int> count{0};
-    auto result = pool.run_job([&](Comm& comm) {
+    auto result = run_on_all(pool, [&](Comm& comm) {
       count.fetch_add(1);
       std::lock_guard<std::mutex> lock(mu);
       ids[static_cast<std::size_t>(comm.rank())] = std::this_thread::get_id();
@@ -50,7 +60,7 @@ TEST(Pool, ResultsMatchStandaloneRun) {
                                static_cast<std::int64_t>(sum * 10));
   };
   RankPool pool(6);
-  const RunResult pooled = pool.run_job(body);
+  const RunResult pooled = run_on_all(pool, body);
   const RunResult standalone = run(6, body);
 
   ASSERT_EQ(pooled.recorders.size(), standalone.recorders.size());
@@ -75,7 +85,8 @@ TEST(Pool, FailedJobDoesNotPoisonPool) {
   RunOptions opts;
   opts.faults = plan;
   opts.capture_failure = true;
-  const RunResult crashed = pool.run_job(
+  const RunResult crashed = run_on_all(
+      pool,
       [](Comm& comm) {
         comm.barrier();
         comm.barrier();
@@ -87,7 +98,7 @@ TEST(Pool, FailedJobDoesNotPoisonPool) {
   EXPECT_EQ(crashed.failure->rank, 1);
 
   // The next tenant's job starts from a clean world on the same threads.
-  const RunResult clean = pool.run_job([](Comm& comm) {
+  const RunResult clean = run_on_all(pool, [](Comm& comm) {
     const int total = comm.allreduce_sum<int>(comm.rank() + 1);
     EXPECT_EQ(total, 6);
   });
@@ -98,7 +109,7 @@ TEST(Pool, FailedJobDoesNotPoisonPool) {
 TEST(Pool, RethrowsWithoutCaptureAndStaysUsable) {
   RankPool pool(2);
   try {
-    pool.run_job([](Comm& comm) {
+    run_on_all(pool, [](Comm& comm) {
       if (comm.rank() == 1) throw std::runtime_error("tenant bug");
       comm.barrier();
     });
@@ -106,7 +117,7 @@ TEST(Pool, RethrowsWithoutCaptureAndStaysUsable) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "tenant bug");
   }
-  const RunResult ok = pool.run_job([](Comm& comm) { comm.barrier(); });
+  const RunResult ok = run_on_all(pool, [](Comm& comm) { comm.barrier(); });
   EXPECT_FALSE(ok.failed());
 }
 
@@ -121,14 +132,16 @@ TEST(Pool, SupervisedRecoversInjectedCrash) {
   opts.faults = plan;
   opts.max_restarts = 2;
   std::atomic<int> attempts{0};
-  const SupervisedResult sup = pool.run_supervised(
-      [&](Comm& comm) {
-        if (comm.rank() == 0) attempts.fetch_add(1);
-        for (int i = 0; i < 6; ++i) comm.barrier();
-        const int total = comm.allreduce_sum<int>(1);
-        EXPECT_EQ(total, 4);
-      },
-      opts);
+  const auto body = [&](Comm& comm) {
+    if (comm.rank() == 0) attempts.fetch_add(1);
+    for (int i = 0; i < 6; ++i) comm.barrier();
+    const int total = comm.allreduce_sum<int>(1);
+    EXPECT_EQ(total, 4);
+  };
+  SupervisionChain chain(opts);
+  while (chain.absorb(run_on_all(pool, body, chain.attempt_options()))) {
+  }
+  const SupervisedResult& sup = chain.result();
   EXPECT_TRUE(sup.recovered());
   EXPECT_EQ(sup.restarts, 1);
   ASSERT_EQ(sup.recovered_failures.size(), 1u);
@@ -174,8 +187,8 @@ TEST(Pool, ProbationHandshakeAdmitsHealthyReplacement) {
   EXPECT_EQ(pool.alive_count(), 4);
   EXPECT_EQ(pool.probation_failures(1), 0);
   // The readmitted rank does real work again on the full gang.
-  const RunResult ok = pool.run_job(
-      [](Comm& comm) { EXPECT_EQ(comm.allreduce_sum<int>(1), 4); });
+  const RunResult ok = run_on_all(
+      pool, [](Comm& comm) { EXPECT_EQ(comm.allreduce_sum<int>(1), 4); });
   EXPECT_FALSE(ok.failed());
 }
 

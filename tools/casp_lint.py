@@ -127,6 +127,15 @@ test (see tests/CMakeLists.txt). Rules:
                   rows; a consumer that recomputes its columns from the
                   part_low layout reads the wrong ones. Take them from
                   the pieces' BatchInfo or from BatchedResult::c.cols.
+  library-has-caller
+                  Every src/**/*.hpp is #included by some C++ file under
+                  src/, tools/, bench/, examples/ or e2ebench/ other than
+                  its own .cpp. Tests do not count: a header only tests
+                  include is library code no program runs, which costs
+                  review, build and sanitizer time without serving the
+                  system. Wire it into a program or delete it. This rule
+                  looks at the whole tree at once; waive it with
+                  allow-file in the header.
 
 Waivers (use sparingly, justify in a comment on the same line):
   // casp-lint: allow(<rule>)        — waives <rule> on this or next line
@@ -185,6 +194,12 @@ C_LAYOUT_DIRS = ("src/apps/", "src/svc/")
 A_STYLE_COL_RE = re.compile(r"\ba_style_col_range\s*\(")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+([<"][^>"]+[>"])')
+
+# Where a library header's caller may live (tests/ deliberately absent),
+# and a project include, read on comment-stripped text so a commented-out
+# include is no caller.
+CALLER_DIRS = ("src", "tools", "bench", "examples", "e2ebench")
+PROJECT_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
 # catch (const MemoryError& e) { <whitespace only> } — after strip_code()
 # a comment-only body is whitespace too, which is intended: a comment is
@@ -739,6 +754,39 @@ class Linter:
                     self.error(rel, idx_b + 1, "include-order",
                                f"{b} breaks sort order (after {a})")
 
+    def check_library_has_caller(self):
+        includers = {}  # include path -> repo-relative files naming it
+        for d in CALLER_DIRS:
+            base = self.root / d
+            if not base.is_dir():
+                continue
+            for path in (p for ext in CXX_EXTS for p in base.rglob(f"*{ext}")):
+                text = path.read_text(encoding="utf-8", errors="replace")
+                rel = path.relative_to(self.root).as_posix()
+                for line in strip_code(text, keep_strings=True).splitlines():
+                    m = PROJECT_INCLUDE_RE.match(line)
+                    if m:
+                        includers.setdefault(m.group(1), set()).add(rel)
+        src = self.root / "src"
+        if not src.is_dir():
+            return
+        for header in sorted(src.rglob("*.hpp")):
+            rel = header.relative_to(self.root).as_posix()
+            own_cpp = rel[:-len(".hpp")] + ".cpp"
+            key = header.relative_to(src).as_posix()
+            if includers.get(key, set()) - {own_cpp}:
+                continue
+            head = header.read_text(encoding="utf-8",
+                                    errors="replace").splitlines()
+            if any(m.group(1) == "library-has-caller"
+                   for line in head[:CAST_SCOPE_LINES]
+                   for m in ALLOW_FILE_RE.finditer(line)):
+                continue
+            self.error(rel, 1, "library-has-caller",
+                       f'nothing under {", ".join(d + "/" for d in CALLER_DIRS)}'
+                       f' includes "{key}" (its own .cpp and tests do not '
+                       "count) — wire it into a program or delete it")
+
     # -- entry --------------------------------------------------------------
 
     def run(self) -> int:
@@ -750,6 +798,7 @@ class Linter:
             files.extend(p for ext in CXX_EXTS for p in base.rglob(f"*{ext}"))
         for path in sorted(files):
             self.lint_file(path)
+        self.check_library_has_caller()
         if self.errors:
             for e in self.errors:
                 print(e)

@@ -1,0 +1,55 @@
+"""Self-tests for tools/casp_lint.py's whole-tree library-has-caller rule:
+a temporary tree with one orphan header and one included header."""
+
+import sys
+import tempfile
+import unittest
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+import casp_lint  # noqa: E402
+
+FILES = {
+    # Included by a tool: has a caller.
+    "src/lib/used.hpp": "#pragma once\n",
+    "src/lib/used.cpp": '#include "lib/used.hpp"\n',
+    # Included only by its own .cpp, a test and a comment: an orphan.
+    "src/lib/orphan.hpp": "#pragma once\n",
+    "src/lib/orphan.cpp": '#include "lib/orphan.hpp"\n',
+    "tests/lib/test_orphan.cpp": '#include "lib/orphan.hpp"\n',
+    "tools/app.cpp": ('#include "lib/used.hpp"\n'
+                      '// #include "lib/orphan.hpp"\n'),
+    # An orphan the header itself waives.
+    "src/lib/waived.hpp": ("// casp-lint: allow-file(library-has-caller)\n"
+                           "#pragma once\n"),
+}
+
+
+def lint_tree(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for rel, text in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+        linter = casp_lint.Linter(root)
+        linter.check_library_has_caller()
+        return linter.errors
+
+
+class LibraryHasCallerTest(unittest.TestCase):
+    def test_orphan_header_fires_and_included_header_does_not(self):
+        errors = lint_tree(FILES)
+        self.assertEqual(len(errors), 1, errors)
+        self.assertTrue(errors[0].startswith("src/lib/orphan.hpp:1: "
+                                             "[library-has-caller]"),
+                        errors[0])
+
+    def test_a_caller_under_e2ebench_counts(self):
+        files = dict(FILES)
+        files["e2ebench/main.cpp"] = '#include "lib/orphan.hpp"\n'
+        self.assertEqual(lint_tree(files), [])
+
+
+if __name__ == "__main__":
+    unittest.main()
