@@ -92,7 +92,7 @@ int main() {
 
   Dataset friendster = friendster_s();
   const Machine machine = cori_knl();
-  const Index p = 65536 / machine.threads_per_process;
+  const Index procs = 65536 / machine.threads_per_process;
 
   Table table({"b", "l", "A-Bcast (modeled)", "expected sqrt(l) ref",
                "ratio vs l=1"});
@@ -100,7 +100,8 @@ int main() {
     double base = 0.0;
     for (Index l : {Index{1}, Index{4}, Index{16}}) {
       const ProblemStats stats = dataset_stats_paper_scale(friendster, l);
-      const StepSeconds t = predict_steps(machine, stats, {p, l, b, true});
+      const StepSeconds t =
+          predict_steps(machine, stats, {procs, l, b, true});
       const double abcast = t.at(steps::kABcast);
       if (l == 1) base = abcast;
       const double expected = base / std::sqrt(static_cast<double>(l));
@@ -159,8 +160,10 @@ int main() {
                    fmt_time(handle.seconds_per_bcast), fmt(speedup),
                    fmt(legacy.copies_per_bcast), fmt(handle.copies_per_bcast),
                    same_traffic ? "identical" : "DIVERGED"});
-      const std::string shape =
-          "p" + std::to_string(p) + "/" + std::to_string(mb) + "MiB";
+      // Appended, not "p" + std::string: GCC 12 reports a false -Wrestrict
+      // for operator+(const char*, std::string&&).
+      std::string shape = "p";
+      shape += std::to_string(p) + "/" + std::to_string(mb) + "MiB";
       json.add("bcast-legacy/" + shape, static_cast<double>(bytes),
                legacy.seconds_per_bcast * 1e9, legacy.copies_per_bcast);
       json.add("bcast-payload/" + shape, static_cast<double>(bytes),

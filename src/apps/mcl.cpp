@@ -323,19 +323,14 @@ MclResult mcl_cluster_distributed(Grid3D& grid, const CscMat& similarity,
           vmpi::Comm& col_comm = grid.col_comm();
           const auto buffers =
               col_comm.allgather_payload(pack_csc_payload(piece));
-          TripleMat full_triples(nrows, piece.ncols());
+          std::vector<CscView> parts;
+          std::vector<std::pair<Index, Index>> origins;
           for (int src = 0; src < col_comm.size(); ++src) {
-            const CscView part =
-                unpack_csc_view(buffers[static_cast<std::size_t>(src)]);
-            const Index row_base = part_low(src, q, nrows);
-            for (Index j = 0; j < part.ncols(); ++j) {
-              const auto rows = part.col_rowids(j);
-              const auto vals = part.col_vals(j);
-              for (std::size_t k = 0; k < rows.size(); ++k)
-                full_triples.push_back(rows[k] + row_base, j, vals[k]);
-            }
+            parts.push_back(
+                unpack_csc_view(buffers[static_cast<std::size_t>(src)]));
+            origins.emplace_back(part_low(src, q, nrows), 0);
           }
-          CscMat full = CscMat::from_triples(std::move(full_triples));
+          CscMat full = assemble_blocks(nrows, piece.ncols(), parts, origins);
           inflate_and_prune(full, params);
           // Keep my row slice of the pruned batch.
           CscMat my_slice = extract_block(

@@ -89,21 +89,119 @@ DistMat3D distribute_b_style(const Grid3D& grid, const CscMat& global) {
   return d;
 }
 
-CscMat gather_dist(Grid3D& grid, const DistMat3D& dist) {
-  // Ship local entries as (global row, global col, value) triples.
-  std::vector<Triple> mine;
-  mine.reserve(static_cast<std::size_t>(dist.local.nnz()));
-  for (Index j = 0; j < dist.local.ncols(); ++j) {
-    const auto rows = dist.local.col_rowids(j);
-    const auto values = dist.local.col_vals(j);
-    for (std::size_t k = 0; k < rows.size(); ++k)
-      mine.push_back(
-          {rows[k] + dist.rows.start, j + dist.cols.start, values[k]});
+CscMat assemble_blocks(Index nrows, Index ncols,
+                       std::span<const CscView> blocks,
+                       std::span<const std::pair<Index, Index>> origins) {
+  CASP_CHECK(blocks.size() == origins.size());
+  const auto disjoint = [](Index lo0, Index n0, Index lo1, Index n1) {
+    return n0 == 0 || n1 == 0 || lo0 + n0 <= lo1 || lo1 + n1 <= lo0;
+  };
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const auto [r0, c0] = origins[b];
+    const CscView& m = blocks[b];
+    CASP_CHECK_MSG(r0 >= 0 && r0 + m.nrows() <= nrows && c0 >= 0 &&
+                       c0 + m.ncols() <= ncols,
+                   "assemble_blocks: block " << b << " (" << m.nrows() << "x"
+                       << m.ncols() << " at " << r0 << "," << c0
+                       << ") lies outside the " << nrows << "x" << ncols
+                       << " matrix");
+    for (std::size_t o = 0; o < b; ++o) {
+      const auto [r1, c1] = origins[o];
+      CASP_CHECK_MSG(disjoint(r0, m.nrows(), r1, blocks[o].nrows()) ||
+                         disjoint(c0, m.ncols(), c1, blocks[o].ncols()),
+                     "assemble_blocks: blocks " << o << " and " << b
+                                                << " overlap");
+    }
   }
-  TripleMat global(dist.global_rows, dist.global_cols);
-  global.entries() = grid.world().allgather_vec<Triple>(mine);
-  global.check_bounds();
-  return CscMat::from_triples(std::move(global));
+
+  // Column counts, then each block's columns into place, blocks in
+  // ascending row origin so a column's pieces land in row order.
+  std::vector<Index> colptr(static_cast<std::size_t>(ncols) + 1, 0);
+  for (std::size_t b = 0; b < blocks.size(); ++b)
+    for (Index j = 0; j < blocks[b].ncols(); ++j)
+      colptr[static_cast<std::size_t>(origins[b].second + j) + 1] +=
+          blocks[b].col_nnz(j);
+  std::partial_sum(colptr.begin(), colptr.end(), colptr.begin());
+  const auto nnz = static_cast<std::size_t>(colptr.back());
+  std::vector<Index> rowids = BlockPool::global().take<Index>(nnz);
+  std::vector<Value> vals = BlockPool::global().take<Value>(nnz);
+  std::vector<std::size_t> order(blocks.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t x, std::size_t y) {
+                     return origins[x].first < origins[y].first;
+                   });
+  std::vector<Index> next(colptr.begin(), colptr.end() - 1);
+  for (const std::size_t b : order) {
+    const auto [r0, c0] = origins[b];
+    for (Index j = 0; j < blocks[b].ncols(); ++j) {
+      const auto rows = blocks[b].col_rowids(j);
+      const auto values = blocks[b].col_vals(j);
+      auto& at = next[static_cast<std::size_t>(c0 + j)];
+      const auto dst = static_cast<std::size_t>(at);
+      for (std::size_t k = 0; k < rows.size(); ++k)
+        rowids[dst + k] = rows[k] + r0;
+      std::copy(values.begin(), values.end(), vals.begin() + dst);
+      at += static_cast<Index>(rows.size());
+    }
+  }
+
+  // Repair columns that are not strictly ascending, compacting in place:
+  // a column's destination never starts after its source.
+  std::size_t out = 0;
+  std::vector<std::pair<Index, Value>> column;
+  for (std::size_t j = 0; j < static_cast<std::size_t>(ncols); ++j) {
+    const auto lo = static_cast<std::size_t>(colptr[j]);
+    const auto hi = static_cast<std::size_t>(colptr[j + 1]);
+    colptr[j] = static_cast<Index>(out);
+    std::size_t k = lo + 1;
+    while (k < hi && rowids[k - 1] < rowids[k]) ++k;
+    if (k >= hi) {
+      if (out != lo) {
+        std::copy(rowids.begin() + lo, rowids.begin() + hi,
+                  rowids.begin() + out);
+        std::copy(vals.begin() + lo, vals.begin() + hi, vals.begin() + out);
+      }
+      out += hi - lo;
+    } else {
+      column.clear();
+      for (k = lo; k < hi; ++k) column.emplace_back(rowids[k], vals[k]);
+      std::stable_sort(column.begin(), column.end(),
+                       [](const auto& x, const auto& y) {
+                         return x.first < y.first;
+                       });
+      for (std::size_t e = 0; e < column.size(); ++e) {
+        if (e > 0 && column[e].first == column[e - 1].first) {
+          vals[out - 1] += column[e].second;
+          continue;
+        }
+        rowids[out] = column[e].first;
+        vals[out++] = column[e].second;
+      }
+    }
+  }
+  colptr.back() = static_cast<Index>(out);
+  rowids.resize(out);
+  vals.resize(out);
+  // The constructor's check_valid rejects rows outside the matrix.
+  return CscMat(nrows, ncols, std::move(colptr), std::move(rowids),
+                std::move(vals));
+}
+
+CscMat gather_dist(Grid3D& grid, const DistMat3D& dist) {
+  vmpi::Comm& world = grid.world();
+  obs::PhaseSpan span(world.recorder(), steps::kGather);
+  const std::vector<Index> at =
+      world.allgather_vec<Index>({dist.rows.start, dist.cols.start});
+  const std::vector<Payload> images =
+      world.allgather_payload(pack_csc_payload(dist.local));
+  std::vector<CscView> blocks;
+  std::vector<std::pair<Index, Index>> origins;
+  for (std::size_t r = 0; r < images.size(); ++r) {
+    blocks.push_back(unpack_csc_view(images[r]));
+    origins.emplace_back(at[2 * r], at[2 * r + 1]);
+  }
+  return assemble_blocks(dist.global_rows, dist.global_cols, blocks, origins);
 }
 
 std::vector<Index> equal_flops_cut(std::span<const Index> flops, Index parts) {

@@ -24,6 +24,7 @@
 
 #include "grid/grid3d.hpp"
 #include "sparse/csc_mat.hpp"
+#include "sparse/csc_view.hpp"
 
 namespace casp {
 
@@ -63,9 +64,26 @@ CscMat extract_block(const CscMat& m, Index r0, Index r1, Index c0, Index c1);
 DistMat3D distribute_a_style(const Grid3D& grid, const CscMat& global);
 DistMat3D distribute_b_style(const Grid3D& grid, const CscMat& global);
 
-/// Collective: reassemble a distributed matrix onto every rank (for tests
-/// and result verification). Works for both styles since DistMat3D carries
-/// its global ranges.
+/// The nrows x ncols matrix holding the entries of `blocks`, block b placed
+/// with its (0, 0) at global (row, col) = origins[b]. Columns come out
+/// sorted with duplicate rows summed by +, as CscMat::from_triples gives
+/// them, and explicit zeros stay. Blocks are copied column by column in
+/// ascending row origin, so sorted blocks with disjoint rectangles need no
+/// sort; a column that does not come out strictly ascending (unsorted
+/// blocks, duplicate rows) is sorted and summed. A block outside the matrix,
+/// two overlapping rectangles, or an entry outside the matrix fail a
+/// CASP_CHECK.
+CscMat assemble_blocks(Index nrows, Index ncols,
+                       std::span<const CscView> blocks,
+                       std::span<const std::pair<Index, Index>> origins);
+
+/// Collective over the grid: every rank gets the whole distributed matrix,
+/// with the contract of assemble_blocks. Each rank allgathers its block's
+/// CSC wire image and its (rows.start, cols.start) origin, so any layout
+/// whose rectangles tile the matrix works: A-style, B-style, and C as
+/// batched_summa3d leaves it (fiber-split columns at l > 1). The service
+/// gathers every SpGEMM job's C with it and MCL its iterate; the traffic
+/// goes to steps::kGather.
 CscMat gather_dist(Grid3D& grid, const DistMat3D& dist);
 
 /// The parts + 1 boundaries of an equal-flops cut of flops.size() indices:

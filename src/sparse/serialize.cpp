@@ -30,12 +30,15 @@ struct ImageLayout {
   std::size_t rowids, vals, size;
 };
 
+// resize + memcpy rather than vector::insert: GCC 12 reports a false
+// -Wstringop-overflow for the inlined insert.
 template <typename T>
 void append(std::vector<std::byte>& buf, const T* data, std::size_t count) {
   static_assert(std::is_trivially_copyable_v<T>);
   if (count == 0) return;
-  const auto* p = reinterpret_cast<const std::byte*>(data);
-  buf.insert(buf.end(), p, p + count * sizeof(T));
+  const std::size_t at = buf.size();
+  buf.resize(at + count * sizeof(T));
+  std::memcpy(buf.data() + at, data, count * sizeof(T));
 }
 
 template <typename T>

@@ -53,6 +53,10 @@ inline constexpr const char* kInnerBalance = "Inner-Balance";
 /// per-column counts over the ranks sharing a B column part, which cuts
 /// the fiber split (DESIGN.md §5o); once per job when l > 1.
 inline constexpr const char* kFiberBalance = "Fiber-Balance";
+
+/// Also outside the seven steps: gather_dist's allgather of every rank's
+/// block (grid/dist.hpp), once per gathered matrix.
+inline constexpr const char* kGather = "Gather";
 }  // namespace steps
 
 /// Knobs for the SUMMA family. Defaults are this paper's configuration

@@ -189,6 +189,7 @@ CscMat MatrixSource::materialize() const {
     case Kind::kNone:
       throw InvalidArgument("jobspec: cannot materialize an empty source");
     case Kind::kFile:
+      // casp-lint: allow(no-triple-gather) — an input file, not blocks
       return CscMat::from_triples(read_matrix_market_file(path));
     case Kind::kEr:
       return generate_er(er);

@@ -198,6 +198,43 @@ TEST(MclDistributed, BatchedUnderTightMemoryStillClusters) {
   });
 }
 
+TEST(MclDistributed, ClustersUnchangedWhenPiecesCarryUnsortedDuplicates) {
+  // A heap Merge-Layer over unsorted hash-kernel output leaves duplicate
+  // rows in a batch piece; stacking the pieces over the process column
+  // sorts and sums them, so every iterate keeps the default pipeline's nnz
+  // and the clusters match it and the serial reference.
+  ProteinParams gp;
+  gp.n = 120;
+  gp.min_family = 6;
+  gp.max_family = 20;
+  gp.within_density = 0.75;
+  gp.cross_edges_per_node = 0.05;
+  gp.seed = 29;
+  const ProteinMatrix pm = generate_protein_similarity(gp);
+  MclParams params;
+  params.max_iterations = 30;
+  const MclResult serial = mcl_cluster_serial(pm.mat, params);
+  for (const auto& [p, l] : std::vector<std::pair<int, int>>{{4, 1}, {8, 2}}) {
+    vmpi::run(p, [&, l = l](vmpi::Comm& world) {
+      Grid3D grid(world, l);
+      SummaOptions opts;
+      opts.force_batches = 2;
+      const MclResult plain =
+          mcl_cluster_distributed(grid, pm.mat, params, 0, opts);
+      opts.merge_kind = MergeKind::kSortedHeap;
+      const MclResult dup =
+          mcl_cluster_distributed(grid, pm.mat, params, 0, opts);
+      EXPECT_EQ(plain.cluster_of, serial.cluster_of) << "p=" << p;
+      EXPECT_EQ(dup.cluster_of, plain.cluster_of) << "p=" << p;
+      ASSERT_EQ(dup.iterations, plain.iterations) << "p=" << p;
+      for (std::size_t it = 0; it < plain.per_iteration.size(); ++it)
+        EXPECT_EQ(dup.per_iteration[it].nnz_after,
+                  plain.per_iteration[it].nnz_after)
+            << "p=" << p << " iteration " << it;
+    });
+  }
+}
+
 TEST(MclInterpret, SingletonsForEmptyColumns) {
   const CscMat empty(4, 4);
   const MclResult r = mcl_interpret(empty);

@@ -3,14 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 
 #include "common/math.hpp"
 #include "gen/rmat.hpp"
 #include "grid/dist.hpp"
+#include "kernels/reference.hpp"
+#include "summa/batched.hpp"
 #include "test_util.hpp"
 #include "vmpi/runtime.hpp"
 
@@ -23,6 +27,21 @@ struct DistCase {
   Index rows;
   Index cols;
 };
+
+/// The assembly gather_dist replaced: every entry shipped as a (global row,
+/// global col, value) triple to every rank, then sorted by from_triples.
+CscMat gather_by_triples(Grid3D& grid, const DistMat3D& dist) {
+  TripleMat mine(dist.global_rows, dist.global_cols);
+  for (Index j = 0; j < dist.local.ncols(); ++j) {
+    const auto rows = dist.local.col_rowids(j);
+    const auto vals = dist.local.col_vals(j);
+    for (std::size_t k = 0; k < rows.size(); ++k)
+      mine.push_back(rows[k] + dist.rows.start, j + dist.cols.start, vals[k]);
+  }
+  TripleMat all(dist.global_rows, dist.global_cols);
+  all.entries() = grid.world().allgather_vec<Triple>(mine.entries());
+  return CscMat::from_triples(std::move(all));
+}
 
 class DistRoundTrip : public ::testing::TestWithParam<DistCase> {};
 
@@ -47,6 +66,20 @@ TEST_P(DistRoundTrip, BStyleGatherRestoresGlobal) {
     DistMat3D dist = distribute_b_style(grid, global);
     CscMat back = gather_dist(grid, dist);
     testing::expect_mat_near(back, global);
+  });
+}
+
+TEST_P(DistRoundTrip, GatherIsBitwiseTheTriplesAssembly) {
+  const auto [p, l, rows, cols] = GetParam();
+  const CscMat global = testing::random_matrix(rows, cols, 3.0, 45);
+  vmpi::run(p, [&, l = l](vmpi::Comm& world) {
+    Grid3D grid(world, l);
+    for (const DistMat3D& dist : {distribute_a_style(grid, global),
+                                  distribute_b_style(grid, global)}) {
+      const CscMat back = gather_dist(grid, dist);
+      testing::expect_same_arrays(back, gather_by_triples(grid, dist));
+      testing::expect_same_arrays(back, global);
+    }
   });
 }
 
@@ -300,6 +333,134 @@ TEST_P(RebalanceInner, MovesOnlyInnerSlicesAndEveryRankAgreesOnTheCut) {
   EXPECT_EQ(next, n);
   EXPECT_EQ(max_cut, *std::max_element(layer_flops.begin(), layer_flops.end()));
   EXPECT_LT(max_cut, max_in);
+}
+
+/// `m` with every column's entries in reverse order.
+CscMat reversed_columns(const CscMat& m) {
+  std::vector<Index> rowids;
+  std::vector<Value> vals;
+  for (Index j = 0; j < m.ncols(); ++j) {
+    const auto rows = m.col_rowids(j);
+    const auto values = m.col_vals(j);
+    rowids.insert(rowids.end(), rows.rbegin(), rows.rend());
+    vals.insert(vals.end(), values.rbegin(), values.rend());
+  }
+  return CscMat(m.nrows(), m.ncols(), {m.colptr().begin(), m.colptr().end()},
+                std::move(rowids), std::move(vals));
+}
+
+/// `m` with every column's entries listed twice.
+CscMat doubled_entries(const CscMat& m) {
+  std::vector<Index> colptr = {0}, rowids;
+  std::vector<Value> vals;
+  for (Index j = 0; j < m.ncols(); ++j) {
+    for (int copy = 0; copy < 2; ++copy) {
+      const auto rows = m.col_rowids(j);
+      const auto values = m.col_vals(j);
+      rowids.insert(rowids.end(), rows.begin(), rows.end());
+      vals.insert(vals.end(), values.begin(), values.end());
+    }
+    colptr.push_back(static_cast<Index>(rowids.size()));
+  }
+  return CscMat(m.nrows(), m.ncols(), std::move(colptr), std::move(rowids),
+                std::move(vals));
+}
+
+TEST(GatherDist, FiberSplitCIsBitwiseTheTriplesAssembly) {
+  // At l > 1 C's column blocks follow Symbolic3D's counts, not part_low,
+  // so only the gathered origins place them.
+  const CscMat a = skewed_graph(10, 5);
+  const CscMat expected = reference_multiply<PlusTimes>(a, a);
+  std::atomic<bool> moved{false};
+  const vmpi::RunResult run = vmpi::run(8, [&](vmpi::Comm& world) {
+    Grid3D grid(world, 2);
+    const BatchedResult r = batched_summa3d<PlusTimes>(
+        grid, distribute_a_style(grid, a), distribute_b_style(grid, a), 0);
+    if (r.c.cols.start != a_style_col_range(grid, a.ncols()).start)
+      moved = true;
+    const CscMat c = gather_dist(grid, r.c);
+    testing::expect_same_arrays(c, gather_by_triples(grid, r.c));
+    testing::expect_mat_near(c, expected, 1e-9);
+  });
+  EXPECT_TRUE(moved) << "the fiber split kept part_low's column blocks";
+  EXPECT_GT(run.traffic_summary().total_per_phase.count(steps::kGather), 0u);
+}
+
+TEST(GatherDist, UnsortedColumnsComeBackSorted) {
+  const CscMat global = testing::random_matrix(37, 29, 4.0, 46);
+  vmpi::run(8, [&](vmpi::Comm& world) {
+    Grid3D grid(world, 2);
+    DistMat3D dist = distribute_a_style(grid, global);
+    dist.local = reversed_columns(dist.local);
+    testing::expect_same_arrays(gather_dist(grid, dist), global);
+  });
+}
+
+TEST(GatherDist, DuplicateRowsAreSummed) {
+  const CscMat global = testing::random_matrix(37, 29, 4.0, 47);
+  CscMat twice = global;
+  for (Value& v : twice.vals_mutable()) v *= 2;  // exact: v + v == 2v
+  vmpi::run(8, [&](vmpi::Comm& world) {
+    Grid3D grid(world, 2);
+    DistMat3D dist = distribute_b_style(grid, global);
+    dist.local = doubled_entries(dist.local);
+    const CscMat back = gather_dist(grid, dist);
+    testing::expect_same_arrays(back, twice);
+    testing::expect_same_arrays(back, gather_by_triples(grid, dist));
+  });
+}
+
+TEST(GatherDist, TrafficIsItsOwnPhase) {
+  const CscMat global = testing::random_matrix(20, 20, 3.0, 48);
+  vmpi::run(4, [&](vmpi::Comm& world) {
+    Grid3D grid(world, 1);
+    const DistMat3D dist = distribute_a_style(grid, global);
+    const Bytes before = world.traffic().get("default").bytes;
+    gather_dist(grid, dist);
+    EXPECT_EQ(world.traffic().get("default").bytes, before);
+    EXPECT_GT(world.traffic().get(steps::kGather).bytes, 0);
+  });
+}
+
+/// One column-major block over caller-owned arrays.
+struct Block {
+  Index nrows, ncols;
+  std::vector<Index> colptr, rowids;
+  std::vector<Value> vals;
+  CscView view() const {
+    return CscView(nrows, ncols, colptr, rowids, vals, Payload{});
+  }
+};
+
+TEST(AssembleBlocks, SortsAndSumsAColumnThatComesOutOfOrder) {
+  // Block 0 holds rows 2..3 of column 1, block 1 rows 0..1 of columns 0..1
+  // with an unsorted, duplicated column; block 2 is empty.
+  const Block lower{2, 1, {0, 2}, {1, 0}, {4.0, 3.0}};
+  const Block upper{2, 2, {0, 1, 4}, {0, 1, 0, 1}, {1.0, 0.5, 2.0, 0.25}};
+  const Block empty{0, 2, {0, 0, 0}, {}, {}};
+  const std::vector<CscView> blocks = {lower.view(), upper.view(),
+                                       empty.view()};
+  const std::vector<std::pair<Index, Index>> origins = {{2, 1}, {0, 0}, {1, 0}};
+  const CscMat m = assemble_blocks(4, 2, blocks, origins);
+  EXPECT_EQ(std::vector<Index>(m.colptr().begin(), m.colptr().end()),
+            (std::vector<Index>{0, 1, 5}));
+  EXPECT_EQ(std::vector<Index>(m.rowids().begin(), m.rowids().end()),
+            (std::vector<Index>{0, 0, 1, 2, 3}));
+  EXPECT_EQ(std::vector<Value>(m.vals().begin(), m.vals().end()),
+            (std::vector<Value>{1.0, 2.0, 0.75, 3.0, 4.0}));
+}
+
+TEST(AssembleBlocks, OverlappingBlocksFailTheCheck) {
+  using Origins = std::vector<std::pair<Index, Index>>;
+  const Block b{2, 2, {0, 1, 2}, {0, 1}, {1.0, 2.0}};
+  const std::vector<CscView> two = {b.view(), b.view()};
+  EXPECT_THROW(assemble_blocks(3, 3, two, Origins{{0, 0}, {1, 1}}),
+               std::logic_error);
+  // Touching rectangles do not overlap.
+  EXPECT_EQ(assemble_blocks(4, 4, two, Origins{{0, 0}, {2, 2}}).nnz(), 4);
+  // A block reaching past the matrix fails too.
+  EXPECT_THROW(assemble_blocks(3, 3, std::span(two).first(1), Origins{{2, 0}}),
+               std::logic_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(Grids, RebalanceInner,

@@ -127,6 +127,16 @@ test (see tests/CMakeLists.txt). Rules:
                   rows; a consumer that recomputes its columns from the
                   part_low layout reads the wrong ones. Take them from
                   the pieces' BatchInfo or from BatchedResult::c.cols.
+  no-triple-gather
+                  In src/grid/, src/summa/, src/svc/ and src/apps/mcl.cpp,
+                  no `allgather_vec<Triple>` and no `from_triples(`. A
+                  distributed matrix is assembled from its blocks' CSC
+                  wire images and origins (assemble_blocks, gather_dist),
+                  which places sorted blocks without a sort; shipping
+                  24-byte triples and sorting all of them again costs
+                  more bytes and an O(nnz log nnz) sort on every rank.
+                  Building a matrix from triples that are not blocks of
+                  a distributed one (an input file) is waived in place.
   library-has-caller
                   Every src/**/*.hpp is #included by some C++ file under
                   src/, tools/, bench/, examples/ or e2ebench/ other than
@@ -192,6 +202,13 @@ STAGE_SCHEDULE_FILE = "src/summa/stages.cpp"
 # helper that would recompute it from the part_low layout.
 C_LAYOUT_DIRS = ("src/apps/", "src/svc/")
 A_STYLE_COL_RE = re.compile(r"\ba_style_col_range\s*\(")
+
+# Sort-based assembly of distributed blocks: where C and MCL's iterate
+# are gathered, and the calls that would ship and sort triples again.
+TRIPLE_GATHER_DIRS = ("src/grid/", "src/summa/", "src/svc/")
+TRIPLE_GATHER_FILES = ("src/apps/mcl.cpp",)
+TRIPLE_GATHER_RE = re.compile(
+    r"\ballgather_vec\s*<\s*Triple\s*>|\bfrom_triples\s*\(")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+([<"][^>"]+[>"])')
 
@@ -412,6 +429,8 @@ class Linter:
             self.check_stage_schedule_single_source(rel, code_lines, waived)
         if rel.startswith(C_LAYOUT_DIRS):
             self.check_c_layout_from_batchinfo(rel, code_lines, waived)
+        if rel.startswith(TRIPLE_GATHER_DIRS) or rel in TRIPLE_GATHER_FILES:
+            self.check_no_triple_gather(rel, code_lines, waived)
         self.check_cast_pairing(rel, code_lines, waived)
         self.check_empty_catch(rel, code_text, waived)
         self.check_payload_ownership(rel, code_lines, waived)
@@ -662,6 +681,16 @@ class Linter:
                     "a_style_col_range( in a consumer of C — at l > 1 the "
                     "fiber split cuts C's columns by work, not part_low; "
                     "take them from BatchInfo or BatchedResult::c.cols")
+
+    def check_no_triple_gather(self, rel, code_lines, waived):
+        for idx, line in enumerate(code_lines):
+            m = TRIPLE_GATHER_RE.search(line)
+            if m and not waived("no-triple-gather", idx):
+                self.error(
+                    rel, idx + 1, "no-triple-gather",
+                    f"{m.group(0).strip()} assembles distributed blocks by "
+                    "sorting triples — allgather the blocks' CSC images "
+                    "and place them with assemble_blocks (grid/dist.hpp)")
 
     def check_cast_pairing(self, rel, code_lines, waived):
         for idx, line in enumerate(code_lines):

@@ -1,5 +1,6 @@
-"""Self-tests for tools/casp_lint.py's whole-tree library-has-caller rule:
-a temporary tree with one orphan header and one included header."""
+"""Self-tests for tools/casp_lint.py: the whole-tree library-has-caller
+rule on a temporary tree with one orphan header and one included header,
+and the directories the no-triple-gather rule covers."""
 
 import sys
 import tempfile
@@ -49,6 +50,29 @@ class LibraryHasCallerTest(unittest.TestCase):
         files = dict(FILES)
         files["e2ebench/main.cpp"] = '#include "lib/orphan.hpp"\n'
         self.assertEqual(lint_tree(files), [])
+
+
+class NoTripleGatherScopeTest(unittest.TestCase):
+    CODE = ("CscMat f(vmpi::Comm& c, TripleMat t) {\n"
+            "  t.entries() = c.allgather_vec<Triple>(t.entries());\n"
+            "  return CscMat::from_triples(std::move(t));\n"
+            "}\n")
+
+    def rule_lines(self, rel):
+        linter = casp_lint.Linter(Path("."))
+        linter.lint_text(rel, self.CODE)
+        return [int(e.split(":")[1]) for e in linter.errors
+                if "[no-triple-gather]" in e]
+
+    def test_fires_where_distributed_blocks_are_gathered(self):
+        for rel in ("src/grid/dist.cpp", "src/summa/batched.cpp",
+                    "src/svc/server.cpp", "src/apps/mcl.cpp"):
+            self.assertEqual(self.rule_lines(rel), [2, 3], rel)
+
+    def test_silent_elsewhere(self):
+        for rel in ("src/apps/triangle.cpp", "src/ckpt/redistribute.cpp",
+                    "src/sparse/csc_mat.cpp", "tests/grid/test_dist.cpp"):
+            self.assertEqual(self.rule_lines(rel), [], rel)
 
 
 if __name__ == "__main__":
