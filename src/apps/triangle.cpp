@@ -17,17 +17,22 @@ bool column_contains(const CscMat& m, Index col, Index row) {
 }
 }  // namespace
 
-Index count_triangles_serial(const CscMat& adjacency) {
+TriangleOperands triangle_operands(const CscMat& adjacency) {
   CASP_CHECK(adjacency.nrows() == adjacency.ncols());
-  CscMat lower = lower_triangle(adjacency);
-  CscMat upper = upper_triangle(adjacency);
-  for (Value& v : lower.vals_mutable()) v = 1.0;
-  for (Value& v : upper.vals_mutable()) v = 1.0;
-  lower.sort_columns();
+  TriangleOperands ops{lower_triangle(adjacency), upper_triangle(adjacency)};
+  for (Value& v : ops.lower.vals_mutable()) v = 1.0;
+  for (Value& v : ops.upper.vals_mutable()) v = 1.0;
+  ops.lower.sort_columns();
+  return ops;
+}
+
+Index count_triangles_serial(const CscMat& adjacency) {
+  const TriangleOperands ops = triangle_operands(adjacency);
   // Masked multiply: only wedge counts on existing edges materialize, so
   // the intermediate never exceeds nnz(L) (the masked-SpGEMM formulation
   // of [3]).
-  const CscMat wedges = local_spgemm_masked<PlusTimes>(lower, upper, lower);
+  const CscMat wedges =
+      local_spgemm_masked<PlusTimes>(ops.lower, ops.upper, ops.lower);
   Index triangles = 0;
   for (Value v : wedges.vals()) triangles += static_cast<Index>(v + 0.5);
   return triangles;
@@ -36,13 +41,13 @@ Index count_triangles_serial(const CscMat& adjacency) {
 Index count_triangles_distributed(Grid3D& grid, const CscMat& adjacency,
                                   Bytes total_memory,
                                   const SummaOptions& opts) {
-  CASP_CHECK(adjacency.nrows() == adjacency.ncols());
-  CscMat lower = lower_triangle(adjacency);
-  CscMat upper = upper_triangle(adjacency);
-  for (Value& v : lower.vals_mutable()) v = 1.0;
-  for (Value& v : upper.vals_mutable()) v = 1.0;
-  lower.sort_columns();
+  const TriangleOperands ops = triangle_operands(adjacency);
+  return count_triangles_lu(grid, ops.lower, ops.upper, total_memory, opts);
+}
 
+Index count_triangles_lu(Grid3D& grid, const CscMat& lower,
+                         const CscMat& upper, Bytes total_memory,
+                         const SummaOptions& opts) {
   const DistMat3D dl = distribute_a_style(grid, lower);
   const DistMat3D du = distribute_b_style(grid, upper);
 

@@ -14,6 +14,14 @@
 
 namespace casp {
 
+/// The operands of the count: L and U of the adjacency with unit values,
+/// L's columns sorted (the mask's lookups binary-search them).
+struct TriangleOperands {
+  CscMat lower;
+  CscMat upper;
+};
+TriangleOperands triangle_operands(const CscMat& adjacency);
+
 /// Serial reference (exact).
 Index count_triangles_serial(const CscMat& adjacency);
 
@@ -23,5 +31,12 @@ Index count_triangles_serial(const CscMat& adjacency);
 Index count_triangles_distributed(Grid3D& grid, const CscMat& adjacency,
                                   Bytes total_memory = 0,
                                   const SummaOptions& opts = {});
+
+/// The same count from operands triangle_operands already built. The
+/// service admits a triangle job by Symbolic3D of this L*U and then runs
+/// it on the very operands it sized.
+Index count_triangles_lu(Grid3D& grid, const CscMat& lower,
+                         const CscMat& upper, Bytes total_memory,
+                         const SummaOptions& opts);
 
 }  // namespace casp

@@ -160,11 +160,18 @@ CscView unpack_csc_view(const Payload& payload) {
                  "unpack_csc_view: payload shorter than header");
   Header h{};
   std::memcpy(&h, payload.data(), sizeof(Header));
-  const ImageLayout at(h.ncols, h.nnz);
   const std::byte* base = payload.data();
   static_assert(std::is_trivially_copyable_v<Index> &&
                 std::is_trivially_copyable_v<Value>);
-  CASP_CHECK_MSG(h.ncols >= 0 && h.nnz >= 0 && payload.size() == at.size,
+  // Bound the counts by the payload before sizing the layout from them, so
+  // a corrupt header cannot wrap the size arithmetic into a match.
+  const std::size_t words = payload.size() / sizeof(Index);
+  CASP_CHECK_MSG(h.ncols >= 0 && h.nnz >= 0 &&
+                     static_cast<std::size_t>(h.ncols) < words &&
+                     static_cast<std::size_t>(h.nnz) < words,
+                 "unpack_csc_view: size does not match header");
+  const ImageLayout at(h.ncols, h.nnz);
+  CASP_CHECK_MSG(payload.size() == at.size,
                  "unpack_csc_view: size does not match header");
   // The arrays are read in place, so the payload itself must start aligned.
   CASP_CHECK_MSG(reinterpret_cast<std::uintptr_t>(base) % alignof(Value) == 0,

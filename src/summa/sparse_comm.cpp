@@ -82,8 +82,10 @@ std::vector<ColRange> unpack_need_request(const Payload& request) {
   CASP_CHECK_MSG(request.size() >= kWord && request.size() % kWord == 0,
                  "unpack_need_request: malformed request");
   const std::byte* base = request.data();
+  const std::size_t words = request.size() / kWord;
   const std::uint64_t nranges = read_u64(base, 0);
-  CASP_CHECK_MSG(request.size() == (1 + 2 * nranges) * kWord,
+  // Compared in words, so a corrupt count cannot overflow into a match.
+  CASP_CHECK_MSG(words % 2 == 1 && nranges == (words - 1) / 2,
                  "unpack_need_request: size does not match range count");
   std::vector<ColRange> ranges(nranges);
   Index prev_end = 0;
@@ -128,8 +130,8 @@ vmpi::SparseReply make_sparse_reply(const Payload& packed_block,
     // beyond the fixed metadata.
     std::vector<std::byte> desc;
     append_u64(desc, 0);
-    reply.messages.push_back(Payload::wrap(std::move(desc)));
-    reply.messages.push_back(packed_block.subview(0, packed_block.size()));
+    reply.parts.push_back(Payload::wrap(std::move(desc)));
+    reply.parts.push_back(packed_block.subview(0, packed_block.size()));
     return reply;
   }
 
@@ -151,61 +153,95 @@ vmpi::SparseReply make_sparse_reply(const Payload& packed_block,
     desc.insert(desc.end(), p,
                 p + (static_cast<std::size_t>(r.end - r.begin) + 1) * kWord);
   }
-  reply.messages.reserve(1 + 2 * ranges.size());
-  reply.messages.push_back(Payload::wrap(std::move(desc)));
+  reply.parts.reserve(1 + 2 * ranges.size());
+  reply.parts.push_back(Payload::wrap(std::move(desc)));
   for (const ColRange& r : ranges) {
     const auto lo =
         static_cast<std::size_t>(colptr[static_cast<std::size_t>(r.begin)]);
     const auto hi =
         static_cast<std::size_t>(colptr[static_cast<std::size_t>(r.end)]);
-    reply.messages.push_back(packed_block.subview(
+    reply.parts.push_back(packed_block.subview(
         layout.rowids + lo * sizeof(Index), (hi - lo) * sizeof(Index)));
-    reply.messages.push_back(packed_block.subview(
+    reply.parts.push_back(packed_block.subview(
         layout.vals + lo * sizeof(Value), (hi - lo) * sizeof(Value)));
   }
   return reply;
 }
 
-CscView assemble_sparse_block(std::span<const Payload> messages) {
-  CASP_CHECK_MSG(!messages.empty(), "assemble_sparse_block: empty reply");
-  const Payload& desc = messages[0];
+CscView assemble_sparse_block(std::span<const Payload> parts, Index nrows,
+                              Index ncols) {
+  CASP_CHECK_MSG(!parts.empty(), "assemble_sparse_block: empty reply");
+  const Payload& desc = parts[0];
   CASP_CHECK_MSG(desc.size() >= kWord && desc.size() % kWord == 0,
                  "assemble_sparse_block: malformed descriptor");
   const std::byte* base = desc.data();
+  const std::size_t words = desc.size() / kWord;
   const std::uint64_t kind = read_u64(base, 0);
   if (kind == 0) {
-    CASP_CHECK_MSG(messages.size() == 2,
+    CASP_CHECK_MSG(words == 1 && parts.size() == 2,
                    "assemble_sparse_block: dense reply needs the block");
-    return unpack_csc_view(messages[1]);
+    CscView block = unpack_csc_view(parts[1]);
+    CASP_CHECK_MSG(block.nrows() == nrows && block.ncols() == ncols,
+                   "assemble_sparse_block: block is not the expected shape");
+    return block;
   }
   CASP_CHECK_MSG(kind == 1, "assemble_sparse_block: unknown reply kind");
-  CASP_CHECK_MSG(desc.size() >= 4 * kWord,
-                 "assemble_sparse_block: descriptor too short");
-  const auto nrows = static_cast<Index>(read_u64(base, 1));
-  const auto ncols = static_cast<Index>(read_u64(base, 2));
+  CASP_CHECK_MSG(words >= 4, "assemble_sparse_block: descriptor too short");
+  CASP_CHECK_MSG(static_cast<Index>(read_u64(base, 1)) == nrows &&
+                     static_cast<Index>(read_u64(base, 2)) == ncols,
+                 "assemble_sparse_block: reply is not the expected shape");
   const std::uint64_t nranges = read_u64(base, 3);
-  CASP_CHECK_MSG(messages.size() == 1 + 2 * nranges,
-                 "assemble_sparse_block: range message count mismatch");
+  CASP_CHECK_MSG(nranges <= (words - 4) / 2 && parts.size() == 1 + 2 * nranges,
+                 "assemble_sparse_block: range part count mismatch");
 
-  std::vector<ColRange> ranges(nranges);
-  std::size_t w = 4;
-  for (auto& r : ranges) {
-    r.begin = static_cast<Index>(read_u64(base, w++));
-    r.end = static_cast<Index>(read_u64(base, w++));
-  }
-  std::vector<std::size_t> slice_word(nranges);
+  // Validate everything before allocating: ranges ascending half-open
+  // inside the block, each colptr slice inside the descriptor and
+  // monotone, slices ascending across ranges (they are offsets into one
+  // sender block), and each range's parts exactly its slice's nnz.
+  struct Shipped {
+    ColRange range;
+    std::size_t slice_word = 0;
+    Index nnz = 0;
+  };
+  std::vector<Shipped> shipped(nranges);
+  std::size_t w = 4 + 2 * nranges;
+  Index col = 0;
+  Index prev_last = 0;
   Index total_nnz = 0;
   for (std::size_t i = 0; i < nranges; ++i) {
-    slice_word[i] = w;
-    const auto width =
-        static_cast<std::size_t>(ranges[i].end - ranges[i].begin) + 1;
-    CASP_CHECK_MSG(desc.size() >= (w + width) * kWord,
+    ColRange& r = shipped[i].range;
+    r.begin = static_cast<Index>(read_u64(base, 4 + 2 * i));
+    r.end = static_cast<Index>(read_u64(base, 5 + 2 * i));
+    CASP_CHECK_MSG(r.begin >= col && r.begin < r.end && r.end <= ncols,
+                   "assemble_sparse_block: ranges not ascending half-open");
+    col = r.end;
+    const auto width = static_cast<std::size_t>(r.end - r.begin) + 1;
+    CASP_CHECK_MSG(width <= words - w,
                    "assemble_sparse_block: truncated colptr slices");
-    total_nnz += static_cast<Index>(read_u64(base, w + width - 1)) -
-                 static_cast<Index>(read_u64(base, w));
+    Index lo = static_cast<Index>(read_u64(base, w));
+    CASP_CHECK_MSG(lo >= prev_last,
+                   "assemble_sparse_block: corrupt colptr slice");
+    const Index first = lo;
+    for (std::size_t k = 1; k < width; ++k) {
+      const auto hi = static_cast<Index>(read_u64(base, w + k));
+      CASP_CHECK_MSG(hi >= lo, "assemble_sparse_block: corrupt colptr slice");
+      lo = hi;
+    }
+    prev_last = lo;
+    const Index nnz = lo - first;
+    const Payload& rowids = parts[1 + 2 * i];
+    const Payload& vals = parts[2 + 2 * i];
+    CASP_CHECK_MSG(rowids.size() % sizeof(Index) == 0 &&
+                       rowids.size() / sizeof(Index) ==
+                           static_cast<std::size_t>(nnz) &&
+                       vals.size() == rowids.size(),
+                   "assemble_sparse_block: range payload size mismatch");
+    shipped[i].slice_word = w;
+    shipped[i].nnz = nnz;
+    total_nnz += nnz;
     w += width;
   }
-  CASP_CHECK_MSG(desc.size() == w * kWord,
+  CASP_CHECK_MSG(w == words,
                  "assemble_sparse_block: trailing descriptor bytes");
 
   // Splice the shipped ranges into one fresh full-width packed block:
@@ -222,33 +258,24 @@ CscView assemble_sparse_block(std::span<const Payload> messages) {
   auto* out_colptr = reinterpret_cast<Index*>(buf.data() + layout.colptr);
   out_colptr[0] = 0;
   Index running = 0;
-  Index col = 0;
+  col = 0;
   for (std::size_t i = 0; i < nranges; ++i) {
-    const ColRange& r = ranges[i];
-    CASP_CHECK_MSG(r.begin >= col && r.begin < r.end && r.end <= ncols,
-                   "assemble_sparse_block: ranges not ascending half-open");
+    const ColRange& r = shipped[i].range;
     for (; col < r.begin; ++col)
       out_colptr[static_cast<std::size_t>(col) + 1] = running;
     const Index start = running;
-    const std::size_t sw = slice_word[i];
+    const std::size_t sw = shipped[i].slice_word;
     const auto first = static_cast<Index>(read_u64(base, sw));
     for (Index c = r.begin; c < r.end; ++c) {
-      const auto off = static_cast<std::size_t>(c - r.begin);
-      const auto lo = static_cast<Index>(read_u64(base, sw + off));
-      const auto hi = static_cast<Index>(read_u64(base, sw + off + 1));
-      CASP_CHECK_MSG(hi >= lo && lo >= first,
-                     "assemble_sparse_block: corrupt colptr slice");
-      running += hi - lo;
-      out_colptr[static_cast<std::size_t>(c) + 1] = running;
+      const auto off = static_cast<std::size_t>(c - r.begin) + 1;
+      out_colptr[static_cast<std::size_t>(c) + 1] =
+          start + static_cast<Index>(read_u64(base, sw + off)) - first;
     }
     col = r.end;
-    const auto nnz_i = static_cast<std::size_t>(running - start);
-    const Payload& rowids = messages[1 + 2 * i];
-    const Payload& vals = messages[2 + 2 * i];
-    CASP_CHECK_MSG(rowids.size() == nnz_i * sizeof(Index) &&
-                       vals.size() == nnz_i * sizeof(Value),
-                   "assemble_sparse_block: range payload size mismatch");
-    if (nnz_i != 0) {
+    running = start + shipped[i].nnz;
+    if (shipped[i].nnz != 0) {
+      const Payload& rowids = parts[1 + 2 * i];
+      const Payload& vals = parts[2 + 2 * i];
       std::memcpy(buf.data() + layout.rowids +
                       static_cast<std::size_t>(start) * sizeof(Index),
                   rowids.data(), rowids.size());

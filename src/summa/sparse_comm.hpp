@@ -15,8 +15,11 @@
 // subviews of a CSC payload without sender-side copies.
 //
 // Wire protocol (all fields 8-byte words, so every subview stays 8-aligned):
-//   request  = [u64 nranges] [i64 begin, i64 end]*nranges      (half-open)
-//   reply    = descriptor message + range messages:
+//   request = one message: [u64 nranges] [i64 begin, i64 end]*nranges
+//             (half-open, ascending).
+//   reply   = one gather-list message (vmpi/comm.hpp, detail::Message)
+//             whose parts are a descriptor and then the block bytes; the
+//             part count is the message's own, so there is no count header:
 //     kind 0 (dense fallback): [u64 0], then the full packed block (one
 //       subview handle of the whole payload — still zero-copy).
 //     kind 1 (sparse):  [u64 1][i64 nrows][i64 ncols][u64 nranges]
@@ -24,8 +27,10 @@
 //       [colptr[begin..end] slices, (end-begin+1) words each]
 //       then per range: the rowids subview and the vals subview of the
 //       packed block.
-// The root falls back to kind 0 whenever the sparse reply would ship at
-// least as many bytes as the dense block.
+// So a (stage, peer) pair costs two messages, a request and a reply,
+// however many ranges the reply carries: the sparse α term of
+// model/costs.cpp. The root falls back to kind 0 whenever the sparse reply
+// would ship at least as many bytes as the dense block.
 #pragma once
 
 #include <span>
@@ -47,8 +52,8 @@ struct ColRange {
 /// Receiver-side gap bridging: ranges separated by at most this many
 /// unneeded columns merge into one. Bridging a gap ships its columns as
 /// dead weight (their colptr words plus whatever nnz they hold) while
-/// splitting costs a fixed ~3 descriptor words and two extra messages, so
-/// the break-even gap is small; a large value degenerates scattered
+/// splitting costs a fixed ~3 descriptor words and two more reply parts,
+/// so the break-even gap is small; a large value degenerates scattered
 /// supports into one whole-block range and the dense fallback. 2 keeps
 /// nearly all of the volume savings while bounding the range count on
 /// supports with many single-column holes.
@@ -73,10 +78,15 @@ std::vector<ColRange> unpack_need_request(const Payload& request);
 vmpi::SparseReply make_sparse_reply(const Payload& packed_block,
                                     const Payload& request);
 
-/// Receiver side: reassemble a reply into a full-width block whose
+/// Receiver side: reassemble a reply's parts into a full-width block whose
 /// requested columns are bit-identical to the sender's. Unrequested
 /// columns are empty, which the multiply never observes (it only touches
-/// the row support the request covered).
-CscView assemble_sparse_block(std::span<const Payload> messages);
+/// the row support the request covered). `nrows` x `ncols` is the shape the
+/// receiver expects the root's block to have. A reply that does not decode
+/// to a block of that shape (truncated parts, a wrong part count, ranges
+/// out of order or past the block, a colptr slice that is not monotone)
+/// fails a CASP_CHECK before anything is allocated from its numbers.
+CscView assemble_sparse_block(std::span<const Payload> parts, Index nrows,
+                              Index ncols);
 
 }  // namespace casp

@@ -33,7 +33,7 @@ std::pair<CscView, CscView> StageStream::next(int s) {
   ++next_stage_;
   const bool more = s + 1 < stages_;
   if (!sparse_) {
-    CscView a_view = wait_a(s);
+    CscView a_view = wait_a();
     CscView b_view = wait_b();
     if (more) {
       post_a(s + 1);
@@ -53,7 +53,9 @@ std::pair<CscView, CscView> StageStream::next(int s) {
     a_exchange_ = row_comm_.isparse_exchange(s, std::move(request));
   }
   if (more) post_b(s + 1);
-  return {wait_a(s), std::move(b_view)};
+  // Stage s's A block is as wide as B_s is tall.
+  CscView a_view = wait_sparse_a(s, b_view.nrows());
+  return {std::move(a_view), std::move(b_view)};
 }
 
 std::optional<obs::PhaseSpan> StageStream::phase(const char* name) {
@@ -77,18 +79,24 @@ void StageStream::post_b(int s) {
       s, col_comm_.rank() == s ? pack_csc_payload(local_b_) : Payload{});
 }
 
-CscView StageStream::wait_a(int s) {
+CscView StageStream::wait_a() {
   const auto span = phase(phases_.a);
-  if (!sparse_) return unpack_csc_view(row_comm_.bcast_wait(a_bcast_));
-  // The root serves every peer's need-list from its packed block, then
-  // reads the block itself; peers reassemble their reply.
+  return unpack_csc_view(row_comm_.bcast_wait(a_bcast_));
+}
+
+// The root serves every peer's need-list from its packed block, then reads
+// the block itself; peers reassemble their reply. Every A block of this
+// process row spans the row's rows, so the reply's shape is known here.
+CscView StageStream::wait_sparse_a(int s, Index ncols) {
+  const auto span = phase(phases_.a);
   const bool root = row_comm_.rank() == s;
   const Payload packed = root ? pack_csc_payload(local_a_) : Payload{};
-  std::vector<Payload> messages = row_comm_.sparse_wait(
+  std::vector<Payload> parts = row_comm_.sparse_wait(
       a_exchange_, [&packed](int /*src*/, Payload request) {
         return make_sparse_reply(packed, request);
       });
-  return root ? unpack_csc_view(packed) : assemble_sparse_block(messages);
+  return root ? unpack_csc_view(packed)
+              : assemble_sparse_block(parts, local_a_.nrows(), ncols);
 }
 
 CscView StageStream::wait_b() {

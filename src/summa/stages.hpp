@@ -47,7 +47,8 @@ class StageStream {
   std::optional<obs::PhaseSpan> phase(const char* name);
   void post_a(int s);
   void post_b(int s);
-  CscView wait_a(int s);
+  CscView wait_a();
+  CscView wait_sparse_a(int s, Index ncols);
   CscView wait_b();
 
   vmpi::Comm& row_comm_;

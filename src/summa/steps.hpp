@@ -64,6 +64,8 @@ inline constexpr const char* kGather = "Gather";
 /// kHybrid / kSortedHeap to reproduce the prior-work pipeline of [13, 25]
 /// for the Fig. 15 / Table VII comparisons.
 struct SummaOptions {
+  /// With merge_kind = kSortedHeap, which merges sorted runs, an unsorted
+  /// local kind runs as its sorting form (kSortedHash) instead.
   SpGemmKind local_kind = SpGemmKind::kUnsortedHash;
   MergeKind merge_kind = MergeKind::kUnsortedHash;
   /// Sort the final output's columns (done once, after Merge-Fiber).

@@ -102,7 +102,15 @@ std::string Server::submit(JobSpec spec) {
       if (rec.in_a.nrows() != rec.in_a.ncols())
         throw InvalidArgument(std::string("svc: ") + to_string(rec.spec.op) +
                               " requires a square input matrix");
-      rec.in_b = rec.in_a;
+      if (rec.spec.op == JobOp::kMcl) {
+        rec.in_b = rec.in_a;
+      } else {
+        // The count multiplies L*U, so admission sizes that product and
+        // the run reuses the same operands.
+        TriangleOperands ops = triangle_operands(rec.in_a);
+        rec.in_a = std::move(ops.lower);
+        rec.in_b = std::move(ops.upper);
+      }
       break;
   }
 
@@ -688,8 +696,8 @@ void Server::run_body(Exec& e, vmpi::Comm& world) {
       break;
     }
     case JobOp::kTriangleCount: {
-      const Index t = count_triangles_distributed(grid, rec.in_a,
-                                                  spec.memory_bytes, opts);
+      const Index t = count_triangles_lu(grid, rec.in_a, rec.in_b,
+                                         spec.memory_bytes, opts);
       if (world.rank() == 0) rec.triangles = t;
       break;
     }

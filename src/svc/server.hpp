@@ -97,7 +97,8 @@ struct JobRecord {
   bool holds_reservation = false;
 
   /// Operands materialized at submit (admission needs them; execution
-  /// reuses them so the estimate and the run see identical inputs).
+  /// reuses them so the estimate and the run see identical inputs). A
+  /// triangle job holds L and U (apps/triangle.hpp), the product it runs.
   CscMat in_a;
   CscMat in_b;
 

@@ -8,6 +8,20 @@
 
 namespace casp::vmpi {
 
+namespace {
+
+#ifdef CASP_VMPI_CHECK
+/// The frame checksum of a message: head, then each part in order.
+std::uint64_t frame_checksum(const detail::Message& msg) {
+  std::uint64_t hash = fnv1a64(msg.payload.data(), msg.payload.size());
+  for (const Payload& part : msg.parts)
+    hash = fnv1a64(part.data(), part.size(), hash);
+  return hash;
+}
+#endif
+
+}  // namespace
+
 namespace detail {
 
 void Mailbox::push(Message msg) {
@@ -91,7 +105,7 @@ std::vector<LeftoverMessage> Mailbox::user_tag_leftovers() {
     LeftoverMessage l;
     l.src_world = m.src_world;
     l.tag = m.tag;
-    l.bytes = m.payload.size();
+    l.bytes = m.bytes();
     out.push_back(l);
   }
   return out;
@@ -198,10 +212,18 @@ Comm::Comm(std::shared_ptr<detail::World> world, std::uint64_t context,
       size_(static_cast<int>(members_.size())) {}
 
 void Comm::post_message(int dest, int tag, Payload payload,
-                        bool fire_and_forget) {
+                        bool fire_and_forget, std::vector<Payload> parts) {
   CASP_CHECK_MSG(dest >= 0 && dest < size_, "send to invalid rank " << dest);
   const int my_world = members_[static_cast<std::size_t>(rank_)];
   const int dest_world = members_[static_cast<std::size_t>(dest)];
+  detail::Message msg;
+  msg.context = context_;
+  msg.src_world = my_world;
+  msg.tag = tag;
+  msg.payload = std::move(payload);
+  msg.parts = std::move(parts);
+  msg.fire_and_forget = fire_and_forget;
+  const auto bytes = static_cast<Bytes>(msg.bytes());
   detail::FaultState* faults = world_->faults.get();
   std::uint64_t op = 0;
   if (faults != nullptr) op = faults->enter_op(my_world, *recorder_);
@@ -210,10 +232,10 @@ void Comm::post_message(int dest, int tag, Payload payload,
   // put its bytes on the wire, so Table II accounting must count the
   // retransmission too. The no-fault path runs the loop body exactly once
   // and charges exactly once, as before. The receiver's world rank feeds
-  // the per-phase rank×rank traffic matrix.
+  // the per-phase rank×rank traffic matrix. A gather-list message is one
+  // record of its total bytes, however many parts it carries.
   for (int attempt = 0;; ++attempt) {
-    recorder_->traffic().record_send(static_cast<Bytes>(payload.size()),
-                                     dest_world);
+    recorder_->traffic().record_send(bytes, dest_world);
     if (faults == nullptr) break;
     try {
       faults->check_send(my_world, op, attempt, *recorder_);
@@ -235,18 +257,12 @@ void Comm::post_message(int dest, int tag, Payload payload,
       faults->backoff(attempt);
     }
   }
-  detail::Message msg;
-  msg.context = context_;
-  msg.src_world = members_[static_cast<std::size_t>(rank_)];
-  msg.tag = tag;
-  msg.payload = std::move(payload);
-  msg.fire_and_forget = fire_and_forget;
 #ifdef CASP_VMPI_CHECK
   msg.stamp = current_collective_;
   if (faults != nullptr) {
     // End-to-end integrity cover for fault runs only: fault-free runs (the
     // perf-gated path) never pay for the hash.
-    msg.checksum = fnv1a64(msg.payload.data(), msg.payload.size());
+    msg.checksum = frame_checksum(msg);
     msg.has_checksum = true;
   }
 #endif
@@ -257,9 +273,15 @@ void Comm::post_message(int dest, int tag, Payload payload,
     // edge for the happens-before analyzer (the id travels in the header).
     sched->scheduler().yield(my_world);
     if (!sched->scheduler().aborted()) {
+      // Every carried buffer, so the receiver owns each part's allocation
+      // (a sparse reply's parts all alias the root's packed block).
+      std::vector<const void*> buffers;
+      buffers.reserve(1 + msg.parts.size());
+      buffers.push_back(msg.payload.buffer_id());
+      for (const Payload& part : msg.parts)
+        buffers.push_back(part.buffer_id());
       msg.hb_id = sched->analyzer().on_send(my_world, context_, dest_world,
-                                            tag, msg.payload.buffer_id(),
-                                            msg.payload.size());
+                                            tag, buffers, msg.bytes());
     }
   }
 #endif
@@ -334,12 +356,11 @@ detail::Message Comm::take_message(int src, int tag) {
   }
   world_->progress.fetch_add(1, std::memory_order_relaxed);
 #ifdef CASP_VMPI_CHECK
-  if (msg.has_checksum &&
-      fnv1a64(msg.payload.data(), msg.payload.size()) != msg.checksum) {
+  if (msg.has_checksum && frame_checksum(msg) != msg.checksum) {
     recorder_->add_counter("vmpi.checksum_rejects", 1);
     std::ostringstream os;
     os << "payload checksum mismatch on delivery: rank " << my_world
-       << " received " << msg.payload.size() << " corrupted bytes from rank "
+       << " received " << msg.bytes() << " corrupted bytes from rank "
        << src_world << " (tag " << tag << ")";
     throw TransientCommError(os.str());
   }
@@ -553,7 +574,7 @@ std::vector<Payload> Comm::sparse_wait(PendingSparse& pending,
   if (rank_ == pending.root_) {
     // Serve every peer in rank order: the caller builds each reply as
     // subview handles into its packed block (no block-byte copies here),
-    // the exchange frames them with a message-count header, and the dense
+    // the exchange ships them as one gather-list message, and the dense
     // volume the reply avoided is charged as logical-only traffic.
     for (int r = 0; r < size_; ++r) {
       if (r == rank_) continue;
@@ -562,38 +583,21 @@ std::vector<Payload> Comm::sparse_wait(PendingSparse& pending,
       verify_stamp_against(req, r, pending.stamp_);
 #endif
       SparseReply reply = serve(r, std::move(req.payload));
-      const std::uint64_t count = reply.messages.size();
-      std::vector<std::byte> head(sizeof(count));
-      std::memcpy(head.data(), &count, sizeof(count));
-      Bytes shipped = static_cast<Bytes>(head.size());
-      post_message(r, pending.data_tag_, Payload::wrap(std::move(head)),
-                   /*fire_and_forget=*/false);
-      for (Payload& m : reply.messages) {
-        shipped += static_cast<Bytes>(m.size());
-        post_message(r, pending.data_tag_, std::move(m),
-                     /*fire_and_forget=*/false);
-      }
+      Bytes shipped = 0;
+      for (const Payload& part : reply.parts)
+        shipped += static_cast<Bytes>(part.size());
+      post_message(r, pending.data_tag_, Payload(), /*fire_and_forget=*/false,
+                   std::move(reply.parts));
       if (reply.dense_equivalent_bytes > shipped)
         traffic().record_unshipped(reply.dense_equivalent_bytes - shipped,
                                    members_[static_cast<std::size_t>(r)]);
     }
   } else {
-    detail::Message head = take_message(pending.root_, pending.data_tag_);
+    detail::Message msg = take_message(pending.root_, pending.data_tag_);
 #ifdef CASP_VMPI_CHECK
-    verify_stamp_against(head, pending.root_, pending.stamp_);
+    verify_stamp_against(msg, pending.root_, pending.stamp_);
 #endif
-    CASP_CHECK_MSG(head.payload.size() == sizeof(std::uint64_t),
-                   "sparse_wait: malformed reply count header");
-    std::uint64_t count = 0;
-    std::memcpy(&count, head.payload.data(), sizeof(count));
-    received.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t k = 0; k < count; ++k) {
-      detail::Message msg = take_message(pending.root_, pending.data_tag_);
-#ifdef CASP_VMPI_CHECK
-      verify_stamp_against(msg, pending.root_, pending.stamp_);
-#endif
-      received.push_back(std::move(msg.payload));
-    }
+    received = std::move(msg.parts);
   }
 #ifdef CASP_VMPI_CHECK
   current_collective_ = saved;

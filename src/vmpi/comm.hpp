@@ -62,6 +62,15 @@ class SchedState;  // vmpi/sched.hpp — casp-verify scheduled-run state
 
 namespace detail {
 
+/// One mailbox entry. A message is a head `payload` followed by an ordered
+/// gather list of `parts`. Only a sparse-exchange reply has parts: its head
+/// is empty and its parts are the whole reply (summa/sparse_comm.hpp).
+/// Whatever the part count, a message is one send: post_message
+/// records it once in TrafficStats with the total bytes, stamps it once for
+/// the CollectiveChecker, covers head and parts with one frame checksum in
+/// fault runs, and (CASP_VMPI_SCHED) hands every carried buffer to the
+/// happens-before analyzer, so the receiver owns each one. The receiver
+/// gets the parts in the order they were posted, as the same handles.
 struct Message {
   std::uint64_t context;
   int src_world;  ///< sender's world rank
@@ -69,6 +78,9 @@ struct Message {
   /// Immutable shared handle: tree collectives forward it hop-to-hop
   /// without re-copying the bytes.
   Payload payload;
+  /// Gather-list parts after the head, each a handle (often a subview of
+  /// one sender buffer), so a multi-part reply costs no byte copies.
+  std::vector<Payload> parts;
   /// Sender declared this message may legitimately go unreceived; exempts
   /// it from the job-end tag-leak sweep.
   bool fire_and_forget = false;
@@ -76,7 +88,8 @@ struct Message {
   /// Fingerprint of the collective the sender was executing (op == kNone
   /// for plain point-to-point traffic).
   CollectiveStamp stamp;
-  /// End-to-end FNV-1a64 payload checksum. Stamped by post_message and
+  /// End-to-end FNV-1a64 checksum over the head, then every part in
+  /// order (one frame checksum per message). Stamped by post_message and
   /// re-verified on delivery *only when a fault plan is armed* — fault-free
   /// runs (and therefore the release perf gates) never hash a byte. A
   /// mismatch on delivery counts vmpi.checksum_rejects and raises
@@ -90,6 +103,13 @@ struct Message {
   /// receiver joins the sender's vector-clock snapshot through this edge.
   std::uint64_t hb_id = 0;
 #endif
+
+  /// Head plus parts: the bytes this message puts on the wire.
+  std::size_t bytes() const {
+    std::size_t total = payload.size();
+    for (const Payload& p : parts) total += p.size();
+    return total;
+  }
 };
 
 #ifdef CASP_VMPI_CHECK
@@ -249,15 +269,15 @@ class PendingBcast {
 #endif
 };
 
-/// One peer's reply in a sparse exchange: the messages to ship (built as
+/// One peer's reply in a sparse exchange: the parts to ship (built as
 /// subview handles into the sender's packed block, so no block bytes are
 /// copied) plus the byte volume a dense full-block send to this peer would
-/// have carried. The comm layer ships the messages and charges
-/// max(0, dense_equivalent - shipped) as logical-only traffic
+/// have carried. The comm layer ships all parts as one gather-list message
+/// and charges max(0, dense_equivalent - shipped) as logical-only traffic
 /// (TrafficStats::record_unshipped), so run reports expose the measured
 /// savings against the dense Table II accounting.
 struct SparseReply {
-  std::vector<Payload> messages;
+  std::vector<Payload> parts;
   Bytes dense_equivalent_bytes = 0;
 };
 
@@ -359,9 +379,11 @@ class Comm {
   /// ignored on the root.
   PendingSparse isparse_exchange(int root, Payload request);
   /// Completes the exchange. The root calls `serve` once per peer (in
-  /// ascending rank order), ships each reply's messages, and returns an
-  /// empty vector (the root reads its own block locally). Every non-root
-  /// returns its reply's messages in sent order; `serve` is not invoked.
+  /// ascending rank order), ships each reply as one gather-list message,
+  /// and returns an empty vector (the root reads its own block locally).
+  /// Every non-root returns its reply's parts in sent order; `serve` is
+  /// not invoked. A reply is one message, a request another: 2 messages
+  /// per (exchange, peer), the α term model/costs.cpp charges.
   std::vector<Payload> sparse_wait(PendingSparse& pending,
                                    const SparseServeFn& serve);
 
@@ -528,8 +550,10 @@ class Comm {
        std::vector<int> members, int my_pos);
 
   /// Enqueue a message for `dest`, recording the full logical bytes in
-  /// TrafficStats (handle forwarding never discounts a hop).
-  void post_message(int dest, int tag, Payload payload, bool fire_and_forget);
+  /// TrafficStats (handle forwarding never discounts a hop). `parts`, when
+  /// given, follow `payload` in the same message (detail::Message).
+  void post_message(int dest, int tag, Payload payload, bool fire_and_forget,
+                    std::vector<Payload> parts = {});
   /// Blocking matched receive with watchdog bookkeeping; stamp verification
   /// is the caller's job (recv paths check against the current collective,
   /// bcast_wait against the stamp saved at post time).

@@ -54,21 +54,23 @@ void Analyzer::add_finding(const std::string& kind, int rank,
 }
 
 std::uint64_t Analyzer::on_send(int rank, std::uint64_t context,
-                                int dest_world, int tag, const void* buffer,
+                                int dest_world, int tag,
+                                std::span<const void* const> buffers,
                                 std::size_t bytes) {
   bump(rank);
   const VectorClock& clock = clocks_[static_cast<std::size_t>(rank)];
   const std::uint64_t id = next_msg_id_++;
   MessageRecord rec;
   rec.clock = clock;
-  rec.buffer = buffer;
+  rec.buffers.assign(buffers.begin(), buffers.end());
   rec.context = context;
   rec.dest_world = dest_world;
   rec.src_world = rank;
   rec.tag = tag;
   messages_.emplace(id, std::move(rec));
   ++triples_[{context, rank, dest_world, tag}].sent;
-  if (buffer != nullptr) {
+  for (const void* buffer : buffers) {
+    if (buffer == nullptr) continue;
     BufferState& st = buffer_state(rank, buffer, /*creating=*/false);
     st.transported = true;
     st.last_event[rank] = clock;
@@ -99,8 +101,9 @@ void Analyzer::on_recv(int rank, std::uint64_t msg_id) {
   clock_join(clocks_[static_cast<std::size_t>(rank)], rec.clock);
   bump(rank);
   ++triples_[{rec.context, rec.src_world, rec.dest_world, rec.tag}].consumed;
-  if (rec.buffer != nullptr) {
-    BufferState& st = buffer_state(rank, rec.buffer, /*creating=*/false);
+  for (const void* buffer : rec.buffers) {
+    if (buffer == nullptr) continue;
+    BufferState& st = buffer_state(rank, buffer, /*creating=*/false);
     st.owners.insert(rank);
     st.last_event[rank] = clocks_[static_cast<std::size_t>(rank)];
   }

@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,14 +70,16 @@ class Analyzer {
 
   // -- Message edges -------------------------------------------------------
 
-  /// Sender-side: snapshot the sender's clock, remember the payload buffer,
-  /// run the racing-send check for user tags. Returns the message id the
-  /// transport stamps into the Message (0 = untracked empty payload is
-  /// still tracked; every send gets an id).
+  /// Sender-side: snapshot the sender's clock, remember the buffers the
+  /// message carries (its head and every gather-list part; null entries are
+  /// empty payloads), run the racing-send check for user tags. Returns the
+  /// message id the transport stamps into the Message (every send gets an
+  /// id, even one carrying only empty payloads).
   std::uint64_t on_send(int rank, std::uint64_t context, int dest_world,
-                        int tag, const void* buffer, std::size_t bytes);
+                        int tag, std::span<const void* const> buffers,
+                        std::size_t bytes);
   /// Receiver-side: join the message clock into the receiver and grant the
-  /// receiver ownership of the carried buffer.
+  /// receiver ownership of every carried buffer.
   void on_recv(int rank, std::uint64_t msg_id);
 
   // -- Payload / tracker events (via the schedhook bridge) -----------------
@@ -117,7 +120,7 @@ class Analyzer {
 
   struct MessageRecord {
     VectorClock clock;
-    const void* buffer = nullptr;
+    std::vector<const void*> buffers;
     std::uint64_t context = 0;
     int dest_world = -1;
     int src_world = -1;

@@ -2,6 +2,10 @@
 // semiring: whatever the options, the math must not change.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <utility>
+
 #include "grid/dist.hpp"
 #include "kernels/reference.hpp"
 #include "summa/batched.hpp"
@@ -48,6 +52,51 @@ INSTANTIATE_TEST_SUITE_P(
         OptionCase{SpGemmKind::kHeap, MergeKind::kSortedHeap},
         OptionCase{SpGemmKind::kHybrid, MergeKind::kSortedHeap},
         OptionCase{SpGemmKind::kSpa, MergeKind::kUnsortedHash}));
+
+TEST(PipelineOptions, SortedHeapMergeHandsEveryBatchStrictlyAscendingColumns) {
+  // kSortedHeap merges sorted runs. With the unsorted hash kernel selected
+  // for Local-Multiply, the pipeline must still feed it sorted columns, or
+  // Merge-Layer emits duplicate rows. Read each batch's piece as the
+  // callback sees it, before any gather could repair it. q = 1 grids send
+  // Local-Multiply's pieces straight to Merge-Fiber; q > 1 through
+  // Merge-Layer.
+  const Index n = 30;
+  const CscMat a = testing::random_matrix(n, n, 4.0, 157);
+  const CscMat b = testing::random_matrix(n, n, 4.0, 158);
+  const CscMat expected = reference_multiply<PlusTimes>(a, b);
+  for (const auto& [p, l] : {std::pair{4, 1}, std::pair{4, 4},
+                             std::pair{8, 2}, std::pair{1, 1}}) {
+    SCOPED_TRACE("p=" + std::to_string(p) + " l=" + std::to_string(l));
+    std::atomic<Index> nnz{0};
+    std::atomic<int> unsorted_columns{0};
+    vmpi::run(p, [&, l = l](vmpi::Comm& world) {
+      Grid3D grid(world, l);
+      const DistMat3D da = distribute_a_style(grid, a);
+      const DistMat3D db = distribute_b_style(grid, b);
+      SummaOptions opts;
+      opts.local_kind = SpGemmKind::kUnsortedHash;
+      opts.merge_kind = MergeKind::kSortedHeap;
+      opts.force_batches = 3;
+      batched_summa3d<PlusTimes>(
+          grid, da, db, 0, opts,
+          [&](CscMat&& piece, const BatchInfo&) {
+            for (Index j = 0; j < piece.ncols(); ++j) {
+              const auto rows = piece.col_rowids(j);
+              for (std::size_t k = 1; k < rows.size(); ++k) {
+                if (rows[k - 1] >= rows[k]) {
+                  ++unsorted_columns;
+                  break;
+                }
+              }
+            }
+            nnz += piece.nnz();
+          },
+          /*keep_output=*/false);
+    });
+    EXPECT_EQ(unsorted_columns.load(), 0);
+    EXPECT_EQ(nnz.load(), expected.nnz());
+  }
+}
 
 TEST(PipelineOptions, UnsortedFinalOutputWhenSortDisabled) {
   const Index n = 30;

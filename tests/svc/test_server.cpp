@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/triangle.hpp"
 #include "common/error.hpp"
 #include "common/math.hpp"
 #include "grid/dist.hpp"
@@ -164,6 +165,44 @@ TEST(Server, AdmissionSizesTheRunsBatchesWhenMIsNotAMultipleOfP) {
     if (world.rank() == 0) run_batches = res.batches;
   });
   EXPECT_EQ(est.admission.batches, run_batches);
+}
+
+TEST(Server, TriangleAdmissionSizesTheLUProductTheJobRuns) {
+  // A triangle count multiplies L*U, not A*A, so Eq. (2) must be applied
+  // to L*U's maxima: then admission's b is the b the run picks.
+  JobSpec spec;
+  spec.tenant = "alice";
+  spec.op = JobOp::kTriangleCount;
+  spec.a = MatrixSource::rmat_graph(8, 8.0, 21);
+  spec.ranks = 4;
+  const CscMat adjacency = spec.a.materialize();
+  const TriangleOperands ops = triangle_operands(adjacency);
+  const obs::JobAdmission lu =
+      estimate_admission(spec, ops.lower, ops.upper).admission;
+  // A per-process share that holds L*U's inputs plus a third of its
+  // unmerged output: b = 3.
+  const Bytes r = kBytesPerNonzero;
+  const Bytes inputs = r * static_cast<Bytes>(lu.max_nnz_a + lu.max_nnz_b);
+  const Bytes unmerged = r * static_cast<Bytes>(lu.max_nnz_c);
+  spec.memory_bytes = static_cast<Bytes>(spec.ranks) * (inputs + unmerged / 3 + 1);
+  const AdmissionEstimate est =
+      estimate_admission(spec, ops.lower, ops.upper);
+  ASSERT_TRUE(est.fits()) << est.reason;
+  ASSERT_EQ(est.admission.batches, 3);
+  // Sizing A*A instead gives another answer at this budget (A holds both
+  // triangles), so the check below tells the two apart.
+  const obs::JobAdmission aa =
+      estimate_admission(spec, adjacency, adjacency).admission;
+  ASSERT_TRUE(!aa.fits || aa.batches != est.admission.batches);
+
+  Server server(ServerOptions{});
+  const JobRecord& job = server.wait(server.submit(spec));
+  ASSERT_EQ(job.state, JobState::kDone) << job.reason;
+  EXPECT_EQ(job.admission.batches, est.admission.batches);
+  const auto& counters = job.run_result.recorders.at(0).counters();
+  ASSERT_EQ(counters.count("batches"), 1u);
+  EXPECT_EQ(counters.at("batches"), job.admission.batches);
+  EXPECT_EQ(job.triangles, count_triangles_serial(adjacency));
 }
 
 TEST(Server, MemoryQuotaRejectsOversizedReservationOutright) {
