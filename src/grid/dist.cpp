@@ -1,8 +1,10 @@
 #include "grid/dist.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <functional>
 #include <numeric>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
@@ -200,6 +202,40 @@ CscMat gather_dist(Grid3D& grid, const DistMat3D& dist) {
   for (std::size_t r = 0; r < images.size(); ++r) {
     blocks.push_back(unpack_csc_view(images[r]));
     origins.emplace_back(at[2 * r], at[2 * r + 1]);
+  }
+  return assemble_blocks(dist.global_rows, dist.global_cols, blocks, origins);
+}
+
+CscMat gather_dist(Grid3D& grid, const DistMat3D& dist, int root) {
+  vmpi::Comm& world = grid.world();
+  obs::PhaseSpan span(world.recorder(), steps::kGather);
+  const Index mine[2] = {dist.rows.start, dist.cols.start};
+  static_assert(std::is_trivially_copyable_v<Index>);
+  // The root reads its own block in place; the others pack theirs.
+  std::vector<Payload> sent;
+  if (world.rank() != root)
+    sent = {Payload::copy_of(reinterpret_cast<const std::byte*>(mine),
+                             sizeof(mine)),
+            pack_csc_payload(dist.local)};
+  const std::vector<std::vector<Payload>> got =
+      world.gather_payloads(root, std::move(sent));
+  if (world.rank() != root) return CscMat();
+  std::vector<CscView> blocks;
+  std::vector<std::pair<Index, Index>> origins;
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    if (static_cast<int>(r) == root) {
+      const CscMat& m = dist.local;
+      blocks.emplace_back(m.nrows(), m.ncols(), m.colptr(), m.rowids(),
+                          m.vals(), Payload{});
+      origins.emplace_back(mine[0], mine[1]);
+      continue;
+    }
+    CASP_CHECK_MSG(got[r].size() == 2 && got[r][0].size() == sizeof(mine),
+                   "gather_dist: rank " << r << " sent a malformed block");
+    Index at[2];
+    std::memcpy(at, got[r][0].data(), sizeof(at));
+    blocks.push_back(unpack_csc_view(got[r][1]));
+    origins.emplace_back(at[0], at[1]);
   }
   return assemble_blocks(dist.global_rows, dist.global_cols, blocks, origins);
 }

@@ -81,10 +81,15 @@ CscMat assemble_blocks(Index nrows, Index ncols,
 /// with the contract of assemble_blocks. Each rank allgathers its block's
 /// CSC wire image and its (rows.start, cols.start) origin, so any layout
 /// whose rectangles tile the matrix works: A-style, B-style, and C as
-/// batched_summa3d leaves it (fiber-split columns at l > 1). The service
-/// gathers every SpGEMM job's C with it and MCL its iterate; the traffic
-/// goes to steps::kGather.
+/// batched_summa3d leaves it (fiber-split columns at l > 1). MCL gathers
+/// its iterate with it; the traffic goes to steps::kGather.
 CscMat gather_dist(Grid3D& grid, const DistMat3D& dist);
+
+/// The same matrix on world rank `root` only: each other rank sends its
+/// origin and its block's wire image to the root as one message, and only
+/// the root assembles. Every other rank returns an empty (0 x 0) matrix.
+/// The service gathers each SpGEMM job's C this way.
+CscMat gather_dist(Grid3D& grid, const DistMat3D& dist, int root);
 
 /// The parts + 1 boundaries of an equal-flops cut of flops.size() indices:
 /// boundary m is the first index whose prefix sum reaches m/parts of the

@@ -195,8 +195,14 @@ class Parser {
   Json parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // Each level recurses: bound it, or a document of a few thousand
+      // '[' overflows the stack instead of failing.
+      if (++depth_ > kMaxDepth) fail("nesting deeper than 256 levels");
+      Json v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return Json(parse_string());
     if (c == 't') {
       if (!consume_literal("true")) fail("bad literal");
@@ -361,8 +367,10 @@ class Parser {
     return Json(d);
   }
 
+  static constexpr int kMaxDepth = 256;
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

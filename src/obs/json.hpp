@@ -89,7 +89,7 @@ class Json {
   std::string dump_pretty() const;
 
   /// Strict parse of a complete JSON document; throws std::runtime_error
-  /// with an offset on malformed input.
+  /// with an offset on malformed input, or past 256 nested levels.
   static Json parse(std::string_view text);
 
  private:

@@ -179,7 +179,9 @@ CscView unpack_csc_view(const Payload& payload) {
   const auto ncolptr = static_cast<std::size_t>(h.ncols) + 1;
   const auto nnz = static_cast<std::size_t>(h.nnz);
   const auto* colptr = reinterpret_cast<const Index*>(base + ImageLayout::colptr);
-  CASP_CHECK_MSG(colptr[0] == 0 && colptr[ncolptr - 1] == h.nnz,
+  // Monotone from 0 to nnz, so every column's span lies inside the arrays.
+  CASP_CHECK_MSG(colptr[0] == 0 && colptr[ncolptr - 1] == h.nnz &&
+                     std::is_sorted(colptr, colptr + ncolptr),
                  "unpack_csc_view: corrupt colptr");
   const auto* rowids = reinterpret_cast<const Index*>(base + at.rowids);
   const auto* vals = reinterpret_cast<const Value*>(base + at.vals);

@@ -66,7 +66,9 @@ class CscWireImages {
 /// allocation, so it stays valid for the view's lifetime. Requires the
 /// payload start to be 8-byte aligned (the wire format guarantees this for
 /// whole messages and for allgather subviews: 24-byte header, 8-byte
-/// elements, 8-byte length prefixes).
+/// elements, 8-byte length prefixes). A size that does not match the
+/// header, or a colptr that does not climb monotonically from 0 to nnz,
+/// fails a CASP_CHECK; row ids and values are not checked.
 CscView unpack_csc_view(const Payload& payload);
 
 /// On-wire size without building the buffer.

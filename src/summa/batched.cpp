@@ -98,11 +98,23 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
         "input matrices");
 
   BatchedResult result;
+  obs::Recorder& rec = grid.world().recorder();
+  const Index psize = b.cols.count;  // my B column part width
 
   // Line 2, Alg. 4: the symbolic step decides b (unless the experiment
-  // pins it to sweep the (l, b) space).
+  // pins it to sweep the (l, b) space). A result the caller already holds
+  // for this grid stands in for the pass; only Eq. (2) runs again.
   if (opts.force_batches > 0) {
     result.batches = opts.force_batches;
+  } else if (opts.symbolic != nullptr) {
+    result.symbolic = *opts.symbolic;
+    CASP_CHECK_MSG(
+        static_cast<Index>(result.symbolic.col_nnz.size()) == psize,
+        "batched_summa3d: carried Symbolic3D result is for another layout");
+    result.symbolic.batches =
+        symbolic_batches(result.symbolic, total_memory, grid.world().size());
+    result.batches = result.symbolic.batches;
+    rec.set_counter("summa.symbolic_carried", 1);
   } else {
     result.symbolic = symbolic3d(grid, a.local, b.local, total_memory, opts);
     result.batches = result.symbolic.batches;
@@ -112,9 +124,6 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
 
   const Index num_batches = result.batches;
   const Index l = grid.layers();
-  const Index psize = b.cols.count;  // my B column part width
-
-  obs::Recorder& rec = grid.world().recorder();
   rec.set_counter("batches", num_batches);
 
   // Fiber split (DESIGN.md §5o): the l*b column blocks of my B part take

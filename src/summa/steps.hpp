@@ -20,6 +20,8 @@ class Checkpointer;
 class ResumeCache;
 }  // namespace ckpt
 
+struct SymbolicResult;  // summa/symbolic3d.hpp
+
 namespace steps {
 inline constexpr const char* kSymbolic = "Symbolic";
 inline constexpr const char* kABcast = "A-Bcast";
@@ -54,8 +56,9 @@ inline constexpr const char* kInnerBalance = "Inner-Balance";
 /// the fiber split (DESIGN.md §5o); once per job when l > 1.
 inline constexpr const char* kFiberBalance = "Fiber-Balance";
 
-/// Also outside the seven steps: gather_dist's allgather of every rank's
-/// block (grid/dist.hpp), once per gathered matrix.
+/// Also outside the seven steps: gather_dist's gather of every rank's
+/// block to one root, or to every rank (grid/dist.hpp), once per gathered
+/// matrix.
 inline constexpr const char* kGather = "Gather";
 }  // namespace steps
 
@@ -88,6 +91,12 @@ struct SummaOptions {
   /// Batched algorithm only: override the symbolic batch count (0 = let
   /// Symbolic3D decide). Used by the (l, b) sweep experiments.
   Index force_batches = 0;
+  /// Batched algorithm only: this rank's Symbolic3D result for this very
+  /// grid and input layout, from an earlier pass (the service's admission
+  /// estimate). batched_summa3d then skips symbolic3d and applies Eq. (2)
+  /// to its maxima (symbolic_batches). Ignored when force_batches is set.
+  /// Must be set uniformly across ranks. Borrowed, not owned.
+  const SymbolicResult* symbolic = nullptr;
   /// Batched algorithm only, and only with opts.memory set: when a batch
   /// overruns the budget, reach consensus at the batch boundary and re-run
   /// the remaining work at double the batch count instead of failing the

@@ -24,6 +24,21 @@ Index eq2_batches(Bytes total_memory, Index p, double max_input_bytes,
       1, static_cast<Index>(std::ceil(max_unmerged_bytes / denom)));
 }
 
+Index symbolic_batches(const SymbolicResult& sym, Bytes total_memory,
+                       Index p) {
+  const double r = static_cast<double>(kBytesPerNonzero);
+  const Index b =
+      eq2_batches(total_memory, p,
+                  r * static_cast<double>(sym.max_nnz_a + sym.max_nnz_b),
+                  r * static_cast<double>(sym.max_nnz_c));
+  if (b == 0) {
+    throw MemoryError(
+        "symbolic3d: inputs alone exceed the per-process memory share; "
+        "batching cannot help (Eq. 2 denominator <= 0)");
+  }
+  return b;
+}
+
 SymbolicResult symbolic3d(Grid3D& grid, const CscMat& local_a,
                           const CscMat& local_b, Bytes total_memory,
                           const SummaOptions& opts) {
@@ -74,16 +89,7 @@ SymbolicResult symbolic3d(Grid3D& grid, const CscMat& local_a,
   result.total_unmerged_nnz = world.allreduce_sum<Index>(my_unmerged);
   result.total_flops = world.allreduce_sum<Index>(my_flops);
 
-  const double r = static_cast<double>(kBytesPerNonzero);
-  result.batches = eq2_batches(
-      total_memory, world.size(),
-      r * static_cast<double>(result.max_nnz_a + result.max_nnz_b),
-      r * static_cast<double>(result.max_nnz_c));
-  if (result.batches == 0) {
-    throw MemoryError(
-        "symbolic3d: inputs alone exceed the per-process memory share; "
-        "batching cannot help (Eq. 2 denominator <= 0)");
-  }
+  result.batches = symbolic_batches(result, total_memory, world.size());
   return result;
 }
 

@@ -48,6 +48,12 @@ struct SymbolicResult {
 Index eq2_batches(Bytes total_memory, Index p, double max_input_bytes,
                   double max_unmerged_bytes);
 
+/// Eq. (2) applied to a Symbolic3D pass's maxima for p processes sharing
+/// total_memory: the b symbolic3d sets. Throws MemoryError when even the
+/// inputs do not fit. batched_summa3d sizes a carried result with it.
+Index symbolic_batches(const SymbolicResult& sym, Bytes total_memory,
+                       Index p);
+
 /// Collective over the whole grid. total_memory is M, the aggregate memory
 /// in bytes across all p processes (0 = unlimited -> b = 1). Throws
 /// MemoryError when even the inputs do not fit (denominator of Eq. 2

@@ -17,7 +17,8 @@ AdmissionEstimate estimate_admission(const JobSpec& spec, const CscMat& a,
   // Scratch symbolic job: explicitly fault-free (admission must never be
   // perturbed by a tenant's chaos plan or by CASP_VMPI_FAULTS) and with an
   // unlimited budget so symbolic3d reports the maxima instead of throwing.
-  SymbolicResult sym;
+  // Every rank keeps its result: the run on this grid reuses them.
+  est.symbolic.resize(static_cast<std::size_t>(spec.ranks));
   vmpi::RunOptions scratch;
   scratch.faults = vmpi::FaultPlan{};
   vmpi::run(
@@ -29,11 +30,11 @@ AdmissionEstimate estimate_admission(const JobSpec& spec, const CscMat& a,
         // The layout batched_summa3d runs on, so Eq. (2) sizes that one.
         if (spec.layers > 1) std::tie(da, db) = rebalance_inner(grid, da, db);
         SummaOptions opts = spec.summa_options();
-        SymbolicResult local =
+        est.symbolic[static_cast<std::size_t>(world.rank())] =
             symbolic3d(grid, da.local, db.local, /*total_memory=*/0, opts);
-        if (world.rank() == 0) sym = std::move(local);
       },
       scratch);
+  const SymbolicResult& sym = est.symbolic.front();
 
   obs::JobAdmission& adm = est.admission;
   adm.max_nnz_a = sym.max_nnz_a;

@@ -13,13 +13,17 @@
 // applied serially here, so admission's b is the b the run picks and a
 // rejection can name its evidence (share, input bytes, the non-positive
 // denominator) instead of surfacing as a MemoryError thrown mid-run on
-// some rank.
+// some rank. The scratch ranks' results are kept: a SpGEMM or triangle run
+// on the same grid hands rank r's to batched_summa3d, which then skips its
+// own Symbolic3D (DESIGN.md §5i).
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "obs/job_report.hpp"
 #include "sparse/csc_mat.hpp"
+#include "summa/symbolic3d.hpp"
 #include "svc/jobspec.hpp"
 
 namespace casp::svc {
@@ -30,6 +34,9 @@ namespace casp::svc {
 struct AdmissionEstimate {
   obs::JobAdmission admission;
   std::string reason;
+  /// Each scratch rank's Symbolic3D result, indexed by rank, for the
+  /// spec's (ranks, layers) grid and an unlimited budget.
+  std::vector<SymbolicResult> symbolic;
   bool fits() const { return admission.fits; }
 };
 

@@ -1,5 +1,7 @@
 #include "svc/jobspec.hpp"
 
+#include <stdexcept>
+
 #include "common/error.hpp"
 #include "grid/grid3d.hpp"
 #include "sparse/mm_io.hpp"
@@ -66,6 +68,33 @@ void expect_object(const obs::Json& j, const char* where) {
                           " must be a JSON object");
 }
 
+// A member's value as its field's type. Json's own accessors read a value
+// of another kind as 0, false or "", and convert a double past the int64
+// range with undefined behaviour; a spec must name the key instead.
+[[noreturn]] void wrong_type(const std::string& key, const char* type) {
+  throw InvalidArgument("jobspec: \"" + key + "\" must be " + type);
+}
+
+std::int64_t int_of(const obs::Json& v, const std::string& key) {
+  if (v.kind() != obs::Json::Kind::kInt) wrong_type(key, "an integer");
+  return v.as_int();
+}
+
+double number_of(const obs::Json& v, const std::string& key) {
+  if (!v.is_number()) wrong_type(key, "a number");
+  return v.as_double();
+}
+
+bool bool_of(const obs::Json& v, const std::string& key) {
+  if (v.kind() != obs::Json::Kind::kBool) wrong_type(key, "true or false");
+  return v.as_bool();
+}
+
+const std::string& string_of(const obs::Json& v, const std::string& key) {
+  if (!v.is_string()) wrong_type(key, "a string");
+  return v.as_string();
+}
+
 obs::Json er_json(const ErParams& p) {
   obs::Json j = obs::Json::object();
   j.set("nrows", static_cast<std::int64_t>(p.nrows));
@@ -80,11 +109,11 @@ ErParams er_from_json(const obs::Json& j) {
   expect_object(j, "er params");
   ErParams p;
   for (const auto& [key, v] : j.members()) {
-    if (key == "nrows") p.nrows = v.as_int();
-    else if (key == "ncols") p.ncols = v.as_int();
-    else if (key == "nnz_per_col") p.nnz_per_col = v.as_double();
-    else if (key == "random_values") p.random_values = v.as_bool();
-    else if (key == "seed") p.seed = static_cast<std::uint64_t>(v.as_int());
+    if (key == "nrows") p.nrows = int_of(v, key);
+    else if (key == "ncols") p.ncols = int_of(v, key);
+    else if (key == "nnz_per_col") p.nnz_per_col = number_of(v, key);
+    else if (key == "random_values") p.random_values = bool_of(v, key);
+    else if (key == "seed") p.seed = static_cast<std::uint64_t>(int_of(v, key));
     else unknown_key("er params", key);
   }
   return p;
@@ -110,17 +139,17 @@ RmatParams rmat_from_json(const obs::Json& j) {
   expect_object(j, "rmat params");
   RmatParams p;
   for (const auto& [key, v] : j.members()) {
-    if (key == "scale") p.scale = static_cast<int>(v.as_int());
-    else if (key == "edge_factor") p.edge_factor = v.as_double();
-    else if (key == "a") p.a = v.as_double();
-    else if (key == "b") p.b = v.as_double();
-    else if (key == "c") p.c = v.as_double();
-    else if (key == "d") p.d = v.as_double();
-    else if (key == "noise") p.noise = v.as_bool();
-    else if (key == "symmetric") p.symmetric = v.as_bool();
-    else if (key == "remove_self_loops") p.remove_self_loops = v.as_bool();
-    else if (key == "random_values") p.random_values = v.as_bool();
-    else if (key == "seed") p.seed = static_cast<std::uint64_t>(v.as_int());
+    if (key == "scale") p.scale = static_cast<int>(int_of(v, key));
+    else if (key == "edge_factor") p.edge_factor = number_of(v, key);
+    else if (key == "a") p.a = number_of(v, key);
+    else if (key == "b") p.b = number_of(v, key);
+    else if (key == "c") p.c = number_of(v, key);
+    else if (key == "d") p.d = number_of(v, key);
+    else if (key == "noise") p.noise = bool_of(v, key);
+    else if (key == "symmetric") p.symmetric = bool_of(v, key);
+    else if (key == "remove_self_loops") p.remove_self_loops = bool_of(v, key);
+    else if (key == "random_values") p.random_values = bool_of(v, key);
+    else if (key == "seed") p.seed = static_cast<std::uint64_t>(int_of(v, key));
     else unknown_key("rmat params", key);
   }
   return p;
@@ -143,15 +172,15 @@ ProteinParams protein_from_json(const obs::Json& j) {
   expect_object(j, "protein params");
   ProteinParams p;
   for (const auto& [key, v] : j.members()) {
-    if (key == "n") p.n = v.as_int();
-    else if (key == "min_family") p.min_family = v.as_int();
-    else if (key == "max_family") p.max_family = v.as_int();
-    else if (key == "family_exponent") p.family_exponent = v.as_double();
-    else if (key == "within_density") p.within_density = v.as_double();
+    if (key == "n") p.n = int_of(v, key);
+    else if (key == "min_family") p.min_family = int_of(v, key);
+    else if (key == "max_family") p.max_family = int_of(v, key);
+    else if (key == "family_exponent") p.family_exponent = number_of(v, key);
+    else if (key == "within_density") p.within_density = number_of(v, key);
     else if (key == "cross_edges_per_node")
-      p.cross_edges_per_node = v.as_double();
-    else if (key == "diagonal") p.diagonal = v.as_bool();
-    else if (key == "seed") p.seed = static_cast<std::uint64_t>(v.as_int());
+      p.cross_edges_per_node = number_of(v, key);
+    else if (key == "diagonal") p.diagonal = bool_of(v, key);
+    else if (key == "seed") p.seed = static_cast<std::uint64_t>(int_of(v, key));
     else unknown_key("protein params", key);
   }
   return p;
@@ -171,12 +200,12 @@ MclParams mcl_from_json(const obs::Json& j) {
   expect_object(j, "mcl params");
   MclParams p;
   for (const auto& [key, v] : j.members()) {
-    if (key == "inflation") p.inflation = v.as_double();
-    else if (key == "prune_threshold") p.prune_threshold = v.as_double();
-    else if (key == "keep_per_col") p.keep_per_col = v.as_int();
+    if (key == "inflation") p.inflation = number_of(v, key);
+    else if (key == "prune_threshold") p.prune_threshold = number_of(v, key);
+    else if (key == "keep_per_col") p.keep_per_col = int_of(v, key);
     else if (key == "max_iterations")
-      p.max_iterations = static_cast<int>(v.as_int());
-    else if (key == "chaos_threshold") p.chaos_threshold = v.as_double();
+      p.max_iterations = static_cast<int>(int_of(v, key));
+    else if (key == "chaos_threshold") p.chaos_threshold = number_of(v, key);
     else unknown_key("mcl params", key);
   }
   return p;
@@ -227,8 +256,8 @@ MatrixSource MatrixSource::from_json(const obs::Json& j) {
   expect_object(j, "matrix source");
   MatrixSource src;
   for (const auto& [key, v] : j.members()) {
-    if (key == "kind") src.kind = kind_from_name(v.as_string());
-    else if (key == "path") src.path = v.as_string();
+    if (key == "kind") src.kind = kind_from_name(string_of(v, key));
+    else if (key == "path") src.path = string_of(v, key);
     else if (key == "er") src.er = er_from_json(v);
     else if (key == "rmat") src.rmat = rmat_from_json(v);
     else if (key == "protein") src.protein = protein_from_json(v);
@@ -380,33 +409,33 @@ JobSpec JobSpec::from_json(const obs::Json& j) {
   expect_object(j, "jobspec");
   JobSpec spec;
   for (const auto& [key, v] : j.members()) {
-    if (key == "job_id") spec.job_id = v.as_string();
-    else if (key == "tenant") spec.tenant = v.as_string();
-    else if (key == "priority") spec.priority = static_cast<int>(v.as_int());
-    else if (key == "op") spec.op = job_op_from_string(v.as_string());
+    if (key == "job_id") spec.job_id = string_of(v, key);
+    else if (key == "tenant") spec.tenant = string_of(v, key);
+    else if (key == "priority") spec.priority = static_cast<int>(int_of(v, key));
+    else if (key == "op") spec.op = job_op_from_string(string_of(v, key));
     else if (key == "a") spec.a = MatrixSource::from_json(v);
     else if (key == "b") spec.b = MatrixSource::from_json(v);
-    else if (key == "aat") spec.aat = v.as_bool();
-    else if (key == "ranks") spec.ranks = static_cast<int>(v.as_int());
-    else if (key == "layers") spec.layers = static_cast<int>(v.as_int());
+    else if (key == "aat") spec.aat = bool_of(v, key);
+    else if (key == "ranks") spec.ranks = static_cast<int>(int_of(v, key));
+    else if (key == "layers") spec.layers = static_cast<int>(int_of(v, key));
     else if (key == "memory_bytes")
-      spec.memory_bytes = static_cast<Bytes>(v.as_int());
-    else if (key == "kernel") spec.kernel = v.as_string();
-    else if (key == "sort_final") spec.sort_final = v.as_bool();
-    else if (key == "sparse_comm") spec.sparse_comm = v.as_bool();
-    else if (key == "threads") spec.threads = static_cast<int>(v.as_int());
-    else if (key == "force_batches") spec.force_batches = v.as_int();
-    else if (key == "adaptive_rebatch") spec.adaptive_rebatch = v.as_bool();
-    else if (key == "ckpt_dir") spec.ckpt_dir = v.as_string();
+      spec.memory_bytes = static_cast<Bytes>(int_of(v, key));
+    else if (key == "kernel") spec.kernel = string_of(v, key);
+    else if (key == "sort_final") spec.sort_final = bool_of(v, key);
+    else if (key == "sparse_comm") spec.sparse_comm = bool_of(v, key);
+    else if (key == "threads") spec.threads = static_cast<int>(int_of(v, key));
+    else if (key == "force_batches") spec.force_batches = int_of(v, key);
+    else if (key == "adaptive_rebatch") spec.adaptive_rebatch = bool_of(v, key);
+    else if (key == "ckpt_dir") spec.ckpt_dir = string_of(v, key);
     else if (key == "ckpt_every")
-      spec.ckpt_every = static_cast<std::uint64_t>(v.as_int());
-    else if (key == "ckpt_job_tag") spec.ckpt_job_tag = v.as_string();
+      spec.ckpt_every = static_cast<std::uint64_t>(int_of(v, key));
+    else if (key == "ckpt_job_tag") spec.ckpt_job_tag = string_of(v, key);
     else if (key == "mcl") spec.mcl = mcl_from_json(v);
-    else if (key == "fault_spec") spec.fault_spec = v.as_string();
+    else if (key == "fault_spec") spec.fault_spec = string_of(v, key);
     else if (key == "max_restarts")
-      spec.max_restarts = static_cast<int>(v.as_int());
-    else if (key == "deadline_ms") spec.deadline_ms = v.as_int();
-    else if (key == "elastic") spec.elastic = v.as_bool();
+      spec.max_restarts = static_cast<int>(int_of(v, key));
+    else if (key == "deadline_ms") spec.deadline_ms = int_of(v, key);
+    else if (key == "elastic") spec.elastic = bool_of(v, key);
     else unknown_key("jobspec", key);
   }
   return spec;
@@ -415,7 +444,13 @@ JobSpec JobSpec::from_json(const obs::Json& j) {
 std::string JobSpec::dump() const { return to_json().dump(); }
 
 JobSpec JobSpec::parse(const std::string& text) {
-  return from_json(obs::Json::parse(text));
+  obs::Json j;
+  try {
+    j = obs::Json::parse(text);
+  } catch (const std::runtime_error& e) {
+    throw InvalidArgument(std::string("jobspec: ") + e.what());
+  }
+  return from_json(j);
 }
 
 }  // namespace casp::svc

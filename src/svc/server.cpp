@@ -126,6 +126,8 @@ std::string Server::submit(JobSpec spec) {
     finish(job, JobState::kRejected, est.reason);
     return id;
   }
+  job.symbolic = std::move(est.symbolic);
+  job.symbolic_grid = {job.spec.ranks, job.spec.layers};
   job.reserved_bytes = reservation_bytes(job.spec, job.admission);
   job.admission.reserved_bytes = job.reserved_bytes;
 
@@ -267,7 +269,7 @@ bool Server::may_regrow(const Exec& e) const {
 }
 
 bool Server::reshape(Exec& e, int ranks, int layers, std::string* why) {
-  const JobRecord& rec = *e.rec;
+  JobRecord& rec = *e.rec;
   // Every grid change re-runs Eq. (2) admission: the per-process share
   // moves with p, and a budget that fit one shape may not fit another.
   JobSpec shaped = rec.spec;
@@ -281,6 +283,8 @@ bool Server::reshape(Exec& e, int ranks, int layers, std::string* why) {
   e.track_recovery = true;
   e.run_ranks = ranks;
   e.run_layers = layers;
+  rec.symbolic = std::move(est.symbolic);
+  rec.symbolic_grid = {ranks, layers};
   // Re-shard the checkpoints by global coordinates onto the new grid (in
   // either direction). MCL resumes natively: its snapshot holds the
   // re-replicated global iterate under a grid-independent id. The epoch
@@ -665,8 +669,16 @@ void Server::run_body(Exec& e, vmpi::Comm& world) {
     opts.ckpt = &ck;
   }
   Grid3D grid(world, e.run_layers);
+  // Admission already ran Symbolic3D on this grid: lend this rank's result
+  // so the SpGEMM inside the job does not repeat it. MCL keeps its own
+  // pass per iteration (its operand changes).
+  const SymbolicResult* sized =
+      rec.symbolic_grid == std::pair{e.run_ranks, e.run_layers}
+          ? &rec.symbolic[static_cast<std::size_t>(world.rank())]
+          : nullptr;
   switch (spec.op) {
     case JobOp::kSpGemm: {
+      opts.symbolic = sized;
       opts.resume = e.resume;
       opts.pause_after_batches = e.attempt_pause;
       const DistMat3D da = distribute_a_style(grid, rec.in_a);
@@ -681,7 +693,8 @@ void Server::run_body(Exec& e, vmpi::Comm& world) {
         if (world.rank() == 0) e.attempt_paused = true;
         break;
       }
-      CscMat full = gather_dist(grid, r.c);
+      // Only rank 0 assembles C; the others send their blocks and move on.
+      CscMat full = gather_dist(grid, r.c, /*root=*/0);
       if (world.rank() == 0) {
         rec.c = std::move(full);
         rec.batches = r.batches;
@@ -696,6 +709,7 @@ void Server::run_body(Exec& e, vmpi::Comm& world) {
       break;
     }
     case JobOp::kTriangleCount: {
+      opts.symbolic = sized;
       const Index t = count_triangles_lu(grid, rec.in_a, rec.in_b,
                                          spec.memory_bytes, opts);
       if (world.rank() == 0) rec.triangles = t;
@@ -706,6 +720,7 @@ void Server::run_body(Exec& e, vmpi::Comm& world) {
 
 void Server::finish(JobRecord& rec, JobState state, std::string reason) {
   release_reservation(rec);
+  rec.symbolic = {};
   rec.state = state;
   rec.reason = reason;
   obs::JobReport& rep = rec.report;

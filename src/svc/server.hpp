@@ -54,12 +54,14 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/mcl.hpp"
 #include "ckpt/redistribute.hpp"
 #include "obs/job_report.hpp"
 #include "sparse/csc_mat.hpp"
+#include "summa/symbolic3d.hpp"
 #include "svc/jobspec.hpp"
 #include "svc/queue.hpp"
 #include "svc/quota.hpp"
@@ -101,6 +103,12 @@ struct JobRecord {
   /// triangle job holds L and U (apps/triangle.hpp), the product it runs.
   CscMat in_a;
   CscMat in_b;
+  /// Admission's Symbolic3D result of every rank, for the grid
+  /// symbolic_grid = (ranks, layers). An attempt on that grid lends rank
+  /// r's to batched_summa3d, which then skips its own pass; reshape
+  /// replaces them for the new grid. Released once the job is terminal.
+  std::vector<SymbolicResult> symbolic;
+  std::pair<int, int> symbolic_grid{0, 0};
 
   // Outputs (valid in state kDone, per op):
   CscMat c;                  ///< kSpGemm: the gathered product
@@ -195,7 +203,8 @@ class Server {
   /// Top-of-round grid decision (shrink / regrow / fail) + dispatch.
   RoundStart begin_round(Exec& e);
   /// Move the job onto a ranks x layers grid: re-run Eq. (2) admission for
-  /// that shape and redistribute the job's checkpoints onto it. False (with
+  /// that shape (its Symbolic3D results replace the record's) and
+  /// redistribute the job's checkpoints onto it. False (with
   /// the estimate's reason in *why) when the shape cannot hold the job;
   /// the grid is then unchanged.
   bool reshape(Exec& e, int ranks, int layers, std::string* why);

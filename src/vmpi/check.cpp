@@ -22,6 +22,8 @@ const char* collective_op_name(CollectiveOp op) {
       return "split";
     case CollectiveOp::kSparseExchange:
       return "sparse-exchange";
+    case CollectiveOp::kGather:
+      return "gather";
   }
   return "unknown";
 }

@@ -32,6 +32,7 @@ enum class CollectiveOp : std::uint8_t {
   kAlltoall,
   kSplit,
   kSparseExchange,
+  kGather,
 };
 
 const char* collective_op_name(CollectiveOp op);

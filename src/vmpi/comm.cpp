@@ -605,22 +605,57 @@ std::vector<Payload> Comm::sparse_wait(PendingSparse& pending,
   return received;
 }
 
+std::vector<std::vector<Payload>> Comm::gather_payloads(
+    int root, std::vector<Payload> mine) {
+  return gather_to(root, std::move(mine), CollectiveOp::kGather);
+}
+
+std::vector<std::vector<Payload>> Comm::gather_to(int root,
+                                                  std::vector<Payload> mine,
+                                                  CollectiveOp op) {
+  CASP_CHECK(root >= 0 && root < size_);
+  std::vector<std::vector<Payload>> gathered;
+  if (size_ > 1) {
+    CASP_VMPI_COLLECTIVE(op, root, 0);
+    if (rank_ != root) {
+      Payload head;
+      if (!mine.empty()) {
+        head = std::move(mine.front());
+        mine.erase(mine.begin());
+      }
+      post_message(root, kGatherTag, std::move(head),
+                   /*fire_and_forget=*/false, std::move(mine));
+      return gathered;
+    }
+    gathered.resize(static_cast<std::size_t>(size_));
+    for (int r = 0; r < size_; ++r) {
+      if (r == root) continue;
+      detail::Message msg = take_message(r, kGatherTag);
+#ifdef CASP_VMPI_CHECK
+      verify_collective_stamp(msg, r);
+#endif
+      std::vector<Payload>& from = gathered[static_cast<std::size_t>(r)];
+      from.reserve(1 + msg.parts.size());
+      from.push_back(std::move(msg.payload));
+      for (Payload& part : msg.parts) from.push_back(std::move(part));
+    }
+  } else {
+    gathered.resize(1);
+  }
+  gathered[static_cast<std::size_t>(root)] = std::move(mine);
+  return gathered;
+}
+
 std::vector<Payload> Comm::allgather_payload(Payload mine) {
   std::vector<Payload> gathered(static_cast<std::size_t>(size_));
   if (size_ == 1) {
     gathered[0] = std::move(mine);
     return gathered;
   }
-  {
-    CASP_VMPI_COLLECTIVE(CollectiveOp::kAllgather, 0, 0);
-    if (rank_ == 0) {
-      gathered[0] = std::move(mine);
-      for (int r = 1; r < size_; ++r)
-        gathered[static_cast<std::size_t>(r)] = recv_payload(r, kGatherTag);
-    } else {
-      send_payload(0, kGatherTag, std::move(mine));
-    }
-  }
+  std::vector<Payload> one;
+  one.push_back(std::move(mine));
+  const std::vector<std::vector<Payload>> lists =
+      gather_to(0, std::move(one), CollectiveOp::kAllgather);
   // Rank 0 builds one packed concatenation (with per-rank length headers) —
   // the only byte copy in the collective — then every rank, rank 0
   // included, returns subviews into the shared broadcast buffer.
@@ -628,10 +663,11 @@ std::vector<Payload> Comm::allgather_payload(Payload mine) {
   if (rank_ == 0) {
     std::size_t total =
         sizeof(std::uint64_t) * static_cast<std::size_t>(size_);
-    for (const Payload& p : gathered) total += p.size();
+    for (const std::vector<Payload>& from : lists) total += from[0].size();
     std::vector<std::byte> buf;
     buf.reserve(total);
-    for (const Payload& p : gathered) {
+    for (const std::vector<Payload>& from : lists) {
+      const Payload& p = from[0];
       const std::uint64_t len = p.size();
       static_assert(std::is_trivially_copyable_v<std::uint64_t>);
       const auto* lenp = reinterpret_cast<const std::byte*>(&len);

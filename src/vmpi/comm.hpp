@@ -63,8 +63,9 @@ class SchedState;  // vmpi/sched.hpp — casp-verify scheduled-run state
 namespace detail {
 
 /// One mailbox entry. A message is a head `payload` followed by an ordered
-/// gather list of `parts`. Only a sparse-exchange reply has parts: its head
-/// is empty and its parts are the whole reply (summa/sparse_comm.hpp).
+/// gather list of `parts`. A sparse-exchange reply has parts (its head is
+/// empty and its parts are the whole reply, summa/sparse_comm.hpp), and so
+/// does a gather_payloads message of more than one payload.
 /// Whatever the part count, a message is one send: post_message
 /// records it once in TrafficStats with the total bytes, stamps it once for
 /// the CollectiveChecker, covers head and parts with one frame checksum in
@@ -434,8 +435,16 @@ class Comm {
     return out.at(0);
   }
 
-  /// All-gather of one payload per rank (binomial gather to rank 0 +
-  /// broadcast of the concatenation). Returns size() handles; on every rank
+  /// Gather to `root`, one message per other rank: rank r's `mine` arrives
+  /// whole, its first payload as the message head and the rest as
+  /// gather-list parts. Root returns size() lists, entry r holding rank r's
+  /// payloads in order (entry root is its own `mine`); every other rank
+  /// returns an empty vector.
+  std::vector<std::vector<Payload>> gather_payloads(int root,
+                                                    std::vector<Payload> mine);
+
+  /// All-gather of one payload per rank: the same gather to rank 0, then a
+  /// broadcast of the concatenation. Returns size() handles; on every rank
   /// they are subviews of one shared concatenation buffer.
   std::vector<Payload> allgather_payload(Payload mine);
 
@@ -548,6 +557,12 @@ class Comm {
 
   Comm(std::shared_ptr<detail::World> world, std::uint64_t context,
        std::vector<int> members, int my_pos);
+
+  /// gather_payloads under the CollectiveChecker stamp `op`, so the
+  /// allgather keeps its own.
+  std::vector<std::vector<Payload>> gather_to(int root,
+                                              std::vector<Payload> mine,
+                                              CollectiveOp op);
 
   /// Enqueue a message for `dest`, recording the full logical bytes in
   /// TrafficStats (handle forwarding never discounts a hop). `parts`, when

@@ -14,6 +14,7 @@
 #include "gen/rmat.hpp"
 #include "grid/dist.hpp"
 #include "kernels/reference.hpp"
+#include "sparse/serialize.hpp"
 #include "summa/batched.hpp"
 #include "test_util.hpp"
 #include "vmpi/runtime.hpp"
@@ -80,6 +81,31 @@ TEST_P(DistRoundTrip, GatherIsBitwiseTheTriplesAssembly) {
       testing::expect_same_arrays(back, gather_by_triples(grid, dist));
       testing::expect_same_arrays(back, global);
     }
+  });
+}
+
+/// gather_dist's root form on every rank: the all-ranks form's bits on
+/// `root`, an empty matrix everywhere else.
+void expect_root_gather(Grid3D& grid, const DistMat3D& dist, int root) {
+  const CscMat all = gather_dist(grid, dist);
+  const CscMat one = gather_dist(grid, dist, root);
+  if (grid.world().rank() == root) {
+    testing::expect_same_arrays(one, all);
+  } else {
+    EXPECT_EQ(one.nrows(), 0);
+    EXPECT_EQ(one.ncols(), 0);
+    EXPECT_EQ(one.nnz(), 0);
+  }
+}
+
+TEST_P(DistRoundTrip, RootGatherIsTheAllRanksGatherOnTheRootOnly) {
+  const auto [p, l, rows, cols] = GetParam();
+  const CscMat global = testing::random_matrix(rows, cols, 3.0, 49);
+  vmpi::run(p, [&, l = l, p = p](vmpi::Comm& world) {
+    Grid3D grid(world, l);
+    for (const DistMat3D& dist : {distribute_a_style(grid, global),
+                                  distribute_b_style(grid, global)})
+      for (const int root : {0, p - 1}) expect_root_gather(grid, dist, root);
   });
 }
 
@@ -381,6 +407,7 @@ TEST(GatherDist, FiberSplitCIsBitwiseTheTriplesAssembly) {
     const CscMat c = gather_dist(grid, r.c);
     testing::expect_same_arrays(c, gather_by_triples(grid, r.c));
     testing::expect_mat_near(c, expected, 1e-9);
+    expect_root_gather(grid, r.c, 3);
   });
   EXPECT_TRUE(moved) << "the fiber split kept part_low's column blocks";
   EXPECT_GT(run.traffic_summary().total_per_phase.count(steps::kGather), 0u);
@@ -420,6 +447,68 @@ TEST(GatherDist, TrafficIsItsOwnPhase) {
     EXPECT_EQ(world.traffic().get("default").bytes, before);
     EXPECT_GT(world.traffic().get(steps::kGather).bytes, 0);
   });
+}
+
+TEST(GatherDist, RootFormSendsOneMessagePerOtherRank) {
+  // Each non-root rank sends its 16-byte origin and its block's wire image
+  // as one gather-list message; the all-ranks form's two allgathers take
+  // a gather and a broadcast tree each.
+  const CscMat global = testing::random_matrix(33, 29, 3.0, 50);
+  const int p = 8;
+  std::vector<Bytes> image(p);
+  auto gather_traffic = [&](bool to_root) {
+    const vmpi::RunResult run = vmpi::run(p, [&](vmpi::Comm& world) {
+      Grid3D grid(world, 2);
+      const DistMat3D dist = distribute_b_style(grid, global);
+      image[static_cast<std::size_t>(world.rank())] = packed_size(dist.local);
+      if (to_root)
+        gather_dist(grid, dist, /*root=*/0);
+      else
+        gather_dist(grid, dist);
+    });
+    return run.traffic_summary().total_per_phase.at(steps::kGather);
+  };
+  const vmpi::PhaseTraffic root = gather_traffic(true);
+  EXPECT_EQ(root.messages, static_cast<std::uint64_t>(p - 1));
+  Bytes sent = 0;
+  for (int r = 1; r < p; ++r)
+    sent += 2 * sizeof(Index) + image[static_cast<std::size_t>(r)];
+  EXPECT_EQ(root.bytes, sent);
+  EXPECT_EQ(gather_traffic(false).messages,
+            static_cast<std::uint64_t>(4 * (p - 1)));
+}
+
+TEST(GatherDist, AllgatherCountsAreAGatherPlusABroadcastTree) {
+  // allgather_payload and its typed forms: p - 1 gather messages of each
+  // non-root rank's bytes, then a binomial broadcast (p - 1 messages) of
+  // the concatenation with an 8-byte length per rank.
+  for (const int p : {2, 4, 7}) {
+    std::vector<std::size_t> len(static_cast<std::size_t>(p));
+    const vmpi::RunResult run = vmpi::run(p, [&](vmpi::Comm& world) {
+      const int me = world.rank();
+      std::vector<Index> mine(static_cast<std::size_t>(3 * me + 1),
+                              Index{me});
+      len[static_cast<std::size_t>(me)] = mine.size() * sizeof(Index);
+      vmpi::ScopedPhase phase(world.traffic(), "probe");
+      EXPECT_EQ(world.allgather_vec<Index>(mine).size(),
+                static_cast<std::size_t>(3 * p * (p - 1) / 2 + p));
+      EXPECT_EQ(world.allgather_value<int>(me).at(p - 1), p - 1);
+    });
+    const vmpi::PhaseTraffic t =
+        run.traffic_summary().total_per_phase.at("probe");
+    Bytes gathered = 0, packed = 8 * static_cast<Bytes>(p);
+    for (int r = 0; r < p; ++r) {
+      if (r > 0) gathered += len[static_cast<std::size_t>(r)];
+      packed += len[static_cast<std::size_t>(r)];
+    }
+    const auto links = static_cast<Bytes>(p - 1);
+    // allgather_vec, then allgather_value's p - 1 ints.
+    EXPECT_EQ(t.messages, static_cast<std::uint64_t>(4 * (p - 1))) << p;
+    EXPECT_EQ(t.bytes, gathered + links * packed + links * sizeof(int) +
+                           links * (8 * static_cast<Bytes>(p) +
+                                    sizeof(int) * static_cast<Bytes>(p)))
+        << p;
+  }
 }
 
 /// One column-major block over caller-owned arrays.

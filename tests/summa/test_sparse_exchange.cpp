@@ -377,8 +377,9 @@ TEST(SparseExchangeLedger, ABcastIsOneRequestPlusOneReplyPerStagePeer) {
 // block that is consistent with what it says. Nothing may crash, allocate
 // from a corrupt count or read past a part. The rowids and vals parts are
 // content: the fault-run frame checksum guards them, not the decoder, so
-// they are not mutated. The colptr words inside a slice are content too: a
-// flip there fails the monotonicity check or keeps the shape and nnz.
+// they are not mutated. The colptr words inside a slice, and inside the
+// dense fallback's block, are content too: a flip there fails the
+// monotonicity check or keeps the shape and nnz.
 // check.sh runs this suite in its ASan+UBSan stage.
 
 /// Runs `decode`. True if it failed a CASP_CHECK, false if it returned; any
@@ -593,14 +594,20 @@ TEST(SparseDecoderMutation, ReplyMutantsFailACheckOrDecodeToTheSameBlock) {
         }
         break;
       }
-      case 2: {  // a flipped bit in the descriptor or the dense block's header
+      case 2: {  // a flipped bit in the descriptor, or in the dense block's
+                 // header or colptr
         const Payload& target = dense ? parts[1] : parts[0];
         const std::size_t words =
-            dense ? 3 : target.size() / sizeof(std::uint64_t);
+            dense ? 3 + static_cast<std::size_t>(ncols) + 1
+                  : target.size() / sizeof(std::uint64_t);
         const std::size_t w = splitmix64(state) % words;
         std::vector<std::byte> bytes = bytes_of(target);
         flip_bit(bytes, w * 64 + splitmix64(state) % 64);
         (dense ? parts[1] : parts[0]) = Payload::wrap(std::move(bytes));
+        // The dense block's colptr follows its 3-word header; its two ends
+        // are structure, the words between them content.
+        if (dense && w > 3 && w < 3 + static_cast<std::size_t>(ncols))
+          structural = false;
         if (!dense && w >= 4 + 2 * nranges) {
           // A colptr slice word: its two ends are structure (they fix the
           // range's nnz), the words between them content.
@@ -674,6 +681,37 @@ TEST(SparseDecoderMutation, DenseBlockHeaderBitFlipsNeverWrapTheSizeCheck) {
       (void)assemble_sparse_block(parts, block.nrows(), block.ncols());
     })) << "bit " << bit;
   }
+}
+
+TEST(SparseDecoderMutation, DenseBlockColptrFlipsFailOrKeepEverySpanInside) {
+  // Every single-bit flip of a packed block's interior colptr words. A flip
+  // that breaks monotonicity would give a column span past nnz (or a
+  // negative one), so the decoder must refuse it; any other flip only
+  // moves entries between neighbouring columns.
+  const CscMat block = testing::random_matrix(24, 20, 2.0, 921);
+  const Payload packed = pack_csc_payload(block);
+  const std::size_t ncols = static_cast<std::size_t>(block.ncols());
+  int refused = 0, kept = 0;
+  for (std::size_t w = 4; w < 3 + ncols; ++w) {
+    for (std::size_t bit = 0; bit < 64; ++bit) {
+      std::vector<std::byte> bytes = bytes_of(packed);
+      flip_bit(bytes, w * 64 + bit);
+      const Payload mutant = Payload::wrap(std::move(bytes));
+      CscView got;
+      if (fails_check([&] { got = unpack_csc_view(mutant); })) {
+        ++refused;
+        continue;
+      }
+      ++kept;
+      EXPECT_EQ(got.nnz(), block.nnz()) << "word " << w << " bit " << bit;
+      EXPECT_TRUE(std::is_sorted(got.colptr().begin(), got.colptr().end()))
+          << "word " << w << " bit " << bit;
+      EXPECT_LE(got.colptr().back(), block.nnz());
+    }
+  }
+  // Every flip of a high bit leaves colptr non-monotone.
+  EXPECT_GE(refused, static_cast<int>(ncols - 1) * 32);
+  EXPECT_GT(kept, 0);
 }
 
 // ---------------------------------------------------------------------------

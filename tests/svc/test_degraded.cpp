@@ -415,7 +415,7 @@ void submit_mixed_fleet(Server& server) {
     s.priority = i % 3;
     if (i == 2) s.deadline_ms = 60000;  // urgent class, generous budget
     if (i == 4) {
-      s.fault_spec = "seed=5;crash_rank=1;crash_op=15";
+      s.fault_spec = "seed=5;crash_rank=1;crash_op=10";
       s.max_restarts = 2;  // supervised: one transient crash, then done
     }
     server.submit(std::move(s));

@@ -3,7 +3,13 @@
 // validation, and the thin views over the legacy option structs.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <exception>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "svc/jobspec.hpp"
 
 namespace casp::svc {
@@ -78,6 +84,19 @@ TEST(JobSpec, StrictParseRejectsUnknownKeys) {
   EXPECT_THROW(JobSpec::parse(R"({"pipeline": false})"), InvalidArgument);
   EXPECT_THROW(JobSpec::parse(R"({"a": {"kind": "er", "er": {"zzz": 1}}})"),
                InvalidArgument);
+}
+
+TEST(JobSpec, StrictParseRejectsValuesOfTheWrongType) {
+  // Each field reads one JSON type; any other names the key.
+  for (const char* text :
+       {R"({"ranks": "4"})", R"({"ranks": 4.0})", R"({"ranks": 1e300})",
+        R"({"memory_bytes": true})", R"({"aat": 1})", R"({"tenant": 5})",
+        R"({"a": {"kind": "er", "er": {"nnz_per_col": "3"}}})"})
+    EXPECT_THROW(JobSpec::parse(text), InvalidArgument) << text;
+  // A number field takes an integer literal.
+  const JobSpec three =
+      JobSpec::parse(R"({"a": {"kind": "er", "er": {"nnz_per_col": 3}}})");
+  EXPECT_EQ(three.a.er.nnz_per_col, 3.0);
 }
 
 TEST(JobSpec, ValidateCatchesStructuralErrors) {
@@ -168,6 +187,111 @@ TEST(JobSpec, RunOptionsNeverInheritEnvFaults) {
   ASSERT_TRUE(sup.faults.has_value());
   EXPECT_TRUE(sup.faults->enabled());
   EXPECT_TRUE(s.supervised());
+}
+
+// ---------------------------------------------------------------------------
+// JobSpecMutation: seeded splitmix64 mutations of JobSpec JSON text through
+// Json::parse and JobSpec::from_json. A mutant either fails with
+// InvalidArgument (never another exception, never a crash) or parses to a
+// spec whose dump parses back to the same dump. validate() on an accepted
+// mutant classifies the same way. check.sh runs this suite in its
+// ASan+UBSan stage.
+
+/// Texts the mutator splices in: JSON punctuation, literals, and numbers
+/// at and past the edges of the fields' types.
+constexpr std::array<const char*, 22> kSplices = {
+    "{", "}", "[", "]", "\"", ":", ",", "\\", "\\u00e9", "true", "null",
+    "-0", "0.5", "1e300", "1e999", "-9223372036854775809",
+    "99999999999999999999", "9223372036854775807", "\"x\"", "[1,2]",
+    "{\"k\":1}", "\"\xff\x01\""};
+
+std::string mutate(const std::string& text, std::uint64_t& state) {
+  std::string m = text;
+  const auto at = [&](std::size_t n) {
+    return static_cast<std::size_t>(splitmix64(state) % (n + 1));
+  };
+  switch (splitmix64(state) % 5) {
+    case 0:  // a flipped bit
+      if (!m.empty()) {
+        const std::size_t k = at(m.size() - 1);
+        m[k] = static_cast<char>(m[k] ^ (1 << (splitmix64(state) % 8)));
+      }
+      break;
+    case 1: {  // a deleted span
+      const std::size_t k = at(m.size());
+      m.erase(k, 1 + splitmix64(state) % 12);
+      break;
+    }
+    case 2: {  // a spliced token
+      m.insert(at(m.size()), kSplices[splitmix64(state) % kSplices.size()]);
+      break;
+    }
+    case 3: {  // a value replaced: the text after a ':' up to the next , or }
+      const std::size_t colon = m.find(':', at(m.size()));
+      if (colon == std::string::npos) break;
+      const std::size_t end = m.find_first_of(",}", colon + 1);
+      m.replace(colon + 1,
+                (end == std::string::npos ? m.size() : end) - colon - 1,
+                kSplices[splitmix64(state) % kSplices.size()]);
+      break;
+    }
+    default: {  // a span copied elsewhere
+      const std::size_t from = at(m.size());
+      const std::string span = m.substr(from, 1 + splitmix64(state) % 24);
+      m.insert(at(m.size()), span);
+      break;
+    }
+  }
+  return m;
+}
+
+TEST(JobSpecMutation, MutantsAreRefusedAsInvalidArgumentOrRoundTrip) {
+  JobSpec spgemm;
+  spgemm.a = MatrixSource::rmat_graph(6, 4.0, 3);
+  spgemm.b = MatrixSource::file("in.mtx");
+  spgemm.deadline_ms = 250;
+  spgemm.elastic = true;
+  JobSpec protein;
+  protein.op = JobOp::kTriangleCount;
+  protein.a = MatrixSource::protein_network(40, 9);
+  const std::vector<std::string> seeds = {full_spec().dump(), spgemm.dump(),
+                                          protein.dump()};
+  std::uint64_t state = 0x5eed0025;
+  int refused = 0, accepted = 0;
+  for (int i = 0; i < 6000; ++i) {
+    std::string text = seeds[static_cast<std::size_t>(i) % seeds.size()];
+    // One mutation, or three stacked so some mutants drift far.
+    for (int n = splitmix64(state) % 4 == 0 ? 3 : 1; n > 0; --n)
+      text = mutate(text, state);
+    JobSpec spec;
+    try {
+      spec = JobSpec::parse(text);
+    } catch (const InvalidArgument&) {
+      ++refused;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " threw " << e.what() << "\n"
+                    << text;
+      continue;
+    }
+    ++accepted;
+    const std::string once = spec.dump();
+    EXPECT_EQ(JobSpec::parse(once).dump(), once) << "mutant " << i;
+    try {
+      spec.validate();
+    } catch (const InvalidArgument&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " validate threw " << e.what();
+    }
+  }
+  EXPECT_GT(refused, 3000);
+  EXPECT_GT(accepted, 150);
+}
+
+TEST(JobSpecMutation, DeepNestingIsRefusedNotAStackOverflow) {
+  // The parser recurses per level; past its bound it refuses the text.
+  const std::string deep = R"({"a": )" + std::string(100000, '[');
+  EXPECT_THROW(JobSpec::parse(deep), InvalidArgument);
 }
 
 TEST(MatrixSource, GeneratorMaterializationIsDeterministic) {

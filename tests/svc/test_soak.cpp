@@ -81,7 +81,7 @@ std::vector<JobSpec> soak_specs() {
     s.op = JobOp::kSpGemm;
     s.a = MatrixSource::er_square(48, 3.0, 401);
     s.ranks = 4;
-    s.fault_spec = "seed=2;crash_rank=1;crash_op=20";
+    s.fault_spec = "seed=2;crash_rank=1;crash_op=10";
     add(std::move(s));
   }
   EXPECT_EQ(specs.size(), 10u);
@@ -191,9 +191,13 @@ TEST(SvcSoak, MixedTenantQueueMatchesStandaloneBitForBit) {
         break;
     }
   }
-  // Exactly one job (the unsupervised chaos crash) may fail.
+  // Exactly one job (the unsupervised chaos crash) may fail, and it fails
+  // by its injected crash.
   EXPECT_EQ(done, 9);
   EXPECT_EQ(failed, 1);
+  EXPECT_NE(server.find("soak-9")->reason.find("rank_crash"),
+            std::string::npos)
+      << server.find("soak-9")->reason;
 
   // The supervised chaos job recovered on the same pool.
   const JobRecord* recovered = server.find("soak-8");

@@ -9,9 +9,9 @@
 //   1. zero wedges: every job reaches a terminal state (done or classified
 //      failed); the injected deadline / always-corrupt / alloc jobs fail
 //      with their expected kinds and nothing else hangs the pool;
-//   2. the chaos actually bit: restarts happened, a permanent crash forced
-//      at least one elastic job onto a degraded survivor grid, and the
-//      payload checksum caught corruption;
+//   2. the chaos actually bit: every transient-crash job restarted, a
+//      permanent crash forced at least one elastic job onto a degraded
+//      survivor grid, and the payload checksum caught corruption;
 //   3. surviving-output bit-identity: every done job's output equals the
 //      fault-free run of the stripped spec (no faults, no deadline, no
 //      checkpoints) on a fresh healthy server — tolerance 0.0. Elastic
@@ -98,6 +98,7 @@ struct ChaosPlan {
   std::string corrupt_id;   ///< must fail "retry_exhausted" via checksum
   std::string alloc_id;     ///< must fail classified (alloc_fail=1.0)
   std::vector<std::string> perm_ids;  ///< elastic jobs with a permanent crash
+  std::vector<std::string> crash_ids;  ///< supervised transient-crash jobs
 };
 
 /// Deterministic job mix for (jobs, tenants, seed). Two calls with the same
@@ -135,11 +136,14 @@ ChaosPlan make_plan(int jobs, int tenants, std::uint64_t seed,
         s.kernel = "hybrid";
         break;
       case 2:  // transient crash, supervised recovery on the full grid
+        // crash_op stays within the 17 vmpi ops rank 2 (= i % 4) makes in
+        // this job, so every occurrence crashes.
         s.a = MatrixSource::er_square(52, 3.0, js);
         s.fault_spec = "seed=" + std::to_string(js) +
                        ";crash_rank=" + std::to_string(i % 4) +
-                       ";crash_op=" + std::to_string(12 + 3 * (occ % 4));
+                       ";crash_op=" + std::to_string(6 + 3 * (occ % 4));
         s.max_restarts = 2;
+        plan.crash_ids.push_back(s.job_id);
         break;
       case 3:  // MCL with checkpoints; the relaunch may resume mid-iteration
         s.op = JobOp::kMcl;
@@ -385,6 +389,11 @@ int main(int argc, char** argv) {
 
     // Gate 2: the chaos actually bit.
     if (jobs >= 8) check(restarts >= 1, "no supervised restart happened");
+    for (const std::string& id : plan.crash_ids) {
+      const svc::JobRecord* job = server.find(id);
+      check(job != nullptr && job->report.billing.restarts >= 1,
+            id + " (transient crash) never crashed");
+    }
     if (!plan.perm_ids.empty()) {
       check(degraded >= 1, "no job finished on a degraded grid");
       for (const std::string& id : plan.perm_ids) {
