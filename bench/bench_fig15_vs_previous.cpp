@@ -2,10 +2,10 @@
 // sort) vs the previous SUMMA3D of [13] (hybrid sorted local multiply +
 // heap merges), squaring Eukarya with 4 layers, no batching.
 //
-// MEASURED: both pipelines run for real on virtual ranks; only the kernel
-// configuration differs (SummaOptions::local_kind / merge_kind), exactly
-// like flipping between the two implementations. Paper finding: >8x faster
-// computation, slightly faster communication.
+// MEASURED: both pipelines run for real on virtual ranks; only
+// SummaOptions::pipeline differs, exactly like flipping between the two
+// implementations. Paper finding: >8x faster computation, slightly faster
+// communication.
 #include <algorithm>
 #include <cmath>
 
@@ -22,17 +22,15 @@ int main() {
   const int p = 16, l = 4;
   const int repeats = 3;
 
-  struct Pipeline {
+  struct Run {
     const char* name;
     SummaOptions opts;
   };
-  Pipeline pipelines[2];
+  Run pipelines[2];
   pipelines[0].name = "BatchedSUMMA3D (this work)";
-  pipelines[0].opts.local_kind = SpGemmKind::kUnsortedHash;
-  pipelines[0].opts.merge_kind = MergeKind::kUnsortedHash;
+  pipelines[0].opts.pipeline = Pipeline::kHash;
   pipelines[1].name = "previous SUMMA3D [13]";
-  pipelines[1].opts.local_kind = SpGemmKind::kHybrid;
-  pipelines[1].opts.merge_kind = MergeKind::kSortedHeap;
+  pipelines[1].opts.pipeline = Pipeline::kHybrid;
 
   Table table({"pipeline", "Local-Mult", "Merge-Layer", "Merge-Fiber",
                "computation", "communication", "wall"});

@@ -155,6 +155,10 @@ Snapshot Snapshot::deserialize(const std::vector<std::byte>& buf) {
     const std::byte* name_ptr = r.read_span(name_len, "section name");
     std::string name(static_cast<std::size_t>(name_len), '\0');
     if (name_len > 0) std::memcpy(name.data(), name_ptr, name.size());
+    // serialize() writes each name once; a repeat would silently drop the
+    // earlier section.
+    if (snap.has(name))
+      throw CkptError("snapshot repeats section '" + name + "'");
     const std::uint64_t data_len = r.read_u64("section payload length");
     const std::byte* data_ptr = r.read_span(data_len, "section payload");
     snap.set_bytes(name, std::vector<std::byte>(data_ptr, data_ptr + data_len));

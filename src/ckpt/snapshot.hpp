@@ -7,7 +7,8 @@
 // binary container (iteration counters, packed CSC matrices, batch
 // metadata) serialized with a magic/version header and a trailing FNV-1a
 // checksum. Deserialization is strict — bad magic, torn tails, section
-// lengths that overrun the buffer, or a checksum mismatch all throw
+// lengths that overrun the buffer, a repeated section name, or a checksum
+// mismatch all throw
 // CkptError, which is how the generation store (checkpoint.hpp) tells a
 // valid snapshot from a torn or corrupted one and falls back a generation.
 //

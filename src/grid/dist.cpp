@@ -206,17 +206,22 @@ CscMat gather_dist(Grid3D& grid, const DistMat3D& dist) {
   return assemble_blocks(dist.global_rows, dist.global_cols, blocks, origins);
 }
 
-CscMat gather_dist(Grid3D& grid, const DistMat3D& dist, int root) {
+CscMat gather_dist(Grid3D& grid, Index nrows, Index ncols,
+                   std::span<const PlacedBlock> mine, int root) {
   vmpi::Comm& world = grid.world();
   obs::PhaseSpan span(world.recorder(), steps::kGather);
-  const Index mine[2] = {dist.rows.start, dist.cols.start};
   static_assert(std::is_trivially_copyable_v<Index>);
-  // The root reads its own block in place; the others pack theirs.
+  // The root reads its own blocks in place; each other rank sends its
+  // origins as the head and its blocks' wire images as the parts.
   std::vector<Payload> sent;
-  if (world.rank() != root)
-    sent = {Payload::copy_of(reinterpret_cast<const std::byte*>(mine),
-                             sizeof(mine)),
-            pack_csc_payload(dist.local)};
+  if (world.rank() != root) {
+    std::vector<Index> at;
+    for (const PlacedBlock& p : mine)
+      at.insert(at.end(), {p.origin.first, p.origin.second});
+    const auto* head = reinterpret_cast<const std::byte*>(at.data());
+    sent.push_back(Payload::copy_of(head, at.size() * sizeof(Index)));
+    for (const PlacedBlock& p : mine) sent.push_back(pack_csc_payload(p.block));
+  }
   const std::vector<std::vector<Payload>> got =
       world.gather_payloads(root, std::move(sent));
   if (world.rank() != root) return CscMat();
@@ -224,20 +229,26 @@ CscMat gather_dist(Grid3D& grid, const DistMat3D& dist, int root) {
   std::vector<std::pair<Index, Index>> origins;
   for (std::size_t r = 0; r < got.size(); ++r) {
     if (static_cast<int>(r) == root) {
-      const CscMat& m = dist.local;
-      blocks.emplace_back(m.nrows(), m.ncols(), m.colptr(), m.rowids(),
-                          m.vals(), Payload{});
-      origins.emplace_back(mine[0], mine[1]);
+      for (const PlacedBlock& p : mine) {
+        const CscMat& m = p.block;
+        blocks.emplace_back(m.nrows(), m.ncols(), m.colptr(), m.rowids(),
+                            m.vals(), Payload{});
+        origins.push_back(p.origin);
+      }
       continue;
     }
-    CASP_CHECK_MSG(got[r].size() == 2 && got[r][0].size() == sizeof(mine),
-                   "gather_dist: rank " << r << " sent a malformed block");
+    const std::vector<Payload>& from = got[r];
     Index at[2];
-    std::memcpy(at, got[r][0].data(), sizeof(at));
-    blocks.push_back(unpack_csc_view(got[r][1]));
-    origins.emplace_back(at[0], at[1]);
+    CASP_CHECK_MSG(!from.empty() &&
+                       from[0].size() == (from.size() - 1) * sizeof(at),
+                   "gather_dist: rank " << r << " sent a malformed block list");
+    for (std::size_t k = 1; k < from.size(); ++k) {
+      std::memcpy(at, from[0].data() + (k - 1) * sizeof(at), sizeof(at));
+      blocks.push_back(unpack_csc_view(from[k]));
+      origins.emplace_back(at[0], at[1]);
+    }
   }
-  return assemble_blocks(dist.global_rows, dist.global_cols, blocks, origins);
+  return assemble_blocks(nrows, ncols, blocks, origins);
 }
 
 std::vector<Index> equal_flops_cut(std::span<const Index> flops, Index parts) {

@@ -85,11 +85,22 @@ CscMat assemble_blocks(Index nrows, Index ncols,
 /// its iterate with it; the traffic goes to steps::kGather.
 CscMat gather_dist(Grid3D& grid, const DistMat3D& dist);
 
-/// The same matrix on world rank `root` only: each other rank sends its
-/// origin and its block's wire image to the root as one message, and only
-/// the root assembles. Every other rank returns an empty (0 x 0) matrix.
-/// The service gathers each SpGEMM job's C this way.
-CscMat gather_dist(Grid3D& grid, const DistMat3D& dist, int root);
+/// A block of a distributed matrix with its (0, 0) at the global
+/// (row, col) `origin`.
+struct PlacedBlock {
+  CscMat block;
+  std::pair<Index, Index> origin;
+};
+
+/// The nrows x ncols matrix on world rank `root` only, from each rank's
+/// list of placed blocks (any number per rank; together they tile the
+/// matrix, with the contract of assemble_blocks). Each other rank sends its
+/// origins and one wire image per block to the root as one message, and
+/// only the root assembles. Every other rank returns an empty (0 x 0)
+/// matrix. The service gathers each SpGEMM job's C this way, from the
+/// batch pieces every rank kept.
+CscMat gather_dist(Grid3D& grid, Index nrows, Index ncols,
+                   std::span<const PlacedBlock> mine, int root);
 
 /// The parts + 1 boundaries of an equal-flops cut of flops.size() indices:
 /// boundary m is the first index whose prefix sum reaches m/parts of the

@@ -40,14 +40,6 @@ void append(std::vector<std::byte>& buf, const T* data, std::size_t count) {
   buf.resize(at + count * sizeof(T));
   std::memcpy(buf.data() + at, data, count * sizeof(T));
 }
-
-template <typename T>
-void read(const std::vector<std::byte>& buf, std::size_t& offset, T* data,
-          std::size_t count) {
-  CASP_CHECK(offset + count * sizeof(T) <= buf.size());
-  if (count != 0) std::memcpy(data, buf.data() + offset, count * sizeof(T));
-  offset += count * sizeof(T);
-}
 }  // namespace
 
 Bytes packed_size(const CscMat& mat) {
@@ -190,18 +182,9 @@ CscView unpack_csc_view(const Payload& payload) {
 }
 
 CscMat unpack_csc(const std::vector<std::byte>& buffer) {
-  std::size_t offset = 0;
-  Header h{};
-  read(buffer, offset, &h, 1);
-  std::vector<Index> colptr(static_cast<std::size_t>(h.ncols) + 1);
-  std::vector<Index> rowids(static_cast<std::size_t>(h.nnz));
-  std::vector<Value> vals(static_cast<std::size_t>(h.nnz));
-  read(buffer, offset, colptr.data(), colptr.size());
-  read(buffer, offset, rowids.data(), rowids.size());
-  read(buffer, offset, vals.data(), vals.size());
-  CASP_CHECK_MSG(offset == buffer.size(), "unpack_csc: trailing bytes");
-  return CscMat(h.nrows, h.ncols, std::move(colptr), std::move(rowids),
-                std::move(vals));
+  // The view's checks bound the header's counts by the buffer before
+  // anything is sized from them.
+  return unpack_csc_view(Payload::wrap(buffer)).materialize();
 }
 
 }  // namespace casp

@@ -62,17 +62,25 @@ inline constexpr const char* kFiberBalance = "Fiber-Balance";
 inline constexpr const char* kGather = "Gather";
 }  // namespace steps
 
-/// Knobs for the SUMMA family. Defaults are this paper's configuration
-/// (unsorted hash kernels, one final sort); set local_kind/merge_kind to
-/// kHybrid / kSortedHeap to reproduce the prior-work pipeline of [13, 25]
-/// for the Fig. 15 / Table VII comparisons.
+/// The two local-kernel pipelines the paper compares (Sec. IV-D, Table VII):
+/// this paper's unsorted-hash Local-Multiply and merges, Merge-Fiber
+/// emitting the one final sort's order, and the hybrid Local-Multiply with
+/// sorted-heap merges of prior work [13, 25].
+enum class Pipeline { kHash, kHybrid };
+
+/// Knobs for the SUMMA family. Defaults are this paper's configuration;
+/// pipeline = kHybrid reproduces the prior-work pipeline for the Fig. 15 /
+/// Table VII comparisons.
 struct SummaOptions {
-  /// With merge_kind = kSortedHeap, which merges sorted runs, an unsorted
-  /// local kind runs as its sorting form (kSortedHash) instead.
-  SpGemmKind local_kind = SpGemmKind::kUnsortedHash;
-  MergeKind merge_kind = MergeKind::kUnsortedHash;
-  /// Sort the final output's columns (done once, after Merge-Fiber).
-  bool sort_final = true;
+  Pipeline pipeline = Pipeline::kHash;
+  SpGemmKind local_kind() const {
+    return pipeline == Pipeline::kHash ? SpGemmKind::kUnsortedHash
+                                       : SpGemmKind::kHybrid;
+  }
+  MergeKind merge_kind() const {
+    return pipeline == Pipeline::kHash ? MergeKind::kUnsortedHash
+                                       : MergeKind::kSortedHeap;
+  }
   /// Sparsity-aware A exchange (summa/sparse_comm.hpp): replace the dense
   /// A-Bcast with a need-list request round plus need-only replies shipped
   /// as zero-copy subviews. Results are bit-identical either way; the

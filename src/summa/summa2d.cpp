@@ -12,17 +12,6 @@ namespace casp {
 
 namespace {
 
-/// The Local-Multiply kernel a layer runs: opts.local_kind, except that
-/// kSortedHeap merges sorted runs, so an unsorted hash kernel feeding it
-/// sorts each column as it emits it (kSortedHash: the same entries in
-/// ascending row order).
-SpGemmKind layer_kernel(const SummaOptions& opts) {
-  if (opts.merge_kind == MergeKind::kSortedHeap &&
-      !produces_sorted(opts.local_kind))
-    return SpGemmKind::kSortedHash;
-  return opts.local_kind;
-}
-
 /// The numeric work of a layer: Local-Multiply per stage, then
 /// Merge-Layer writing D's wire pieces. At q = 1 the lone Local-Multiply
 /// writes them (a one-input merge would not change a Gustavson column);
@@ -33,7 +22,6 @@ struct LayerProduct {
   const SummaOptions& opts;
   int stages;
   std::span<const Index> splits;
-  SpGemmKind kernel = layer_kernel(opts);
   std::vector<CscMat> partials = {};
   std::vector<MemoryCharge> charges = {};  // released with the product
   std::vector<Payload> pieces = {};
@@ -46,11 +34,12 @@ struct LayerProduct {
     {
       obs::Span span(rec, steps::kLocalMultiply);
       if (stages == 1) {
-        pieces = local_spgemm_wire<SR>(a_view, b_view, splits, kernel,
-                                       opts.threads, opts.symbolic_col_nnz);
+        pieces = local_spgemm_wire<SR>(a_view, b_view, splits,
+                                       opts.local_kind(), opts.threads,
+                                       opts.symbolic_col_nnz);
         for (const Payload& piece : pieces) nnz += unpack_csc_view(piece).nnz();
       } else {
-        partials.push_back(local_spgemm<SR>(a_view, b_view, kernel,
+        partials.push_back(local_spgemm<SR>(a_view, b_view, opts.local_kind(),
                                             opts.threads, opts.symbolic_col_nnz));
         nnz = partials.back().nnz();
       }
@@ -69,7 +58,7 @@ struct LayerProduct {
     obs::Span span(rec, steps::kMergeLayer);
     if (stages > 1)
       pieces = merge_matrices_wire<SR>(csc_refs(partials), splits,
-                                       opts.merge_kind, opts.threads);
+                                       opts.merge_kind(), opts.threads);
     return std::move(pieces);
   }
 };

@@ -76,8 +76,8 @@ CscMat summa3d(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
   CscMat c;
   {
     obs::Span span(rec, steps::kMergeFiber);
-    c = merge_matrices<SR>(csc_refs(pieces), opts.merge_kind, opts.threads,
-                           opts.sort_final);
+    c = merge_matrices<SR>(csc_refs(pieces), opts.merge_kind(), opts.threads,
+                           /*sort_output=*/true);
   }
   if (opts.memory != nullptr)
     rec.sample_memory(*opts.memory, "memory.live_bytes");

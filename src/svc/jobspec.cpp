@@ -29,6 +29,16 @@ JobOp job_op_from_string(const std::string& name) {
                         "\" (spgemm|mcl|triangle)");
 }
 
+const char* to_string(Pipeline pipeline) {
+  return pipeline == Pipeline::kHybrid ? "hybrid" : "hash";
+}
+
+Pipeline pipeline_from_string(const std::string& name) {
+  if (name == "hash") return Pipeline::kHash;
+  if (name == "hybrid") return Pipeline::kHybrid;
+  throw InvalidArgument("jobspec: kernel must be \"hash\" or \"hybrid\"");
+}
+
 namespace {
 
 const char* kind_name(MatrixSource::Kind kind) {
@@ -304,38 +314,24 @@ MatrixSource MatrixSource::protein_network(Index n, std::uint64_t seed) {
 
 SummaOptions JobSpec::summa_options() const {
   SummaOptions opts;
-  if (kernel == "hybrid") {
-    opts.local_kind = SpGemmKind::kHybrid;
-    opts.merge_kind = MergeKind::kSortedHeap;
-  } else {
-    opts.local_kind = SpGemmKind::kUnsortedHash;
-    opts.merge_kind = MergeKind::kUnsortedHash;
-  }
-  opts.sort_final = sort_final;
+  opts.pipeline = kernel;
   opts.sparse_comm = sparse_comm;
   opts.threads = threads;
   opts.force_batches = force_batches;
-  opts.adaptive_rebatch = adaptive_rebatch;
   opts.ckpt_job_tag = ckpt_job_tag;
-  return opts;
-}
-
-vmpi::RunOptions JobSpec::run_options() const {
-  vmpi::RunOptions opts;
-  // An explicit (possibly disabled) plan: service jobs never pick up
-  // CASP_VMPI_FAULTS from the environment.
-  opts.faults = fault_spec.empty() ? vmpi::FaultPlan{}
-                                   : vmpi::FaultPlan::parse(fault_spec);
-  opts.capture_failure = true;
-  opts.deadline_ms = deadline_ms;
   return opts;
 }
 
 vmpi::SupervisorOptions JobSpec::supervisor_options() const {
   vmpi::SupervisorOptions opts;
+  // An explicit (possibly disabled) plan: service jobs never pick up
+  // CASP_VMPI_FAULTS from the environment.
   opts.faults = fault_spec.empty() ? vmpi::FaultPlan{}
                                    : vmpi::FaultPlan::parse(fault_spec);
-  if (max_restarts >= 0) opts.max_restarts = max_restarts;
+  if (max_restarts >= 0)
+    opts.max_restarts = max_restarts;
+  else if (!supervised())
+    opts.max_restarts = 0;
   opts.deadline_ms = deadline_ms;
   return opts;
 }
@@ -346,8 +342,6 @@ void JobSpec::validate() const {
     throw InvalidArgument(
         "jobspec: (ranks, layers) is not a valid grid (ranks/layers must "
         "be a perfect square)");
-  if (kernel != "hash" && kernel != "hybrid")
-    throw InvalidArgument("jobspec: kernel must be \"hash\" or \"hybrid\"");
   if (a.empty())
     throw InvalidArgument("jobspec: input matrix source `a` is required");
   if (aat && op != JobOp::kSpGemm)
@@ -388,12 +382,10 @@ obs::Json JobSpec::to_json() const {
   j.set("ranks", ranks);
   j.set("layers", layers);
   j.set("memory_bytes", memory_bytes);
-  j.set("kernel", kernel);
-  j.set("sort_final", sort_final);
+  j.set("kernel", to_string(kernel));
   j.set("sparse_comm", sparse_comm);
   j.set("threads", threads);
   j.set("force_batches", static_cast<std::int64_t>(force_batches));
-  j.set("adaptive_rebatch", adaptive_rebatch);
   j.set("ckpt_dir", ckpt_dir);
   j.set("ckpt_every", ckpt_every);
   j.set("ckpt_job_tag", ckpt_job_tag);
@@ -420,12 +412,11 @@ JobSpec JobSpec::from_json(const obs::Json& j) {
     else if (key == "layers") spec.layers = static_cast<int>(int_of(v, key));
     else if (key == "memory_bytes")
       spec.memory_bytes = static_cast<Bytes>(int_of(v, key));
-    else if (key == "kernel") spec.kernel = string_of(v, key);
-    else if (key == "sort_final") spec.sort_final = bool_of(v, key);
+    else if (key == "kernel")
+      spec.kernel = pipeline_from_string(string_of(v, key));
     else if (key == "sparse_comm") spec.sparse_comm = bool_of(v, key);
     else if (key == "threads") spec.threads = static_cast<int>(int_of(v, key));
     else if (key == "force_batches") spec.force_batches = int_of(v, key);
-    else if (key == "adaptive_rebatch") spec.adaptive_rebatch = bool_of(v, key);
     else if (key == "ckpt_dir") spec.ckpt_dir = string_of(v, key);
     else if (key == "ckpt_every")
       spec.ckpt_every = static_cast<std::uint64_t>(int_of(v, key));

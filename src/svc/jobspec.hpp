@@ -1,17 +1,14 @@
 // JobSpec: the one job-description API of the multi-tenant SpGEMM service.
 //
-// Every workload the repo can run — SpGEMM, Markov clustering, triangle
-// counting — used to be configured through three disjoint option structs
-// (SummaOptions, vmpi::RunOptions, vmpi::SupervisorOptions) plus per-CLI
-// flag handling. JobSpec consolidates all of it into a single plain value
-// type: the operation, the input matrices (files or seeded generators, so
-// a spec is self-contained and two runs of the same spec see identical
-// inputs), the grid shape, the memory budget, every SUMMA/checkpoint knob,
-// the fault plan, and the supervision policy — plus the service-side
-// identity (tenant, priority). The existing structs stay as thin views
-// built by summa_options()/run_options()/supervisor_options(); non-test
-// callers build a JobSpec and derive them (casp_lint rule:
-// jobspec-single-source).
+// A single plain value type describes a job: the operation, the input
+// matrices (files or seeded generators, so a spec is self-contained and two
+// runs of the same spec see identical inputs), the grid shape, the memory
+// budget, the SUMMA and checkpoint knobs programs set, the fault plan, and
+// the supervision policy — plus the service-side identity (tenant,
+// priority). Executors derive the library's option structs from it with
+// summa_options() and supervisor_options(); non-test callers build a
+// JobSpec and derive them (casp_lint rule: jobspec-single-source), and
+// every field has a reader outside this file (jobspec-field-has-caller).
 //
 // Specs round-trip deterministically through obs::Json: to_json() emits
 // every field in a fixed order, from_json() is strict (unknown keys throw),
@@ -38,6 +35,11 @@ enum class JobOp { kSpGemm, kMcl, kTriangleCount };
 
 const char* to_string(JobOp op);
 JobOp job_op_from_string(const std::string& name);
+
+/// "hash" / "hybrid", the names of the Pipeline values in specs and on the
+/// command line.
+const char* to_string(Pipeline pipeline);
+Pipeline pipeline_from_string(const std::string& name);
 
 /// Where an input matrix comes from. File sources read Matrix Market;
 /// generator sources are fully seeded, so materialize() is deterministic —
@@ -93,14 +95,12 @@ struct JobSpec {
   // -- Memory budget (Eq. 2's M, aggregate over the job's ranks) -----------
   Bytes memory_bytes = 0;  ///< 0 = unlimited (b = 1)
 
-  // -- SUMMA knobs (value mirror of SummaOptions) --------------------------
-  /// "hash" (this paper's unsorted-hash kernels) or "hybrid" (prior work).
-  std::string kernel = "hash";
-  bool sort_final = true;
+  // -- SUMMA knobs (SummaOptions' value fields that jobs set) ---------------
+  /// JSON and --kernel name "hash" (this paper) or "hybrid" (prior work).
+  Pipeline kernel = Pipeline::kHash;
   bool sparse_comm = false;
   int threads = 1;
   Index force_batches = 0;
-  bool adaptive_rebatch = true;
 
   // -- Checkpoint knobs ----------------------------------------------------
   std::string ckpt_dir;          ///< empty = checkpointing off
@@ -118,7 +118,8 @@ struct JobSpec {
   std::string fault_spec;
   /// >= 0 turns on supervised restarts with this bound; < 0 runs a single
   /// attempt (a non-empty ckpt_dir also turns supervision on, with the
-  /// default bound).
+  /// default bound). Either way the attempt runs through a
+  /// vmpi::SupervisionChain, an unsupervised one with no restarts.
   int max_restarts = -1;
   /// Wall-clock budget for the job in milliseconds; 0 = none. Spans the
   /// whole supervised chain (each restart attempt gets what is left).
@@ -134,17 +135,17 @@ struct JobSpec {
   /// bit-identically. Off = a permanent loss fails the job.
   bool elastic = false;
 
-  // -- Thin views over the legacy option structs ---------------------------
+  // -- Option structs derived from the spec --------------------------------
   /// SummaOptions value fields filled from this spec; the pointer fields
   /// (memory, ckpt, symbolic_col_nnz) are left null for the executor.
   SummaOptions summa_options() const;
-  /// RunOptions for one unsupervised attempt: the parsed fault plan (or an
-  /// explicitly disabled one) and capture_failure = true.
-  vmpi::RunOptions run_options() const;
+  /// The restart policy of every attempt: the parsed fault plan (or an
+  /// explicitly disabled one, never CASP_VMPI_FAULTS), the deadline, and
+  /// max_restarts = 0 unless supervised().
   vmpi::SupervisorOptions supervisor_options() const;
   bool supervised() const { return max_restarts >= 0 || !ckpt_dir.empty(); }
 
-  /// Structural validation (grid shape, kernel name, operand presence,
+  /// Structural validation (grid shape, operand presence,
   /// parseable fault spec, ...). Throws InvalidArgument naming the field.
   void validate() const;
 

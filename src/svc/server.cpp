@@ -258,7 +258,7 @@ struct Server::Exec {
   // In-flight attempt state (valid while ticket != nullptr).
   std::vector<int> members;  ///< pool ranks; members[i] backs job rank i
   vmpi::JobTicketPtr ticket;
-  /// This round's restart chain; empty for unsupervised jobs.
+  /// This round's restart chain (no restarts for an unsupervised job).
   std::optional<vmpi::SupervisionChain> chain;
 };
 
@@ -399,54 +399,43 @@ Server::RoundStart Server::begin_round(Exec& e) {
   if (may_regrow(e) && !pool_.probation_ranks().empty())
     e.attempt_pause = 1;
 
-  e.chain.reset();
-  if (spec.supervised()) {
-    vmpi::SupervisorOptions sopts = spec.supervisor_options();
-    for (const std::string& kind : e.disarm)
-      if (sopts.faults.has_value()) sopts.faults = sopts.faults->disarmed(kind);
-    e.chain.emplace(sopts);
-  }
+  vmpi::SupervisorOptions sopts = spec.supervisor_options();
+  for (const std::string& kind : e.disarm)
+    if (sopts.faults.has_value()) sopts.faults = sopts.faults->disarmed(kind);
+  e.chain.emplace(sopts);
   start_attempt(e);
   return RoundStart::kStarted;
 }
 
 void Server::start_attempt(Exec& e) {
-  JobRecord& rec = *e.rec;
   // The job world is exactly members.size() ranks wide (members[i] backs
   // world rank i), so the body needs no split dance and fault plans key by
   // job-world rank — identical whichever pool split hosts the attempt. The
   // launcher leaves `e` alone until finish_job has collected the ticket.
   auto body = [this, &e](vmpi::Comm& world) { run_body(e, world); };
-  vmpi::RunOptions ropts;
-  if (e.chain.has_value()) {
-    ropts = e.chain->attempt_options();
-  } else {
-    ropts = rec.spec.run_options();
-    for (const std::string& kind : e.disarm)
-      if (ropts.faults.has_value())
-        ropts.faults = ropts.faults->disarmed(kind);
-  }
-  e.ticket = pool_.start_job_on(e.members, body, ropts);
+  e.ticket = pool_.start_job_on(e.members, body, e.chain->attempt_options());
   for (const int r : e.members) busy_[static_cast<std::size_t>(r)] = 1;
 }
 
 void Server::complete_attempt(Exec& e) {
   JobRecord& rec = *e.rec;
   const JobSpec& spec = rec.spec;
-  vmpi::RunResult res = pool_.finish_job(e.ticket);
+  vmpi::RunResult attempt = pool_.finish_job(e.ticket);
   e.ticket = nullptr;
   for (const int r : e.members) busy_[static_cast<std::size_t>(r)] = 0;
 
-  obs::JobBilling abill;
-  if (e.chain.has_value()) {
-    // A recoverable failure within budget relaunches on the same members
-    // (the chain has disarmed the fault and slept the backoff ladder).
-    if (e.chain->absorb(std::move(res))) {
-      start_attempt(e);
-      return;
-    }
-    // Chain over: fold its accounting into the job.
-    vmpi::SupervisedResult& sup = e.chain->result();
+  // A recoverable failure within budget relaunches on the same members
+  // (the chain has disarmed the fault and slept the backoff ladder).
+  if (e.chain->absorb(std::move(attempt))) {
+    start_attempt(e);
+    return;
+  }
+  // Chain over: fold its accounting into the job. An unsupervised job's
+  // chain ran one attempt, and its report has no recovery section unless
+  // the job shrank.
+  vmpi::SupervisedResult& sup = e.chain->result();
+  obs::JobBilling abill = obs::bill_traffic(sup.result);
+  if (spec.supervised()) {
     e.track_recovery = true;
     e.recovery.restarts += sup.restarts;
     e.recovery.max_restarts = sup.max_restarts;
@@ -457,16 +446,14 @@ void Server::complete_attempt(Exec& e) {
       e.recovery.backoff_us.push_back(us);
     for (const std::int64_t us : sup.backoff_plan_us)
       e.recovery.backoff_plan_us.push_back(us);
-    abill = obs::bill_traffic(sup.result);
     abill.restarts = sup.restarts;
     for (const vmpi::FailureReport& f : sup.recovered_failures)
       abill.recovered_failure_kinds.push_back(f.kind);
     rec.report.run = obs::build_report(sup);
-    res = std::move(sup.result);
   } else {
-    abill = obs::bill_traffic(res);
-    rec.report.run = obs::build_report(res);
+    rec.report.run = obs::build_report(sup.result);
   }
+  vmpi::RunResult res = std::move(sup.result);
   tenant(spec.tenant).bill(abill, res);
   fold_billing(e.bill, abill);
 
@@ -683,9 +670,16 @@ void Server::run_body(Exec& e, vmpi::Comm& world) {
       opts.pause_after_batches = e.attempt_pause;
       const DistMat3D da = distribute_a_style(grid, rec.in_a);
       const DistMat3D db = distribute_b_style(grid, rec.in_b);
-      BatchedResult r = batched_summa3d<PlusTimes>(
-          grid, da, db, spec.memory_bytes, opts, BatchCallback{},
-          /*keep_output=*/true);
+      // Each rank keeps its batch pieces where they land, so no rank
+      // concatenates C: rank 0 assembles it from every rank's pieces.
+      std::vector<PlacedBlock> pieces;
+      const BatchedResult r = batched_summa3d<PlusTimes>(
+          grid, da, db, spec.memory_bytes, opts,
+          [&pieces](CscMat&& piece, const BatchInfo& at) {
+            pieces.push_back({std::move(piece),
+                              {at.global_rows.start, at.global_cols.start}});
+          },
+          /*keep_output=*/false);
       if (r.paused) {
         // Parked at a batch boundary (r.paused is SPMD-consistent, so
         // every rank skips the gather together); the forced checkpoint
@@ -693,8 +687,9 @@ void Server::run_body(Exec& e, vmpi::Comm& world) {
         if (world.rank() == 0) e.attempt_paused = true;
         break;
       }
-      // Only rank 0 assembles C; the others send their blocks and move on.
-      CscMat full = gather_dist(grid, r.c, /*root=*/0);
+      // Only rank 0 assembles C; the others send their pieces and move on.
+      CscMat full = gather_dist(grid, rec.in_a.nrows(), rec.in_b.ncols(),
+                                pieces, /*root=*/0);
       if (world.rank() == 0) {
         rec.c = std::move(full);
         rec.batches = r.batches;

@@ -199,10 +199,10 @@ TEST(MclDistributed, BatchedUnderTightMemoryStillClusters) {
 }
 
 TEST(MclDistributed, ClustersUnchangedWhenPiecesCarryUnsortedDuplicates) {
-  // A heap Merge-Layer over unsorted hash-kernel output leaves duplicate
-  // rows in a batch piece; stacking the pieces over the process column
-  // sorts and sums them, so every iterate keeps the default pipeline's nnz
-  // and the clusters match it and the serial reference.
+  // The prior-work pipeline's heap merges must see sorted runs, or a batch
+  // piece carries duplicate rows into the iterate. Every iterate keeps the
+  // default pipeline's nnz, and the clusters match it and the serial
+  // reference.
   ProteinParams gp;
   gp.n = 120;
   gp.min_family = 6;
@@ -221,7 +221,7 @@ TEST(MclDistributed, ClustersUnchangedWhenPiecesCarryUnsortedDuplicates) {
       opts.force_batches = 2;
       const MclResult plain =
           mcl_cluster_distributed(grid, pm.mat, params, 0, opts);
-      opts.merge_kind = MergeKind::kSortedHeap;
+      opts.pipeline = Pipeline::kHybrid;
       const MclResult dup =
           mcl_cluster_distributed(grid, pm.mat, params, 0, opts);
       EXPECT_EQ(plain.cluster_of, serial.cluster_of) << "p=" << p;

@@ -4,15 +4,21 @@
 // filtering, fallback to generation N−1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/snapshot.hpp"
+#include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "test_util.hpp"
 
 namespace casp::ckpt {
@@ -107,6 +113,176 @@ TEST(Snapshot, TornTailsAndGarbageAreRejected) {
   // So is a buffer that is plausible-length but not a snapshot at all.
   std::vector<std::byte> noise(64, std::byte{0x5a});
   EXPECT_THROW(Snapshot::deserialize(noise), CkptError);
+}
+
+TEST(Snapshot, RepeatedSectionIsRejectedUnderAValidChecksum) {
+  Snapshot snap;
+  snap.set_u64("iter", 3);
+  std::vector<std::byte> buf = snap.serialize();
+  // The one section record again, the count bumped, the checksum redone:
+  // only the repeated name is wrong.
+  const std::size_t body = buf.size() - sizeof(std::uint64_t);
+  std::vector<std::byte> twice(buf.begin(),
+                               buf.begin() + static_cast<long>(body));
+  twice.insert(twice.end(), buf.begin() + 16,
+               buf.begin() + static_cast<long>(body));
+  const std::uint64_t count = 2;
+  std::memcpy(twice.data() + 8, &count, sizeof(count));
+  const std::uint64_t sum = fnv1a64(twice.data(), twice.size());
+  twice.resize(twice.size() + sizeof(sum));
+  std::memcpy(twice.data() + twice.size() - sizeof(sum), &sum, sizeof(sum));
+  EXPECT_THROW(Snapshot::deserialize(twice), CkptError);
+}
+
+// ---------------------------------------------------------------------------
+// SnapshotMutation: seeded splitmix64 mutations of a serialized snapshot
+// through Snapshot::deserialize and the typed readers. A mutant either
+// fails with CkptError (never another exception, a sanitizer report or a
+// hang) or parses, and then each section reads back as a value or as
+// CkptError. Most mutants are re-sealed with a fresh checksum, so the
+// parse gets past it to the count and length fields. check.sh runs this
+// suite in its ASan+UBSan stage.
+
+/// A snapshot shaped like batched_summa3d's: counters, a record array, two
+/// matrix sections and the store's job stamp.
+Snapshot mutation_seed() {
+  Snapshot snap;
+  snap.set_u64("pieces", 2);
+  snap.set_array<std::int64_t>("piece_meta", {0, 2, 0, 0, 12, 0, 5,
+                                              1, 2, 0, 0, 12, 5, 4});
+  snap.set_matrix("piece0", testing::random_matrix(12, 5, 2.0, 71));
+  snap.set_matrix("piece1", testing::random_matrix(12, 4, 2.0, 72));
+  snap.set_string("__job", "batched_summa3d|12x12x9|tag=");
+  return snap;
+}
+
+std::uint64_t word_at(const std::vector<std::byte>& buf, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, buf.data() + at, sizeof(v));
+  return v;
+}
+
+/// [begin, end) of each section record (name length, name, payload
+/// length, payload) of a serialized snapshot.
+std::vector<std::pair<std::size_t, std::size_t>> section_spans(
+    const std::vector<std::byte>& buf) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  std::size_t at = 16;
+  for (std::uint64_t i = 0, n = word_at(buf, 8); i < n; ++i) {
+    const std::size_t begin = at;
+    at += 8 + word_at(buf, at);
+    at += 8 + word_at(buf, at);
+    spans.emplace_back(begin, at);
+  }
+  return spans;
+}
+
+/// Offsets of the serialized snapshot's 8-byte count and length words:
+/// the section count, each section's name and payload lengths, and each
+/// matrix section's (nrows, ncols, nnz) header.
+std::vector<std::size_t> length_fields(const std::vector<std::byte>& buf) {
+  std::vector<std::size_t> fields = {8};
+  for (const auto& [begin, end] : section_spans(buf)) {
+    std::string name(word_at(buf, begin), '\0');
+    std::memcpy(name.data(), buf.data() + begin + 8, name.size());
+    const std::size_t payload = begin + 8 + name.size();
+    fields.push_back(begin);
+    fields.push_back(payload);
+    if (name == "piece0" || name == "piece1")
+      for (std::size_t k = 1; k <= 3; ++k) fields.push_back(payload + 8 * k);
+  }
+  return fields;
+}
+
+/// The trailing checksum recomputed over the mutant's body.
+void reseal(std::vector<std::byte>& buf) {
+  if (buf.size() < 16) return;
+  const std::size_t body = buf.size() - sizeof(std::uint64_t);
+  const std::uint64_t sum = fnv1a64(buf.data(), body);
+  std::memcpy(buf.data() + body, &sum, sizeof(sum));
+}
+
+std::vector<std::byte> mutate_snapshot(const std::vector<std::byte>& valid,
+                                       const std::vector<std::size_t>& fields,
+                                       std::uint64_t& state) {
+  std::vector<std::byte> m = valid;
+  const auto at = [&](std::size_t n) {
+    return static_cast<std::size_t>(splitmix64(state) % (n + 1));
+  };
+  switch (splitmix64(state) % 5) {
+    case 0:  // truncated
+      m.resize(at(m.size()));
+      break;
+    case 1: {  // a flipped bit
+      const std::size_t k = at(m.size() - 1);
+      m[k] ^= static_cast<std::byte>(1u << (splitmix64(state) % 8));
+      break;
+    }
+    case 2: {  // an oversized (or zeroed) count or length field
+      constexpr std::uint64_t kValues[] = {
+          0,           1,           255,         1ull << 20, 1ull << 31,
+          1ull << 32,  1ull << 40,  1ull << 61,  1ull << 62, 1ull << 63,
+          ~0ull >> 1,  ~0ull,       ~0ull - 7};
+      std::uint64_t v = kValues[splitmix64(state) % std::size(kValues)];
+      if (splitmix64(state) % 3 == 0) v = m.size() + splitmix64(state) % 64;
+      std::memcpy(m.data() + fields[splitmix64(state) % fields.size()], &v,
+                  sizeof(v));
+      break;
+    }
+    case 3: {  // a span deleted
+      const std::size_t k = at(m.size());
+      m.erase(m.begin() + static_cast<std::ptrdiff_t>(k),
+              m.begin() + static_cast<std::ptrdiff_t>(std::min(
+                              m.size(), k + 1 + splitmix64(state) % 24)));
+      break;
+    }
+    default: {  // a section repeated right after itself
+      const auto spans = section_spans(valid);
+      const auto [begin, end] = spans[splitmix64(state) % spans.size()];
+      m.insert(m.begin() + static_cast<std::ptrdiff_t>(end),
+               valid.begin() + static_cast<std::ptrdiff_t>(begin),
+               valid.begin() + static_cast<std::ptrdiff_t>(end));
+      const std::uint64_t count = word_at(m, 8) + 1;
+      std::memcpy(m.data() + 8, &count, sizeof(count));
+      break;
+    }
+  }
+  if (splitmix64(state) % 4 != 0) reseal(m);
+  return m;
+}
+
+TEST(SnapshotMutation, MutantsFailAsCkptErrorOrReadBack) {
+  const std::vector<std::byte> valid = mutation_seed().serialize();
+  const std::vector<std::size_t> fields = length_fields(valid);
+  ASSERT_EQ(fields.size(), 1u + 2 * 5 + 2 * 3);
+  std::uint64_t state = 0x5eed0026;
+  int refused = 0, parsed = 0, sections_read = 0;
+  for (int i = 0; i < 6000; ++i) {
+    const std::vector<std::byte> m = mutate_snapshot(valid, fields, state);
+    try {
+      const Snapshot snap = Snapshot::deserialize(m);
+      ++parsed;
+      const auto read = [&](auto&& get) {
+        try {
+          get();
+          ++sections_read;
+        } catch (const CkptError&) {
+        }
+      };
+      read([&] { (void)snap.u64("pieces"); });
+      read([&] { (void)snap.array<std::int64_t>("piece_meta"); });
+      read([&] { (void)snap.matrix("piece0"); });
+      read([&] { (void)snap.matrix("piece1"); });
+      read([&] { (void)snap.string("__job"); });
+    } catch (const CkptError&) {
+      ++refused;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " threw " << e.what();
+    }
+  }
+  EXPECT_GT(refused, 4000);
+  EXPECT_GT(parsed, 500);
+  EXPECT_GT(sections_read, 2000);
 }
 
 // ---------------------------------------------------------------------------

@@ -88,7 +88,9 @@ TEST_P(DistRoundTrip, GatherIsBitwiseTheTriplesAssembly) {
 /// `root`, an empty matrix everywhere else.
 void expect_root_gather(Grid3D& grid, const DistMat3D& dist, int root) {
   const CscMat all = gather_dist(grid, dist);
-  const CscMat one = gather_dist(grid, dist, root);
+  const PlacedBlock mine[] = {{dist.local, {dist.rows.start, dist.cols.start}}};
+  const CscMat one =
+      gather_dist(grid, dist.global_rows, dist.global_cols, mine, root);
   if (grid.world().rank() == root) {
     testing::expect_same_arrays(one, all);
   } else {
@@ -450,31 +452,47 @@ TEST(GatherDist, TrafficIsItsOwnPhase) {
 }
 
 TEST(GatherDist, RootFormSendsOneMessagePerOtherRank) {
-  // Each non-root rank sends its 16-byte origin and its block's wire image
-  // as one gather-list message; the all-ranks form's two allgathers take
-  // a gather and a broadcast tree each.
+  // Each non-root rank sends its pieces' 16-byte origins and their wire
+  // images as one gather-list message, whether it holds one piece or
+  // three; the all-ranks form's two allgathers take a gather and a
+  // broadcast tree each.
   const CscMat global = testing::random_matrix(33, 29, 3.0, 50);
   const int p = 8;
-  std::vector<Bytes> image(p);
-  auto gather_traffic = [&](bool to_root) {
+  std::vector<Bytes> sent_by(p);
+  auto gather_traffic = [&](int pieces) {
     const vmpi::RunResult run = vmpi::run(p, [&](vmpi::Comm& world) {
       Grid3D grid(world, 2);
       const DistMat3D dist = distribute_b_style(grid, global);
-      image[static_cast<std::size_t>(world.rank())] = packed_size(dist.local);
-      if (to_root)
-        gather_dist(grid, dist, /*root=*/0);
-      else
+      if (pieces == 0) {
         gather_dist(grid, dist);
+        return;
+      }
+      // My block cut into `pieces` column slices, placed where they lie.
+      std::vector<PlacedBlock> mine;
+      Bytes bytes = 0;
+      for (int k = 0; k < pieces; ++k) {
+        const Index lo = part_low(k, pieces, dist.local.ncols());
+        const Index hi = part_low(k + 1, pieces, dist.local.ncols());
+        mine.push_back({dist.local.slice_cols(lo, hi),
+                        {dist.rows.start, dist.cols.start + lo}});
+        bytes += 2 * sizeof(Index) + packed_size(mine.back().block);
+      }
+      sent_by[static_cast<std::size_t>(world.rank())] = bytes;
+      const CscMat c = gather_dist(grid, global.nrows(), global.ncols(), mine,
+                                   /*root=*/0);
+      if (world.rank() == 0) testing::expect_same_arrays(c, global);
     });
     return run.traffic_summary().total_per_phase.at(steps::kGather);
   };
-  const vmpi::PhaseTraffic root = gather_traffic(true);
-  EXPECT_EQ(root.messages, static_cast<std::uint64_t>(p - 1));
-  Bytes sent = 0;
-  for (int r = 1; r < p; ++r)
-    sent += 2 * sizeof(Index) + image[static_cast<std::size_t>(r)];
-  EXPECT_EQ(root.bytes, sent);
-  EXPECT_EQ(gather_traffic(false).messages,
+  for (const int pieces : {1, 3}) {
+    SCOPED_TRACE(pieces);
+    const vmpi::PhaseTraffic root = gather_traffic(pieces);
+    EXPECT_EQ(root.messages, static_cast<std::uint64_t>(p - 1));
+    Bytes sent = 0;
+    for (int r = 1; r < p; ++r) sent += sent_by[static_cast<std::size_t>(r)];
+    EXPECT_EQ(root.bytes, sent);
+  }
+  EXPECT_EQ(gather_traffic(0).messages,
             static_cast<std::uint64_t>(4 * (p - 1)));
 }
 

@@ -1,7 +1,7 @@
 // SUMMA2D (Algorithm 1) correctness: the gathered distributed product must
-// equal the serial reference for random matrices across grid shapes,
-// kernel choices, and semirings. Runs with l = 1 so the layer is the whole
-// grid and the 2D result is the final result.
+// equal the serial reference for random matrices across grid shapes, both
+// kernel pipelines, and semirings. Runs with l = 1 so the layer is the
+// whole grid and the 2D result is the final result.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,15 +16,14 @@
 namespace casp {
 namespace {
 
-// Every member is 8 bytes except the two trailing 4-byte enums, so the
-// struct has no padding: gtest names each case from the raw bytes of the
+// Every member is 8 bytes (the pipeline widened to 64 bits), so the struct
+// has no padding: gtest names each case from the raw bytes of the
 // parameter, and padding would leak stack garbage into the test names.
 struct Summa2DCase {
   std::int64_t p;
   Index n;
   double density;
-  SpGemmKind local_kind;
-  MergeKind merge_kind;
+  std::int64_t pipeline;  ///< a Pipeline
 };
 
 /// This rank's whole block of D: piece 0 of a one-split summa2d call.
@@ -37,6 +36,9 @@ CscMat layer_block(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
   EXPECT_EQ(pieces.size(), 1u);
   return unpack_csc_view(pieces.front()).materialize();
 }
+
+constexpr auto kHash = static_cast<std::int64_t>(Pipeline::kHash);
+constexpr auto kHybrid = static_cast<std::int64_t>(Pipeline::kHybrid);
 
 class Summa2DCorrectness : public ::testing::TestWithParam<Summa2DCase> {};
 
@@ -51,8 +53,7 @@ TEST_P(Summa2DCorrectness, MatchesSerialReference) {
     const DistMat3D da = distribute_a_style(grid, a);
     const DistMat3D db = distribute_b_style(grid, b);
     SummaOptions opts;
-    opts.local_kind = param.local_kind;
-    opts.merge_kind = param.merge_kind;
+    opts.pipeline = static_cast<Pipeline>(param.pipeline);
     CscMat local_d = layer_block<PlusTimes>(grid, da.local, db.local, opts);
 
     DistMat3D dc;
@@ -69,20 +70,12 @@ TEST_P(Summa2DCorrectness, MatchesSerialReference) {
 INSTANTIATE_TEST_SUITE_P(
     Grids, Summa2DCorrectness,
     ::testing::Values(
-        Summa2DCase{1, 12, 3.0, SpGemmKind::kUnsortedHash,
-                    MergeKind::kUnsortedHash},
-        Summa2DCase{4, 20, 3.0, SpGemmKind::kUnsortedHash,
-                    MergeKind::kUnsortedHash},
-        Summa2DCase{4, 21, 4.0, SpGemmKind::kSortedHash,
-                    MergeKind::kSortedHeap},
-        Summa2DCase{9, 30, 3.0, SpGemmKind::kHeap, MergeKind::kSortedHeap},
-        Summa2DCase{9, 31, 2.0, SpGemmKind::kHybrid, MergeKind::kSortedHeap},
-        Summa2DCase{16, 37, 3.5, SpGemmKind::kUnsortedHash,
-                    MergeKind::kUnsortedHash},
-        Summa2DCase{16, 40, 5.0, SpGemmKind::kSpa, MergeKind::kUnsortedHash},
+        Summa2DCase{1, 12, 3.0, kHash}, Summa2DCase{4, 20, 3.0, kHash},
+        Summa2DCase{4, 21, 4.0, kHybrid}, Summa2DCase{9, 30, 3.0, kHybrid},
+        Summa2DCase{9, 31, 2.0, kHybrid}, Summa2DCase{16, 37, 3.5, kHash},
+        Summa2DCase{16, 40, 5.0, kHash},
         // denser than rows: guaranteed collisions and compression
-        Summa2DCase{4, 8, 6.0, SpGemmKind::kUnsortedHash,
-                    MergeKind::kUnsortedHash}));
+        Summa2DCase{4, 8, 6.0, kHash}));
 
 TEST(Summa2DRectangular, TallTimesWide) {
   const Index m = 26, k = 14, n = 33;

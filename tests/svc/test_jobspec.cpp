@@ -6,6 +6,7 @@
 #include <array>
 #include <exception>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -25,12 +26,10 @@ JobSpec full_spec() {
   s.ranks = 4;
   s.layers = 1;
   s.memory_bytes = 1 << 20;
-  s.kernel = "hybrid";
-  s.sort_final = false;
+  s.kernel = Pipeline::kHybrid;
   s.sparse_comm = true;
   s.threads = 2;
   s.force_batches = 2;
-  s.adaptive_rebatch = false;
   s.ckpt_dir = "/tmp/ckpt";
   s.ckpt_every = 2;
   s.ckpt_job_tag = "tag";
@@ -63,12 +62,10 @@ TEST(JobSpec, RoundTripPreservesEveryField) {
   EXPECT_EQ(r.a.er.nrows, 32);
   EXPECT_TRUE(r.b.empty());
   EXPECT_EQ(r.memory_bytes, Bytes{1} << 20);
-  EXPECT_EQ(r.kernel, "hybrid");
-  EXPECT_FALSE(r.sort_final);
+  EXPECT_EQ(r.kernel, Pipeline::kHybrid);
   EXPECT_TRUE(r.sparse_comm);
   EXPECT_EQ(r.threads, 2);
   EXPECT_EQ(r.force_batches, 2);
-  EXPECT_FALSE(r.adaptive_rebatch);
   EXPECT_EQ(r.ckpt_dir, "/tmp/ckpt");
   EXPECT_EQ(r.ckpt_every, 2u);
   EXPECT_EQ(r.ckpt_job_tag, "tag");
@@ -84,6 +81,27 @@ TEST(JobSpec, StrictParseRejectsUnknownKeys) {
   EXPECT_THROW(JobSpec::parse(R"({"pipeline": false})"), InvalidArgument);
   EXPECT_THROW(JobSpec::parse(R"({"a": {"kind": "er", "er": {"zzz": 1}}})"),
                InvalidArgument);
+}
+
+TEST(JobSpec, RemovedKnobsAndUnknownKernelsAreRefusedNamingTheKey) {
+  // sort_final and adaptive_rebatch were fields no program set; the two
+  // pipelines are the only kernels.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"sort_final": true})", "sort_final"},
+      {R"({"adaptive_rebatch": false})", "adaptive_rebatch"},
+      {R"({"kernel": "bogus"})", "kernel"},
+      {R"({"kernel": "Hash"})", "kernel"}};
+  for (const auto& [text, key] : cases) {
+    try {
+      (void)JobSpec::parse(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(JobSpec::parse(R"({"kernel": "hybrid"})").kernel,
+            Pipeline::kHybrid);
 }
 
 TEST(JobSpec, StrictParseRejectsValuesOfTheWrongType) {
@@ -108,10 +126,6 @@ TEST(JobSpec, ValidateCatchesStructuralErrors) {
 
   JobSpec s = ok;
   s.ranks = 6;  // ranks/layers must form a square grid
-  EXPECT_THROW(s.validate(), InvalidArgument);
-
-  s = ok;
-  s.kernel = "bogus";
   EXPECT_THROW(s.validate(), InvalidArgument);
 
   s = ok;
@@ -144,19 +158,20 @@ TEST(JobSpec, ValidateCatchesStructuralErrors) {
 
 TEST(JobSpec, SummaOptionsViewMapsKernelAndKnobs) {
   JobSpec s = full_spec();
-  s.kernel = "hash";
+  s.kernel = Pipeline::kHash;
   SummaOptions hash = s.summa_options();
-  EXPECT_EQ(hash.local_kind, SpGemmKind::kUnsortedHash);
-  EXPECT_EQ(hash.merge_kind, MergeKind::kUnsortedHash);
-  s.kernel = "hybrid";
+  EXPECT_EQ(hash.pipeline, Pipeline::kHash);
+  EXPECT_EQ(hash.local_kind(), SpGemmKind::kUnsortedHash);
+  EXPECT_EQ(hash.merge_kind(), MergeKind::kUnsortedHash);
+  s.kernel = Pipeline::kHybrid;
   SummaOptions hybrid = s.summa_options();
-  EXPECT_EQ(hybrid.local_kind, SpGemmKind::kHybrid);
-  EXPECT_EQ(hybrid.merge_kind, MergeKind::kSortedHeap);
-  EXPECT_FALSE(hybrid.sort_final);
+  EXPECT_EQ(hybrid.pipeline, Pipeline::kHybrid);
+  EXPECT_EQ(hybrid.local_kind(), SpGemmKind::kHybrid);
+  EXPECT_EQ(hybrid.merge_kind(), MergeKind::kSortedHeap);
   EXPECT_TRUE(hybrid.sparse_comm);
   EXPECT_EQ(hybrid.threads, 2);
   EXPECT_EQ(hybrid.force_batches, 2);
-  EXPECT_FALSE(hybrid.adaptive_rebatch);
+  EXPECT_TRUE(hybrid.adaptive_rebatch);
   EXPECT_EQ(hybrid.ckpt_job_tag, "tag");
   // Non-owning pointers are wired by the executor, never by the view.
   EXPECT_EQ(hybrid.memory, nullptr);
@@ -168,18 +183,30 @@ TEST(JobSpec, RunOptionsNeverInheritEnvFaults) {
   s.a = MatrixSource::er_square(16, 2.0, 1);
   // Empty fault_spec must pin an explicitly *disabled* plan (not "unset",
   // which would make vmpi::run consult CASP_VMPI_FAULTS) — one tenant's
-  // environment chaos must never leak into another tenant's job.
-  vmpi::RunOptions quiet = s.run_options();
+  // environment chaos must never leak into another tenant's job. Every
+  // attempt runs through a chain; an unsupervised spec's has no restarts.
+  EXPECT_FALSE(s.supervised());
+  EXPECT_EQ(s.supervisor_options().max_restarts, 0);
+  vmpi::RunOptions quiet =
+      vmpi::SupervisionChain(s.supervisor_options()).attempt_options();
   ASSERT_TRUE(quiet.faults.has_value());
   EXPECT_FALSE(quiet.faults->enabled());
   EXPECT_TRUE(quiet.capture_failure);
 
   s.fault_spec = "seed=7;crash_rank=2;crash_op=11";
-  vmpi::RunOptions chaos = s.run_options();
+  vmpi::RunOptions chaos =
+      vmpi::SupervisionChain(s.supervisor_options()).attempt_options();
   ASSERT_TRUE(chaos.faults.has_value());
   EXPECT_TRUE(chaos.faults->enabled());
   EXPECT_EQ(chaos.faults->crash_rank, 2);
   EXPECT_EQ(chaos.faults->crash_op, 11u);
+
+  // A checkpoint directory supervises with the default bound.
+  s.ckpt_dir = "/tmp/ckpt";
+  EXPECT_TRUE(s.supervised());
+  EXPECT_EQ(s.supervisor_options().max_restarts,
+            vmpi::SupervisorOptions{}.max_restarts);
+  s.ckpt_dir.clear();
 
   s.max_restarts = 5;
   vmpi::SupervisorOptions sup = s.supervisor_options();

@@ -264,6 +264,64 @@ TEST(Server, BudgetedSpGemmRunsOnAdmissionsSymbolic3D) {
   EXPECT_TRUE(job.c == expect) << "the carried run's C diverged";
 }
 
+TEST(Server, JobAdmittedAtThreeBatchesKeepsNoConcatenatedOutput) {
+  // Eq. (2) sizes the inputs plus one batch of unmerged output, not C.
+  // Under a budget that admits b = 3 on this product, a rank that also
+  // concatenated its whole block of C would overrun; the service keeps
+  // each batch piece where the callback hands it over and gathers those.
+  JobSpec spec = small_spgemm("alice");
+  spec.a = MatrixSource::rmat_graph(8, 8.0, 21);
+  const CscMat in = spec.a.materialize();
+  const obs::JobAdmission max = estimate_admission(spec, in, in).admission;
+  const Bytes r = kBytesPerNonzero;
+  spec.memory_bytes =
+      static_cast<Bytes>(spec.ranks) *
+      (r * static_cast<Bytes>(max.max_nnz_a + max.max_nnz_b) +
+       r * static_cast<Bytes>(max.max_nnz_c) / 2 - 1);
+  ASSERT_EQ(estimate_admission(spec, in, in).admission.batches, 3);
+
+  // Kept and concatenated, the same budget fails after the batches ran.
+  vmpi::RunOptions capture;
+  capture.faults = vmpi::FaultPlan{};
+  capture.capture_failure = true;
+  const vmpi::RunResult kept = vmpi::run(
+      spec.ranks,
+      [&](vmpi::Comm& world) {
+        MemoryTracker tracker(spec.memory_bytes /
+                              static_cast<Bytes>(world.size()));
+        SummaOptions opts = spec.summa_options();
+        opts.memory = &tracker;
+        Grid3D grid(world, spec.layers);
+        (void)batched_summa3d<PlusTimes>(
+            grid, distribute_a_style(grid, in), distribute_b_style(grid, in),
+            spec.memory_bytes, opts);
+      },
+      capture);
+  ASSERT_TRUE(kept.failed());
+  EXPECT_EQ(kept.failure->kind, "memory_budget");
+
+  Server server(ServerOptions{});
+  const JobRecord& job = server.wait(server.submit(spec));
+  ASSERT_EQ(job.state, JobState::kDone) << job.reason;
+  EXPECT_EQ(job.batches, 3);
+  EXPECT_EQ(job.final_batches, 3);
+
+  // The standalone run at b = 3 (no budget, so it may keep C) gives the
+  // same bits.
+  CscMat expect;
+  vmpi::run(spec.ranks, [&](vmpi::Comm& world) {
+    SummaOptions opts = spec.summa_options();
+    opts.force_batches = 3;
+    Grid3D grid(world, spec.layers);
+    const BatchedResult res = batched_summa3d<PlusTimes>(
+        grid, distribute_a_style(grid, in), distribute_b_style(grid, in), 0,
+        opts);
+    CscMat c = gather_dist(grid, res.c);
+    if (world.rank() == 0) expect = std::move(c);
+  });
+  EXPECT_TRUE(job.c == expect) << "the service's C diverged";
+}
+
 TEST(Server, ShrunkElasticJobRunsOnTheEstimateMadeForItsNewGrid) {
   // A 9-rank elastic job loses a rank for good and shrinks to 4 x 1. The
   // budget sizes a different b on the two grids, so the shrunk run's b

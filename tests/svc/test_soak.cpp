@@ -37,7 +37,7 @@ std::vector<JobSpec> soak_specs() {
     s.ranks = 4;
     s.priority = i % 2;
     if (i == 1) s.aat = true;
-    if (i == 2) s.kernel = "hybrid";
+    if (i == 2) s.kernel = Pipeline::kHybrid;
     if (i == 3) {
       s.memory_bytes = Bytes{16} << 20;
       s.force_batches = 2;

@@ -105,7 +105,7 @@ struct ChaosPlan {
 /// arguments build byte-identical specs except for ckpt_root, which must
 /// differ per drain so the second drain cannot resume from the first one's
 /// checkpoints. Shapes rotate mod 8:
-///   0 clean SpGEMM · 1 AᵀA / hybrid kernel · 2 transient crash (supervised)
+///   0 clean SpGEMM · 1 AᵀA / hybrid pipeline · 2 transient crash (supervised)
 ///   3 MCL + ckpt + transient crash · 4 corrupt / send_fail storm
 ///   5 triangle count under delay faults · 6 elastic 9-rank SpGEMM with
 ///   checkpoints (the first two occurrences add a permanent crash; later
@@ -130,10 +130,10 @@ ChaosPlan make_plan(int jobs, int tenants, std::uint64_t seed,
       case 0:  // clean SpGEMM baseline
         s.a = MatrixSource::er_square(56, 3.0, js);
         break;
-      case 1:  // A·Aᵀ on the prior-work kernel
+      case 1:  // A·Aᵀ on the prior-work pipeline
         s.a = MatrixSource::er_square(48, 3.0, js);
         s.aat = true;
-        s.kernel = "hybrid";
+        s.kernel = casp::Pipeline::kHybrid;
         break;
       case 2:  // transient crash, supervised recovery on the full grid
         // crash_op stays within the 17 vmpi ops rank 2 (= i % 4) makes in

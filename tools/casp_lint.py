@@ -146,6 +146,17 @@ test (see tests/CMakeLists.txt). Rules:
                   system. Wire it into a program or delete it. This rule
                   looks at the whole tree at once; waive it with
                   allow-file in the header.
+  jobspec-field-has-caller
+                  Every data member of `struct JobSpec`
+                  (src/svc/jobspec.hpp) is read or set as a spec field
+                  (`spec.<field>`, `job.spec.<field>`, `spec-><field>`,
+                  any receiver whose name ends in "spec") in some C++ file
+                  under src/, tools/ or e2ebench/ other than
+                  src/svc/jobspec.*. The spec's own JSON and view code
+                  and tests do not count: a field only they touch is a
+                  knob no program sets, which every spec, report and
+                  review still pays for. Wire it into a program or
+                  delete it. The callers come from the whole tree.
 
 Waivers (use sparingly, justify in a comment on the same line):
   // casp-lint: allow(<rule>)        — waives <rule> on this or next line
@@ -217,6 +228,17 @@ INCLUDE_RE = re.compile(r'^\s*#\s*include\s+([<"][^>"]+[>"])')
 # include is no caller.
 CALLER_DIRS = ("src", "tools", "bench", "examples", "e2ebench")
 PROJECT_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
+
+# JobSpec's data members, and where a reader of one may live (its own
+# files and tests/ deliberately absent). A field is read or set through a
+# receiver named like a spec: spec.f, rec.spec.f, shaped_spec->f.
+JOBSPEC_HEADER = "src/svc/jobspec.hpp"
+JOBSPEC_OWN_FILES = ("src/svc/jobspec.hpp", "src/svc/jobspec.cpp")
+FIELD_CALLER_DIRS = ("src", "tools", "e2ebench")
+JOBSPEC_STRUCT_RE = re.compile(r"\bstruct\s+JobSpec\s*\{")
+SPEC_FIELD_RE = re.compile(r"\b\w*spec\s*(?:\.|->)\s*(\w+)", re.IGNORECASE)
+MEMBER_NAME_RE = re.compile(r"(\w+)\s*(?:=[^=].*)?$", re.DOTALL)
+ACCESS_LABEL_RE = re.compile(r"^\s*(?:public|private|protected)\s*:")
 
 # catch (const MemoryError& e) { <whitespace only> } — after strip_code()
 # a comment-only body is whitespace too, which is intended: a comment is
@@ -373,6 +395,7 @@ class Linter:
         self.root = root
         self.errors = []
         self._repo_kind_table = None  # lazily parsed from KIND_TABLE_FILE
+        self._spec_fields_used = None  # lazily scanned FIELD_CALLER_DIRS
 
     def error(self, rel: str, line_no: int, rule: str, msg: str):
         self.errors.append(f"{rel}:{line_no}: [{rule}] {msg}")
@@ -439,6 +462,8 @@ class Linter:
         if rel.endswith(".hpp"):
             self.check_pragma_once(rel, code_lines, waived)
         self.check_include_order(rel, raw_lines, waived)
+        if rel == JOBSPEC_HEADER:
+            self.check_jobspec_field_has_caller(rel, code_text, waived)
 
     # -- rules --------------------------------------------------------------
 
@@ -815,6 +840,79 @@ class Linter:
                        f'nothing under {", ".join(d + "/" for d in CALLER_DIRS)}'
                        f' includes "{key}" (its own .cpp and tests do not '
                        "count) — wire it into a program or delete it")
+
+    @staticmethod
+    def _jobspec_members(code_text):
+        """(name, offset) of each data member of `struct JobSpec`: the
+        struct body's top-level statements, ended by `;` or by the `}` of
+        an inline member function, that declare no function."""
+        m = JOBSPEC_STRUCT_RE.search(code_text)
+        if not m:
+            return []
+        members = []
+        depth, start = 0, m.end()
+        blank = lambda x: " " * len(x.group())  # noqa: E731 — keeps offsets
+        for i in range(m.end(), len(code_text)):
+            c = code_text[i]
+            if c == "{":
+                depth += 1
+                continue
+            if c == "}":
+                if depth == 0:
+                    break  # the struct's closing brace
+                depth -= 1
+                # An inline function body ends its statement; a braced
+                # initializer is followed by the member's `;`.
+                if depth == 0 and not code_text[i + 1:].lstrip().startswith(
+                        (";", ",")):
+                    start = i + 1
+                continue
+            if c != ";" or depth != 0:
+                continue
+            # Access labels and braced initializers blanked, offsets kept.
+            stmt = ACCESS_LABEL_RE.sub(blank, code_text[start:i])
+            while "{" in stmt:
+                stmt = re.sub(r"\{[^{}]*\}", blank, stmt)
+            first = stmt.split()[0] if stmt.split() else ""
+            if "(" not in stmt and first not in ("", "using", "static",
+                                                 "friend", "enum", "struct",
+                                                 "class"):
+                name = MEMBER_NAME_RE.search(stmt)
+                if name:
+                    members.append((name.group(1), start + name.start(1)))
+            start = i + 1
+        return members
+
+    def _spec_fields(self):
+        if self._spec_fields_used is None:
+            used = set()
+            for d in FIELD_CALLER_DIRS:
+                base = self.root / d
+                if not base.is_dir():
+                    continue
+                for path in (p for ext in CXX_EXTS
+                             for p in base.rglob(f"*{ext}")):
+                    rel = path.relative_to(self.root).as_posix()
+                    if rel in JOBSPEC_OWN_FILES:
+                        continue
+                    text = path.read_text(encoding="utf-8", errors="replace")
+                    code = strip_code(text)
+                    used.update(m.group(1)
+                                for m in SPEC_FIELD_RE.finditer(code))
+            self._spec_fields_used = used
+        return self._spec_fields_used
+
+    def check_jobspec_field_has_caller(self, rel, code_text, waived):
+        used = self._spec_fields()
+        for name, offset in self._jobspec_members(code_text):
+            idx = code_text.count("\n", 0, offset)
+            if name in used or waived("jobspec-field-has-caller", idx):
+                continue
+            self.error(rel, idx + 1, "jobspec-field-has-caller",
+                       f"JobSpec::{name} is read or set nowhere under "
+                       f'{", ".join(d + "/" for d in FIELD_CALLER_DIRS)} '
+                       "outside src/svc/jobspec.* (tests do not count) — "
+                       "wire it into a program or delete it")
 
     # -- entry --------------------------------------------------------------
 

@@ -43,7 +43,7 @@ inline const char* common_flags_help() {
   return "  --ranks N --layers L          grid shape (ranks/layers: square)\n"
          "  --memory-mb M                 aggregate budget (0 = unlimited)\n"
          "  --batches B                   pin the batch count (0 = symbolic)\n"
-         "  --kernel hash|hybrid          this paper's / prior-work kernels\n"
+         "  --kernel hash|hybrid          this paper's / prior-work pipeline\n"
          "  --threads T                   per-rank kernel threads\n"
          "  --sparse-comm                 symbolic-informed sparse A exchange\n"
          "  --ckpt-dir DIR --ckpt-every N checkpoint/restart cadence\n"
@@ -79,7 +79,7 @@ inline int parse_common(int argc, char** argv, CommonArgs& args,
       } else if (arg == "--batches") {
         spec.force_batches = std::stoll(next("--batches"));
       } else if (arg == "--kernel") {
-        spec.kernel = next("--kernel");
+        spec.kernel = svc::pipeline_from_string(next("--kernel"));
       } else if (arg == "--threads") {
         spec.threads = std::stoi(next("--threads"));
       } else if (arg == "--sparse-comm") {

@@ -37,8 +37,8 @@ void usage() {
 
 /// Direct-run escape hatch for --batch-dir: the service keeps gathered
 /// results in the job record, but batch streaming wants a per-rank disk
-/// writer callback, so this path drives vmpi::run itself — still deriving
-/// every option from the same JobSpec views the service uses.
+/// writer callback, so this path drives vmpi::run_supervised itself — still
+/// deriving every option from the same JobSpec views the service uses.
 int run_streaming(const casp::svc::JobSpec& spec, const casp::CscMat& a,
                   const casp::CscMat& b, const std::string& batch_dir,
                   const casp::cli::CommonArgs& args) {
@@ -67,19 +67,15 @@ int run_streaming(const casp::svc::JobSpec& spec, const casp::CscMat& a,
         /*keep_output=*/false);
   };
 
-  vmpi::RunResult result;
-  if (spec.supervised()) {
-    vmpi::SupervisedResult sup =
-        vmpi::run_supervised(spec.ranks, body, spec.supervisor_options());
-    if (sup.restarts > 0) {
-      std::cout << "supervisor: " << sup.restarts << " restart(s)";
-      if (sup.recovered()) std::cout << ", recovered";
-      std::cout << "\n";
-    }
-    result = std::move(sup.result);
-  } else {
-    result = vmpi::run(spec.ranks, body, spec.run_options());
+  // An unsupervised spec's chain runs one attempt.
+  vmpi::SupervisedResult sup =
+      vmpi::run_supervised(spec.ranks, body, spec.supervisor_options());
+  if (sup.restarts > 0) {
+    std::cout << "supervisor: " << sup.restarts << " restart(s)";
+    if (sup.recovered()) std::cout << ", recovered";
+    std::cout << "\n";
   }
+  const vmpi::RunResult& result = sup.result;
   if (!args.trace_path.empty()) {
     obs::write_chrome_trace(result, args.trace_path);
     std::cout << "wrote " << args.trace_path << "\n";
