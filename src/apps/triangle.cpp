@@ -1,21 +1,11 @@
 #include "apps/triangle.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "grid/dist.hpp"
 #include "kernels/spgemm.hpp"
 #include "summa/batched.hpp"
 
 namespace casp {
-
-namespace {
-/// Binary-search membership test in a sorted column.
-bool column_contains(const CscMat& m, Index col, Index row) {
-  const auto rows = m.col_rowids(col);
-  return std::binary_search(rows.begin(), rows.end(), row);
-}
-}  // namespace
 
 TriangleOperands triangle_operands(const CscMat& adjacency) {
   CASP_CHECK(adjacency.nrows() == adjacency.ncols());
@@ -51,22 +41,15 @@ Index count_triangles_lu(Grid3D& grid, const CscMat& lower,
   const DistMat3D dl = distribute_a_style(grid, lower);
   const DistMat3D du = distribute_b_style(grid, upper);
 
-  // C = L*U shares L's rows but not, at l > 1, its columns (the fiber
-  // split cuts them by work), so the mask looks up each piece entry at its
-  // global coordinates in the replicated L.
+  // Masked by L, every rank's Local-Multiply forms only the wedges that
+  // close on an edge of L, so each piece entry is a triangle count.
+  SummaOptions masked = opts;
+  masked.mask = &lower;
   Index my_count = 0;
   batched_summa3d<PlusTimes>(
-      grid, dl, du, total_memory, opts,
-      [&](CscMat&& piece, const BatchInfo& info) {
-        for (Index j = 0; j < piece.ncols(); ++j) {
-          const Index col = info.global_cols.start + j;
-          const auto rows = piece.col_rowids(j);
-          const auto vals = piece.col_vals(j);
-          for (std::size_t k = 0; k < rows.size(); ++k) {
-            if (column_contains(lower, col, rows[k] + info.global_rows.start))
-              my_count += static_cast<Index>(vals[k] + 0.5);
-          }
-        }
+      grid, dl, du, total_memory, masked,
+      [&](CscMat&& piece, const BatchInfo&) {
+        for (Value v : piece.vals()) my_count += static_cast<Index>(v + 0.5);
       },
       /*keep_output=*/false);
 

@@ -3,9 +3,10 @@
 // For an undirected adjacency matrix A split into strictly-lower L and
 // strictly-upper U, (L*U)(i,j) with i > j counts the wedges i-k-j with
 // k < j < i; masking by the edges of L counts each triangle {k < j < i}
-// exactly once [Azad, Buluc, Gilbert 2015]. The mask is evaluated
-// rank-locally: C = L*U is distributed like L (A-style), so every rank owns
-// the L block matching its C block.
+// exactly once [Azad, Buluc, Gilbert 2015]. The distributed count runs
+// BatchedSUMMA3D with L as SummaOptions::mask, so every rank's
+// Local-Multiply forms only the wedges on its block of L and no
+// intermediate exceeds nnz(L).
 #pragma once
 
 #include "grid/grid3d.hpp"
@@ -15,7 +16,8 @@
 namespace casp {
 
 /// The operands of the count: L and U of the adjacency with unit values,
-/// L's columns sorted (the mask's lookups binary-search them).
+/// L's columns sorted (L is the count's mask, and a mask's columns must
+/// be sorted).
 struct TriangleOperands {
   CscMat lower;
   CscMat upper;
@@ -33,8 +35,8 @@ Index count_triangles_distributed(Grid3D& grid, const CscMat& adjacency,
                                   const SummaOptions& opts = {});
 
 /// The same count from operands triangle_operands already built. The
-/// service admits a triangle job by Symbolic3D of this L*U and then runs
-/// it on the very operands it sized.
+/// service admits a triangle job by Symbolic3D of this L*U masked by L and
+/// then runs it on the very operands it sized.
 Index count_triangles_lu(Grid3D& grid, const CscMat& lower,
                          const CscMat& upper, Bytes total_memory,
                          const SummaOptions& opts);

@@ -79,6 +79,13 @@ DistMat3D distribute_a_style(const Grid3D& grid, const CscMat& global) {
   return d;
 }
 
+CscMat product_block(const Grid3D& grid, const CscMat& global) {
+  const LocalRange rows = a_style_row_range(grid, global.nrows());
+  const LocalRange cols = b_style_col_range(grid, global.ncols());
+  return extract_block(global, rows.start, rows.start + rows.count,
+                       cols.start, cols.start + cols.count);
+}
+
 DistMat3D distribute_b_style(const Grid3D& grid, const CscMat& global) {
   DistMat3D d;
   d.global_rows = global.nrows();

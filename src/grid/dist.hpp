@@ -58,6 +58,11 @@ LocalRange b_style_col_range(const Grid3D& grid, Index global_cols);
 /// coordinates. O(entries in the column range).
 CscMat extract_block(const CscMat& m, Index r0, Index r1, Index c0, Index c1);
 
+/// The block of a global matrix shaped like C = A*B that rank (i, j, k)'s
+/// products cover: A-style rows by B-style columns. Symbolic3D and
+/// BatchedSUMMA3D cut SummaOptions::mask with it.
+CscMat product_block(const Grid3D& grid, const CscMat& global);
+
 /// Each rank extracts its block from a replicated global matrix.
 /// (Real deployments would scatter from parallel I/O; for experiments the
 /// generator output is available everywhere and extraction is exact.)

@@ -23,6 +23,15 @@
 // SR::zero() with SR::add, in arrival order, so a kernel's output is
 // bitwise the same on either side. Sorted output orders unique rows, which
 // every correct sort agrees on.
+//
+// MaskedRows is the masked kernels' accumulator (C = (A*B) .* pattern(M),
+// the masked SpGEMM of [3]): open() confines it to one mask column, every
+// contribution to a row outside that column is dropped, and the kept rows
+// fold exactly as above, so a masked column holds bitwise the values the
+// unmasked column holds at the mask's rows. It emits in mask order.
+//
+// DenseRows and MaskedRows take a Slots parameter: kFlags keeps no values,
+// for Symbolic, which only counts rows.
 #pragma once
 
 #include <algorithm>
@@ -47,6 +56,11 @@ namespace casp {
 /// of work, while a block taller than its work keeps a table the size of
 /// its columns.
 constexpr bool use_dense_rows(Index nrows, Index work) { return nrows <= work; }
+
+/// What a row accumulator stores per row: flags and values (the numeric
+/// kernels), or flags only (Symbolic's counts; no value slot is allocated,
+/// filled or restored).
+enum class Slots { kValues, kFlags };
 
 /// Hash side. Reused across columns: emptying clears only the slots the
 /// column touched.
@@ -175,8 +189,8 @@ class HashRows {
 
 /// Dense side over rows [0, nrows).
 ///
-/// At rest every row's flag byte is 0, every value slot holds SR::zero()
-/// and the emit_sorted bitmap is clear. A touch writes the row into the
+/// At rest every row's flag byte is 0, every value slot (Slots::kValues)
+/// holds SR::zero() and the emit_sorted bitmap is clear. A touch writes the row into the
 /// first-touch list unconditionally and advances the cursor by the row's
 /// "fresh" flag, and a contribution is folded into its slot with SR::add.
 /// No step branches on whether the row is new, and consecutive rows touch
@@ -185,17 +199,19 @@ class HashRows {
 /// locals: a uint8_t store may alias anything, so a per-element member
 /// call would reload every member. Emitting restores each slot as it
 /// reads it.
-template <typename SR = PlusTimes>
+template <typename SR = PlusTimes, Slots S = Slots::kValues>
 class DenseRows {
  public:
   explicit DenseRows(Index nrows)
       : seen_(static_cast<std::size_t>(64 * ceil_div(nrows, 64)), 0),
-        vals_(static_cast<std::size_t>(nrows), SR::zero()),
+        vals_(S == Slots::kValues ? static_cast<std::size_t>(nrows) : 0,
+              SR::zero()),
         // One spare slot: the unconditional write of a repeated row lands
         // one past the last distinct row.
         used_(std::make_unique_for_overwrite<Index[]>(
             static_cast<std::size_t>(nrows) + 1)),
-        bits_(static_cast<std::size_t>(ceil_div(nrows, 64))) {}
+        bits_(S == Slots::kValues ? static_cast<std::size_t>(ceil_div(nrows, 64))
+                                  : 0) {}
 
   void require(Index /*min_capacity*/) {}
 
@@ -218,7 +234,9 @@ class DenseRows {
   }
 
   void accumulate_all(std::span<const Index> rows, std::span<const Value> vals,
-                      Value scale) {
+                      Value scale)
+    requires(S == Slots::kValues)
+  {
     Value* v = vals_.data();
     const Value* in = vals.data();
     folded_ = true;
@@ -227,7 +245,9 @@ class DenseRows {
     });
   }
 
-  void add_all(std::span<const Index> rows, std::span<const Value> vals) {
+  void add_all(std::span<const Index> rows, std::span<const Value> vals)
+    requires(S == Slots::kValues)
+  {
     Value* v = vals_.data();
     const Value* in = vals.data();
     folded_ = true;
@@ -239,7 +259,9 @@ class DenseRows {
   Index size() const { return static_cast<Index>(n_); }
 
   /// Entries in first-touch order.
-  void emit(Index* rowids, Value* vals) {
+  void emit(Index* rowids, Value* vals)
+    requires(S == Slots::kValues)
+  {
     std::uint8_t* seen = seen_.data();
     Value* v = vals_.data();
     const Index* used = used_.get();
@@ -258,7 +280,9 @@ class DenseRows {
   /// first-touch list (the scan clears it again). A column far shorter
   /// than the bitmap sorts its few first-touch rows instead of scanning
   /// every word; both orders are the same.
-  void emit_sorted(Index* rowids, Value* vals) {
+  void emit_sorted(Index* rowids, Value* vals)
+    requires(S == Slots::kValues)
+  {
     Index* used = used_.get();
     if (bits_.size() > kScanWordsPerEntry * n_) {
       std::sort(used, used + n_);
@@ -315,11 +339,112 @@ class DenseRows {
   }
 
   std::vector<std::uint8_t> seen_;  // flag per row, padded to whole bitmap words
-  std::vector<Value> vals_;
+  std::vector<Value> vals_;  // empty with Slots::kFlags
   std::unique_ptr<Index[]> used_;  // first-touch list, n_ live entries
   std::size_t n_ = 0;
   bool folded_ = false;  // this column's values may differ from SR::zero()
   std::vector<std::uint64_t> bits_;  // emit_sorted scratch, zero at rest
 };
+
+/// Mask side over rows [0, nrows), one mask column at a time.
+///
+/// open(rows) takes the column's mask rows; the accumulator then keeps a
+/// flag and (Slots::kValues) a value per mask position, not per row, so
+/// it never holds more entries than the mask column. A contribution finds
+/// its position through a per-row table (8 B per row, -1 at rest), as the
+/// dense side finds its flag. Emitting or reset() closes the column.
+/// emit() writes the reached rows in mask order, so a sorted mask gives
+/// sorted columns and emit_sorted() is emit().
+template <typename SR = PlusTimes, Slots S = Slots::kValues>
+class MaskedRows {
+ public:
+  explicit MaskedRows(Index nrows) : pos_(static_cast<std::size_t>(nrows), -1) {}
+
+  /// Confines the next column to `rows`, which must outlive the column.
+  void open(std::span<const Index> rows) {
+    rows_ = rows;
+    for (std::size_t k = 0; k < rows.size(); ++k)
+      pos_[static_cast<std::size_t>(rows[k])] = static_cast<Index>(k);
+    hit_.assign(rows.size(), 0);
+    if constexpr (S == Slots::kValues) vals_.assign(rows.size(), SR::zero());
+    n_ = 0;
+  }
+
+  void reset() { close(); }
+
+  void insert_all(std::span<const Index> rows) {
+    touch_all(rows, [](std::size_t, std::size_t) {});
+  }
+
+  void accumulate_all(std::span<const Index> rows, std::span<const Value> vals,
+                      Value scale)
+    requires(S == Slots::kValues)
+  {
+    Value* v = vals_.data();
+    const Value* in = vals.data();
+    touch_all(rows, [v, in, scale](std::size_t p, std::size_t k) {
+      v[p] = SR::add(v[p], SR::mul(in[k], scale));
+    });
+  }
+
+  Index size() const { return static_cast<Index>(n_); }
+
+  /// Reached rows in mask order.
+  void emit(Index* rowids, Value* vals)
+    requires(S == Slots::kValues)
+  {
+    std::size_t n = 0;
+    for (std::size_t k = 0; k < rows_.size(); ++k) {
+      if (hit_[k] == 0) continue;
+      rowids[n] = rows_[k];
+      vals[n] = vals_[k];
+      ++n;
+    }
+    close();
+  }
+
+  void emit_sorted(Index* rowids, Value* vals)
+    requires(S == Slots::kValues)
+  {
+    emit(rowids, vals);
+  }
+
+ private:
+  void close() {
+    for (const Index r : rows_) pos_[static_cast<std::size_t>(r)] = -1;
+    rows_ = {};
+    n_ = 0;
+  }
+
+  /// The one masked touch loop: skip rows off the mask, record the rest,
+  /// then fold(position, k).
+  template <typename Fold>
+  void touch_all(std::span<const Index> rows, Fold fold) {
+    const Index* pos = pos_.data();
+    std::uint8_t* hit = hit_.data();
+    std::size_t n = n_;
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      const Index p = pos[static_cast<std::size_t>(rows[k])];
+      if (p < 0) continue;
+      const auto pu = static_cast<std::size_t>(p);
+      n += hit[pu] ^ 1U;
+      hit[pu] = 1;
+      fold(pu, k);
+    }
+    n_ = n;
+  }
+
+  std::vector<Index> pos_;  // mask position per row, -1 at rest
+  std::span<const Index> rows_;  // the open mask column
+  std::vector<std::uint8_t> hit_;  // per mask position
+  std::vector<Value> vals_;  // per mask position; empty with Slots::kFlags
+  std::size_t n_ = 0;
+};
+
+/// Whether a row accumulator is the mask side.
+template <typename Rows>
+inline constexpr bool is_masked_rows = false;
+template <typename SR, Slots S>
+inline constexpr bool is_masked_rows<MaskedRows<SR, S>> = true;
 
 }  // namespace casp

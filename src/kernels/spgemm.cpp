@@ -31,15 +31,15 @@ bool produces_sorted(SpGemmKind kind) {
 
 namespace {
 
-/// One output column through a row accumulator, into a slice of
+/// One output column through a row accumulator the caller has sized (or,
+/// on the mask side, opened on the mask column), into a slice of
 /// `out_capacity` entries. Returns the entry count; a count above
 /// `out_capacity` writes nothing (the caller's slice was sized from an
 /// undersized hint). Either way the accumulator is left empty.
 template <typename SR, typename Rows, typename MatA, typename MatB>
 Index accumulate_column(const MatA& a, const MatB& b, Index j, Rows& acc,
-                        Index table_capacity, Index out_capacity,
-                        Index* rowids, Value* vals, bool sort_output) {
-  acc.require(table_capacity);
+                        Index out_capacity, Index* rowids, Value* vals,
+                        bool sort_output) {
   const auto brows = b.col_rowids(j);
   const auto bvals = b.col_vals(j);
   for (std::size_t t = 0; t < brows.size(); ++t)
@@ -100,10 +100,13 @@ Index heap_column(const MatA& a, const MatB& b, Index j, Index* rowids,
 
 /// Fills `out`'s column slices (a CscSlices or a CscWireImages) with one
 /// accumulator side per thread, and counts[j] with column j's entry count.
-/// Returns false if a column outgrew its slice (an undersized hint).
+/// Returns false if a column outgrew its slice (an undersized hint). A
+/// MaskedRows side opens each column on `mask`'s column and serves every
+/// kind; the other sides never read `mask`.
 template <typename SR, typename Rows, typename Out, typename MatA, typename MatB>
 bool fill_columns(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
-                  std::span<const Index> col_nnz_hints, Out& out,
+                  std::span<const Index> col_nnz_hints,
+                  [[maybe_unused]] const CscConstRef* mask, Out& out,
                   std::vector<Index>& counts) {
   const Index ncols = b.ncols();
   std::atomic<bool> overflow{false};
@@ -124,25 +127,30 @@ bool fill_columns(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
       if (overflow.load()) continue;
       const Index cap = out.col_capacity(j);
       if (cap == 0) continue;
-      // The symbolic hint bounds the merged column's nnz across all stages,
-      // so it also bounds this stage's contribution — size the hash table
-      // from it when it beats the flops bound (clamped to >= 1 so a column
-      // with flops but a zero hint still gets a table).
-      const Index table_cap =
-          col_nnz_hints.empty()
-              ? cap
-              : std::min(cap, std::max<Index>(col_nnz_hints[static_cast<std::size_t>(j)], 1));
       Index* rowids = out.col_rowids(j);
       Value* vals = out.col_vals(j);
       Index cnt = 0;
-      // Nagasaka et al. [25]: heap wins when the column has few input runs
-      // and little compression; hash wins otherwise. Proxy: the hybrid
-      // kernel runs heap for short columns.
-      if (kind == SpGemmKind::kHeap ||
-          (kind == SpGemmKind::kHybrid && b.col_nnz(j) <= 8 && cap <= 256)) {
+      if constexpr (is_masked_rows<Rows>) {
+        acc.open(mask->col_rowids(j));
+        cnt = accumulate_column<SR>(a, b, j, acc, cap, rowids, vals,
+                                    /*sort_output=*/false);
+      } else if (kind == SpGemmKind::kHeap ||
+                 (kind == SpGemmKind::kHybrid && b.col_nnz(j) <= 8 &&
+                  cap <= 256)) {
+        // Nagasaka et al. [25]: heap wins when the column has few input
+        // runs and little compression; hash wins otherwise. Proxy: the
+        // hybrid kernel runs heap for short columns.
         cnt = heap_column<SR>(a, b, j, rowids, vals);
       } else {
-        cnt = accumulate_column<SR>(a, b, j, acc, table_cap, cap, rowids, vals,
+        // The symbolic hint bounds the merged column's nnz across all
+        // stages, so it also bounds this stage's contribution — size the
+        // hash table from it when it beats the flops bound (clamped to
+        // >= 1 so a column with flops but a zero hint still gets a table).
+        acc.require(col_nnz_hints.empty()
+                        ? cap
+                        : std::min(cap, std::max<Index>(
+                                            col_nnz_hints[static_cast<std::size_t>(j)], 1)));
+        cnt = accumulate_column<SR>(a, b, j, acc, cap, rowids, vals,
                                     /*sort_output=*/produces_sorted(kind));
       }
       if (cnt > cap) {
@@ -155,12 +163,12 @@ bool fill_columns(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
   return !overflow.load();
 }
 
-/// Runs the multiply into the output target `make_out(slice capacities)`
-/// builds and returns its finish().
+/// Runs the multiply, masked when `mask` is set, into the output target
+/// `make_out(slice capacities)` builds and returns its finish().
 template <typename SR, typename MakeOut>
 auto run_spgemm(const CscConstRef& a, const CscConstRef& b, SpGemmKind kind,
                 int threads, std::span<const Index> col_nnz_hints,
-                const MakeOut& make_out) {
+                const CscConstRef* mask, const MakeOut& make_out) {
   CASP_CHECK_MSG(a.ncols() == b.nrows(),
                  "local_spgemm: inner dimension mismatch " << a.ncols()
                                                            << " vs " << b.nrows());
@@ -169,35 +177,47 @@ auto run_spgemm(const CscConstRef& a, const CscConstRef& b, SpGemmKind kind,
                  "local_spgemm: col_nnz_hints has " << col_nnz_hints.size()
                                                     << " entries for "
                                                     << b.ncols() << " columns");
-  // The hash kernels size each output slice from the symbolic hint (the
-  // per-column count Symbolic3D already computed); the others keep the
-  // flops bound.
+  CASP_CHECK_MSG(mask == nullptr || (mask->nrows() == a.nrows() &&
+                                     mask->ncols() == b.ncols()),
+                 "local_spgemm: mask shape mismatch");
+  // The hash kernels and the mask side size each output slice from the
+  // symbolic hint (the per-column count Symbolic3D already computed); the
+  // others keep the flops bound.
   const bool hint_sized = !col_nnz_hints.empty() &&
-                          (kind == SpGemmKind::kUnsortedHash ||
+                          (mask != nullptr ||
+                           kind == SpGemmKind::kUnsortedHash ||
                            kind == SpGemmKind::kSortedHash);
-  // A slice holds min(flops_j, nrows) entries, or — given symbolic counts —
-  // min(flops_j, nrows, max(hint_j, 1)).
+  // A slice holds min(flops_j, nrows) entries — min(flops_j, nnz(mask_j))
+  // when masked — or, given symbolic counts, at most max(hint_j, 1).
   const std::vector<Index> flops = column_flops(a, b);
   std::vector<Index> caps(flops.size());
   for (std::size_t j = 0; j < flops.size(); ++j) {
-    caps[j] = std::min(flops[j], a.nrows());
+    caps[j] = std::min(flops[j], mask != nullptr
+                                     ? mask->col_nnz(static_cast<Index>(j))
+                                     : a.nrows());
     if (hint_sized) caps[j] = std::min(caps[j], std::max<Index>(col_nnz_hints[j], 1));
   }
   auto out = make_out(caps);
   std::vector<Index> counts(flops.size(), 0);
-  // kSpa is the dense side by definition; kHeap never accumulates.
-  const Index work = std::accumulate(flops.begin(), flops.end(), Index{0});
-  const bool dense = kind == SpGemmKind::kSpa ||
-                     (kind != SpGemmKind::kHeap && use_dense_rows(a.nrows(), work));
-  const bool fits =
-      dense ? fill_columns<SR, DenseRows<SR>>(a, b, kind, threads, col_nnz_hints,
-                                              out, counts)
-            : fill_columns<SR, HashRows<SR>>(a, b, kind, threads, col_nnz_hints,
-                                             out, counts);
+  bool fits = false;
+  if (mask != nullptr) {
+    // Every kind runs the mask side.
+    fits = fill_columns<SR, MaskedRows<SR>>(a, b, kind, threads, col_nnz_hints,
+                                            mask, out, counts);
+  } else {
+    // kSpa is the dense side by definition; kHeap never accumulates.
+    const Index work = std::accumulate(flops.begin(), flops.end(), Index{0});
+    const bool dense = kind == SpGemmKind::kSpa ||
+                       (kind != SpGemmKind::kHeap && use_dense_rows(a.nrows(), work));
+    fits = dense ? fill_columns<SR, DenseRows<SR>>(a, b, kind, threads,
+                                                   col_nnz_hints, nullptr, out, counts)
+                 : fill_columns<SR, HashRows<SR>>(a, b, kind, threads,
+                                                  col_nnz_hints, nullptr, out, counts);
+  }
   // Hints are advisory: an undersized one left a column unwritten, so the
   // product reruns on the flops bound, which every column fits.
   if (fits) return std::move(out).finish(counts);
-  return run_spgemm<SR>(a, b, kind, threads, {}, make_out);
+  return run_spgemm<SR>(a, b, kind, threads, {}, mask, make_out);
 }
 
 }  // namespace
@@ -205,8 +225,9 @@ auto run_spgemm(const CscConstRef& a, const CscConstRef& b, SpGemmKind kind,
 template <typename SR>
 CscMat local_spgemm(const CscConstRef& a, const CscConstRef& b,
                     SpGemmKind kind, int threads,
-                    std::span<const Index> col_nnz_hints) {
-  return run_spgemm<SR>(a, b, kind, threads, col_nnz_hints,
+                    std::span<const Index> col_nnz_hints,
+                    const CscConstRef* mask) {
+  return run_spgemm<SR>(a, b, kind, threads, col_nnz_hints, mask,
                         [&](const std::vector<Index>& caps) {
                           return CscSlices(a.nrows(), caps);
                         });
@@ -217,100 +238,30 @@ std::vector<Payload> local_spgemm_wire(const CscConstRef& a,
                                        const CscConstRef& b,
                                        std::span<const Index> splits,
                                        SpGemmKind kind, int threads,
-                                       std::span<const Index> col_nnz_hints) {
-  return run_spgemm<SR>(a, b, kind, threads, col_nnz_hints,
+                                       std::span<const Index> col_nnz_hints,
+                                       const CscConstRef* mask) {
+  return run_spgemm<SR>(a, b, kind, threads, col_nnz_hints, mask,
                         [&](const std::vector<Index>& caps) {
                           return CscWireImages(a.nrows(), splits, caps);
                         });
 }
 
-template <typename SR>
-CscMat local_spgemm_masked(const CscConstRef& a, const CscConstRef& b,
-                           const CscConstRef& mask) {
-  CASP_CHECK_MSG(a.ncols() == b.nrows(),
-                 "local_spgemm_masked: inner dimension mismatch");
-  CASP_CHECK_MSG(mask.nrows() == a.nrows() && mask.ncols() == b.ncols(),
-                 "local_spgemm_masked: mask shape mismatch");
-  // Dense accumulator restricted to the mask's positions: per column,
-  // stamp the allowed rows, accumulate only stamped ones, emit in mask
-  // order (so the output inherits the mask's sortedness).
-  std::vector<Index> stamp(static_cast<std::size_t>(a.nrows()), -1);
-  std::vector<Value> acc(static_cast<std::size_t>(a.nrows()));
-  std::vector<bool> touched(static_cast<std::size_t>(a.nrows()), false);
-
-  std::vector<Index> colptr(static_cast<std::size_t>(b.ncols()) + 1, 0);
-  std::vector<Index> rowids;
-  std::vector<Value> vals;
-  rowids.reserve(static_cast<std::size_t>(mask.nnz()));
-  vals.reserve(static_cast<std::size_t>(mask.nnz()));
-
-  for (Index j = 0; j < b.ncols(); ++j) {
-    const auto allowed = mask.col_rowids(j);
-    for (Index r : allowed) {
-      stamp[static_cast<std::size_t>(r)] = j;
-      touched[static_cast<std::size_t>(r)] = false;
-    }
-    const auto brows = b.col_rowids(j);
-    const auto bvals = b.col_vals(j);
-    for (std::size_t t = 0; t < brows.size(); ++t) {
-      const Index i = brows[t];
-      const Value bv = bvals[t];
-      const auto arows = a.col_rowids(i);
-      const auto avals = a.col_vals(i);
-      for (std::size_t k = 0; k < arows.size(); ++k) {
-        const auto r = static_cast<std::size_t>(arows[k]);
-        if (stamp[r] != j) continue;  // masked out
-        const Value contribution = SR::mul(avals[k], bv);
-        if (!touched[r]) {
-          touched[r] = true;
-          acc[r] = contribution;
-        } else {
-          acc[r] = SR::add(acc[r], contribution);
-        }
-      }
-    }
-    for (Index r : allowed) {
-      if (touched[static_cast<std::size_t>(r)]) {
-        rowids.push_back(r);
-        vals.push_back(acc[static_cast<std::size_t>(r)]);
-      }
-    }
-    colptr[static_cast<std::size_t>(j) + 1] = static_cast<Index>(rowids.size());
-  }
-  return CscMat(a.nrows(), b.ncols(), std::move(colptr), std::move(rowids),
-                std::move(vals));
-}
-
-template CscMat local_spgemm_masked<PlusTimes>(const CscConstRef&,
-                                               const CscConstRef&,
-                                               const CscConstRef&);
-template CscMat local_spgemm_masked<MinPlus>(const CscConstRef&,
-                                             const CscConstRef&,
-                                             const CscConstRef&);
-template CscMat local_spgemm_masked<MaxMin>(const CscConstRef&,
-                                            const CscConstRef&,
-                                            const CscConstRef&);
-template CscMat local_spgemm_masked<OrAnd>(const CscConstRef&,
-                                           const CscConstRef&,
-                                           const CscConstRef&);
-
-template CscMat local_spgemm<PlusTimes>(const CscConstRef&,
-                                        const CscConstRef&, SpGemmKind, int,
-                                        std::span<const Index>);
+template CscMat local_spgemm<PlusTimes>(const CscConstRef&, const CscConstRef&,
+    SpGemmKind, int, std::span<const Index>, const CscConstRef*);
 template CscMat local_spgemm<MinPlus>(const CscConstRef&, const CscConstRef&,
-                                      SpGemmKind, int, std::span<const Index>);
+    SpGemmKind, int, std::span<const Index>, const CscConstRef*);
 template CscMat local_spgemm<MaxMin>(const CscConstRef&, const CscConstRef&,
-                                     SpGemmKind, int, std::span<const Index>);
+    SpGemmKind, int, std::span<const Index>, const CscConstRef*);
 template CscMat local_spgemm<OrAnd>(const CscConstRef&, const CscConstRef&,
-                                    SpGemmKind, int, std::span<const Index>);
+    SpGemmKind, int, std::span<const Index>, const CscConstRef*);
 
 template std::vector<Payload> local_spgemm_wire<PlusTimes>(const CscConstRef&, const CscConstRef&,
-    std::span<const Index>, SpGemmKind, int, std::span<const Index>);
+    std::span<const Index>, SpGemmKind, int, std::span<const Index>, const CscConstRef*);
 template std::vector<Payload> local_spgemm_wire<MinPlus>(const CscConstRef&, const CscConstRef&,
-    std::span<const Index>, SpGemmKind, int, std::span<const Index>);
+    std::span<const Index>, SpGemmKind, int, std::span<const Index>, const CscConstRef*);
 template std::vector<Payload> local_spgemm_wire<MaxMin>(const CscConstRef&, const CscConstRef&,
-    std::span<const Index>, SpGemmKind, int, std::span<const Index>);
+    std::span<const Index>, SpGemmKind, int, std::span<const Index>, const CscConstRef*);
 template std::vector<Payload> local_spgemm_wire<OrAnd>(const CscConstRef&, const CscConstRef&,
-    std::span<const Index>, SpGemmKind, int, std::span<const Index>);
+    std::span<const Index>, SpGemmKind, int, std::span<const Index>, const CscConstRef*);
 
 }  // namespace casp

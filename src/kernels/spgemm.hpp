@@ -56,11 +56,23 @@ bool produces_sorted(SpGemmKind kind);
 /// are advisory: if a column outgrows its hint, the multiply reruns on the
 /// flops bound, so the output never depends on them. Ignored by the
 /// heap/spa accumulators.
+///
+/// `mask`, when set, makes it the masked SpGEMM C = (A * B) .* pattern(mask)
+/// of [3]: every kind runs the mask side of the row accumulator, which
+/// keeps only contributions at the mask column's rows, so a column never
+/// holds more than nnz(mask_j) entries and its slice is sized
+/// min(flops_j, nnz(mask_j)) (or from the hint). The kept entries fold in
+/// the same order as unmasked, so C is bitwise the unmasked product
+/// restricted to the mask's pattern, with each column in mask order.
+/// mask must have the product's shape and sorted columns (the output's
+/// columns are then sorted, as kHybrid's merges require). With mask null
+/// the kernels never test it per entry.
 template <typename SR = PlusTimes>
 CscMat local_spgemm(const CscConstRef& a, const CscConstRef& b,
                     SpGemmKind kind = SpGemmKind::kUnsortedHash,
                     int threads = 1,
-                    std::span<const Index> col_nnz_hints = {});
+                    std::span<const Index> col_nnz_hints = {},
+                    const CscConstRef* mask = nullptr);
 
 /// local_spgemm written straight into wire images, one per column range
 /// [splits[m], splits[m+1]) (sparse/serialize.hpp's CscWireImages), with
@@ -70,16 +82,16 @@ template <typename SR = PlusTimes>
 std::vector<Payload> local_spgemm_wire(
     const CscConstRef& a, const CscConstRef& b, std::span<const Index> splits,
     SpGemmKind kind = SpGemmKind::kUnsortedHash, int threads = 1,
-    std::span<const Index> col_nnz_hints = {});
+    std::span<const Index> col_nnz_hints = {},
+    const CscConstRef* mask = nullptr);
 
-/// Masked SpGEMM: C = (A * B) .* pattern(mask). Only entries whose
-/// (row, col) position is nonzero in `mask` are accumulated, so the
-/// intermediate never exceeds nnz(mask) — the optimization masked
-/// triangle counting [3] relies on (the mask there is the adjacency
-/// itself). mask must have sorted columns and the shape of the product.
-/// Output columns are sorted in mask order.
+/// Serial masked SpGEMM: local_spgemm with `mask`, on one thread. Triangle
+/// counting's reference masks L*U by L [3].
 template <typename SR = PlusTimes>
 CscMat local_spgemm_masked(const CscConstRef& a, const CscConstRef& b,
-                           const CscConstRef& mask);
+                           const CscConstRef& mask) {
+  return local_spgemm<SR>(a, b, SpGemmKind::kUnsortedHash, /*threads=*/1, {},
+                          &mask);
+}
 
 }  // namespace casp

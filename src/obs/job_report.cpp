@@ -70,13 +70,17 @@ Json JobReport::deterministic_json() const {
   // A recovered job's surviving traffic depends on where the crash landed
   // relative to its checkpoints (and, for degraded-grid jobs, on how much
   // of the dead grid's progress the redistributed cache covered) — all
-  // thread-schedule-dependent. The outcome (done, admission) is
+  // thread-schedule-dependent. So does the bill of a job a rank died
+  // under: it folds in the failed attempt's traffic, which the other ranks
+  // sent before the crash reached them, even when the job then re-ran at
+  // full width on spare ranks. The outcome (done, admission) is
   // deterministic; the recovery-shaped billing and run sub-report are not.
   const bool recovered =
       run.has_value() && run->recovery.has_value() &&
       (run->recovery->restarts > 0 || run->recovery->resumed_generation >= 0 ||
        run->recovery->degraded_to_ranks > 0 ||
-       run->recovery->regrown_to_ranks > 0);
+       run->recovery->regrown_to_ranks > 0 ||
+       !run->recovery->dead_ranks.empty());
   if (recovered) {
     // What recovery *happened* is fault-plan-determined and survives:
     // relaunch count, the shrink/regrow shapes, and the planned backoff

@@ -69,9 +69,10 @@ struct JobReport {
   /// attempt's traffic — and which rank's describe() latched first — depend
   /// on how far each rank got before teardown, which is
   /// thread-schedule-dependent. Done jobs that restarted, resumed from
-  /// checkpoints, or ran degraded likewise drop billing and run: the
-  /// surviving traffic depends on where the fault landed relative to the
-  /// checkpoints. The outcome itself stays — done + admission plus a
+  /// checkpoints, ran degraded, or lost a rank to a permanent crash (and
+  /// re-ran, possibly at full width on spare ranks) likewise drop billing
+  /// and run: the surviving traffic depends on where the fault landed
+  /// relative to the checkpoints, and the bill holds the failed attempt's. The outcome itself stays — done + admission plus a
   /// `recovery` stub with the fault-plan-determined facts (restart count,
   /// shrink shape) but none of the schedule-dependent costs.
   Json deterministic_json() const;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -66,11 +67,13 @@ std::vector<Index> fiber_weights(Grid3D& grid, std::vector<Index> col_nnz) {
 
 std::string summa_ckpt_job_id(Index rows, Index inner, Index cols,
                               Index global_nnz_a, Index global_nnz_b,
-                              const std::string& tag) {
+                              const std::string& tag,
+                              std::optional<Index> mask_nnz) {
   std::ostringstream id;
   id << "batched_summa3d|" << rows << 'x' << inner << 'x' << cols
      << "|gnnzA=" << global_nnz_a << "|gnnzB=" << global_nnz_b
      << "|tag=" << tag;
+  if (mask_nnz.has_value()) id << "|masked|gnnzM=" << *mask_nnz;
   return id.str();
 }
 
@@ -100,6 +103,24 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
   BatchedResult result;
   obs::Recorder& rec = grid.world().recorder();
   const Index psize = b.cols.count;  // my B column part width
+
+  // C = (A*B) .* pattern(mask): my block of the mask covers my A block's
+  // rows and my B part's columns; each batch selects its columns of it the
+  // way it selects B's.
+  CscMat mask_part;
+  if (opts.mask != nullptr) {
+    CASP_CHECK_MSG(opts.mask->nrows() == a.global_rows &&
+                       opts.mask->ncols() == b.global_cols,
+                   "batched_summa3d: mask is " << opts.mask->nrows() << 'x'
+                                               << opts.mask->ncols()
+                                               << ", C is " << a.global_rows
+                                               << 'x' << b.global_cols);
+    CASP_CHECK_MSG(opts.mask->columns_sorted(),
+                   "batched_summa3d: mask columns must be sorted");
+    mask_part = product_block(grid, *opts.mask);
+    CASP_CHECK(mask_part.nrows() == a.local.nrows() &&
+               mask_part.ncols() == psize);
+  }
 
   // Line 2, Alg. 4: the symbolic step decides b (unless the experiment
   // pins it to sweep the (l, b) space). A result the caller already holds
@@ -186,9 +207,11 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
     // resume the run (and, via ckpt_job_tag, the outer-loop iteration) that
     // wrote it even when the relaunch uses a different grid shape. Stale
     // snapshots in the same directory are skipped by load_all.
-    ckpt_job = summa_ckpt_job_id(a.global_rows, a.global_cols, b.global_cols,
-                                 a.global_nnz, b.global_nnz,
-                                 opts.ckpt_job_tag);
+    ckpt_job = summa_ckpt_job_id(
+        a.global_rows, a.global_cols, b.global_cols, a.global_nnz,
+        b.global_nnz, opts.ckpt_job_tag,
+        opts.mask != nullptr ? std::optional<Index>(opts.mask->nnz())
+                             : std::nullopt);
     auto loaded = ck->load_all(ckpt::kSummaCkptScope, ckpt_job);
     // A snapshot written by a different grid shape is useless to the
     // per-rank fast-forward (this rank's ranges changed); contribute 0 to
@@ -374,8 +397,12 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
     // Line 6, Alg. 4: one SUMMA3D per batch, with the batch's block
     // boundaries as the fiber split points. My merged piece is block
     // (bi + layer*b), a contiguous global column range.
+    const CscMat batch_mask = opts.mask != nullptr
+                                  ? mask_part.select_col_ranges(ranges)
+                                  : CscMat();
     CscMat c_piece =
-        summa3d<SR>(grid, a.local, local_b_batch, batch_opts, splits);
+        summa3d<SR>(grid, a.local, local_b_batch, batch_opts, splits,
+                    opts.mask != nullptr ? &batch_mask : nullptr);
     if (opts.memory != nullptr)
       rec.sample_memory(*opts.memory, "memory.live_bytes");
 

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 
 #include "grid/dist.hpp"
 #include "grid/grid3d.hpp"
@@ -85,10 +86,14 @@ struct BatchedResult {
 /// from the grid shape or local partitions, so a job relaunched on a shrunk
 /// survivor grid still matches the snapshots the full grid wrote. The
 /// service's degraded-resume path rebuilds the id from the replicated
-/// inputs to locate a job's checkpoints without its DistMat3D views.
+/// inputs to locate a job's checkpoints without its DistMat3D views. A
+/// masked product (SummaOptions::mask) folds in a "masked" tag and the
+/// mask's nnz, so its snapshots never meet those of the unmasked product
+/// of the same operands; an unmasked id is unchanged by the parameter.
 std::string summa_ckpt_job_id(Index rows, Index inner, Index cols,
                               Index global_nnz_a, Index global_nnz_b,
-                              const std::string& tag);
+                              const std::string& tag,
+                              std::optional<Index> mask_nnz = std::nullopt);
 
 /// Collective over the whole grid. `a` must be A-style distributed and `b`
 /// B-style distributed (see grid/dist.hpp); inner dimensions must agree.

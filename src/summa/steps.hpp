@@ -94,6 +94,13 @@ struct SummaOptions {
   std::span<const Index> symbolic_col_nnz = {};
   /// OpenMP threads for local kernels within each rank.
   int threads = 1;
+  /// Batched algorithm and Symbolic3D: compute C = (A*B) .* pattern(mask)
+  /// instead of A*B. The global mask has C's shape and sorted columns;
+  /// each rank restricts its Local-Multiply and its Symbolic counts to its
+  /// own block of it (the rows of its A block, the columns of the batch),
+  /// so no intermediate exceeds the mask. Must be set uniformly across
+  /// ranks. Borrowed, not owned.
+  const CscMat* mask = nullptr;
   /// Optional per-rank memory budget enforcement. Not owned.
   MemoryTracker* memory = nullptr;
   /// Batched algorithm only: override the symbolic batch count (0 = let

@@ -22,6 +22,7 @@ struct LayerProduct {
   const SummaOptions& opts;
   int stages;
   std::span<const Index> splits;
+  const CscConstRef* mask;
   std::vector<CscMat> partials = {};
   std::vector<MemoryCharge> charges = {};  // released with the product
   std::vector<Payload> pieces = {};
@@ -36,11 +37,12 @@ struct LayerProduct {
       if (stages == 1) {
         pieces = local_spgemm_wire<SR>(a_view, b_view, splits,
                                        opts.local_kind(), opts.threads,
-                                       opts.symbolic_col_nnz);
+                                       opts.symbolic_col_nnz, mask);
         for (const Payload& piece : pieces) nnz += unpack_csc_view(piece).nnz();
       } else {
         partials.push_back(local_spgemm<SR>(a_view, b_view, opts.local_kind(),
-                                            opts.threads, opts.symbolic_col_nnz));
+                                            opts.threads, opts.symbolic_col_nnz,
+                                            mask));
         nnz = partials.back().nnz();
       }
     }
@@ -68,11 +70,14 @@ struct LayerProduct {
 template <typename SR>
 std::vector<Payload> summa2d(Grid3D& grid, const CscMat& local_a,
                              const CscMat& local_b, const SummaOptions& opts,
-                             std::span<const Index> col_splits) {
+                             std::span<const Index> col_splits,
+                             const CscMat* mask) {
   obs::Recorder& rec = grid.row_comm().recorder();
   obs::ScopedTag layer_tag(rec, obs::ScopedTag::Kind::kLayer, grid.layer());
   const int stages = grid.q();
-  LayerProduct<SR> layer{rec, opts, stages, col_splits};
+  const CscConstRef mask_ref = mask != nullptr ? CscConstRef(*mask) : CscConstRef();
+  LayerProduct<SR> layer{rec, opts, stages, col_splits,
+                         mask != nullptr ? &mask_ref : nullptr};
   StageStream stream(grid, local_a, local_b, opts.sparse_comm,
                      {steps::kABcast, steps::kBBcast});
   for (int s = 0; s < stages; ++s) {
@@ -85,12 +90,12 @@ std::vector<Payload> summa2d(Grid3D& grid, const CscMat& local_a,
 }
 
 template std::vector<Payload> summa2d<PlusTimes>(Grid3D&, const CscMat&, const CscMat&,
-    const SummaOptions&, std::span<const Index>);
+    const SummaOptions&, std::span<const Index>, const CscMat*);
 template std::vector<Payload> summa2d<MinPlus>(Grid3D&, const CscMat&, const CscMat&,
-    const SummaOptions&, std::span<const Index>);
+    const SummaOptions&, std::span<const Index>, const CscMat*);
 template std::vector<Payload> summa2d<MaxMin>(Grid3D&, const CscMat&, const CscMat&,
-    const SummaOptions&, std::span<const Index>);
+    const SummaOptions&, std::span<const Index>, const CscMat*);
 template std::vector<Payload> summa2d<OrAnd>(Grid3D&, const CscMat&, const CscMat&,
-    const SummaOptions&, std::span<const Index>);
+    const SummaOptions&, std::span<const Index>, const CscMat*);
 
 }  // namespace casp

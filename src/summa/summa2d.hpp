@@ -27,9 +27,13 @@ namespace casp {
 /// across stages but *not* across layers) as one packed piece per column
 /// range [col_splits[m], col_splits[m+1]), byte-identical to
 /// pack_csc_payload(D.slice_cols(...)); {0, ncols} gives D whole.
+/// `mask`, when set, is this rank's block of the mask (local_a.nrows() x
+/// local_b.ncols(), sorted columns): every Local-Multiply computes
+/// (A_s*B_s) .* pattern(mask), so D holds only the mask's positions.
 template <typename SR = PlusTimes>
 std::vector<Payload> summa2d(Grid3D& grid, const CscMat& local_a,
                              const CscMat& local_b, const SummaOptions& opts,
-                             std::span<const Index> col_splits);
+                             std::span<const Index> col_splits,
+                             const CscMat* mask = nullptr);
 
 }  // namespace casp

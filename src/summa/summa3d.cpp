@@ -13,7 +13,8 @@ namespace casp {
 
 template <typename SR>
 CscMat summa3d(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
-               const SummaOptions& opts, std::span<const Index> col_splits) {
+               const SummaOptions& opts, std::span<const Index> col_splits,
+               const CscMat* mask) {
   const int l = grid.layers();
   const Index ncols = local_b.ncols();
 
@@ -34,7 +35,7 @@ CscMat summa3d(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
   }
 
   // Stage loop + Merge-Layer within my layer, D leaving as l wire pieces.
-  std::vector<Payload> outgoing = summa2d<SR>(grid, local_a, local_b, opts, splits);
+  std::vector<Payload> outgoing = summa2d<SR>(grid, local_a, local_b, opts, splits, mask);
   MemoryCharge d_charge;
   if (opts.memory != nullptr) {
     Index d_nnz = 0;
@@ -85,13 +86,16 @@ CscMat summa3d(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
 }
 
 template CscMat summa3d<PlusTimes>(Grid3D&, const CscMat&, const CscMat&,
-                                   const SummaOptions&,
-                                   std::span<const Index>);
+                                   const SummaOptions&, std::span<const Index>,
+                                   const CscMat*);
 template CscMat summa3d<MinPlus>(Grid3D&, const CscMat&, const CscMat&,
-                                 const SummaOptions&, std::span<const Index>);
+                                 const SummaOptions&, std::span<const Index>,
+                                 const CscMat*);
 template CscMat summa3d<MaxMin>(Grid3D&, const CscMat&, const CscMat&,
-                                const SummaOptions&, std::span<const Index>);
+                                const SummaOptions&, std::span<const Index>,
+                                const CscMat*);
 template CscMat summa3d<OrAnd>(Grid3D&, const CscMat&, const CscMat&,
-                               const SummaOptions&, std::span<const Index>);
+                               const SummaOptions&, std::span<const Index>,
+                               const CscMat*);
 
 }  // namespace casp

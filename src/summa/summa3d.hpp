@@ -22,10 +22,12 @@ namespace casp {
 /// columns [col_splits[m], col_splits[m+1])); empty means equal l-way
 /// part_low splitting. Returns this rank's merged piece (piece `layer()`),
 /// with columns still numbered as in the *input* piece (callers track the
-/// global mapping).
+/// global mapping). `mask` as in summa2d: this rank's block of the mask,
+/// local_a.nrows() x local_b.ncols().
 template <typename SR = PlusTimes>
 CscMat summa3d(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
                const SummaOptions& opts = {},
-               std::span<const Index> col_splits = {});
+               std::span<const Index> col_splits = {},
+               const CscMat* mask = nullptr);
 
 }  // namespace casp

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/math.hpp"
+#include "grid/dist.hpp"
 #include "kernels/symbolic.hpp"
 #include "obs/recorder.hpp"
 #include "sparse/stats.hpp"
@@ -52,6 +53,13 @@ SymbolicResult symbolic3d(Grid3D& grid, const CscMat& local_a,
   obs::Recorder& rec = world.recorder();
   obs::PhaseSpan world_span(rec, steps::kSymbolic);
 
+  // A mask confines every stage's count to this rank's block of it, so
+  // Eq. (2) and the column counts size the masked product the run holds.
+  const CscMat mask_block =
+      opts.mask != nullptr ? product_block(grid, *opts.mask) : CscMat();
+  const CscConstRef mask_ref(mask_block);
+  const CscConstRef* mask = opts.mask != nullptr ? &mask_ref : nullptr;
+
   Index my_unmerged = 0;
   Index my_flops = 0;
   std::vector<Index> my_col_nnz;
@@ -59,7 +67,7 @@ SymbolicResult symbolic3d(Grid3D& grid, const CscMat& local_a,
   // per-column totals; their sum is exactly the old symbolic_nnz term.
   auto tally_stage = [&](const CscConstRef& a_view,
                          const CscConstRef& b_view) {
-    const std::vector<Index> stage_cols = symbolic_column_nnz(a_view, b_view);
+    const std::vector<Index> stage_cols = symbolic_column_nnz(a_view, b_view, mask);
     if (my_col_nnz.empty()) my_col_nnz.assign(stage_cols.size(), 0);
     CASP_CHECK_MSG(my_col_nnz.size() == stage_cols.size(),
                    "symbolic3d: stage B widths disagree within a block "

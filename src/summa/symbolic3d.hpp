@@ -57,7 +57,9 @@ Index symbolic_batches(const SymbolicResult& sym, Bytes total_memory,
 /// Collective over the whole grid. total_memory is M, the aggregate memory
 /// in bytes across all p processes (0 = unlimited -> b = 1). Throws
 /// MemoryError when even the inputs do not fit (denominator of Eq. 2
-/// non-positive).
+/// non-positive). With opts.mask set, every count is of the masked
+/// product, each rank's restricted to its product_block of the mask
+/// (local_a and local_b must then be A-style and B-style distributed).
 SymbolicResult symbolic3d(Grid3D& grid, const CscMat& local_a,
                           const CscMat& local_b, Bytes total_memory,
                           const SummaOptions& opts = {});

@@ -30,6 +30,9 @@ AdmissionEstimate estimate_admission(const JobSpec& spec, const CscMat& a,
         // The layout batched_summa3d runs on, so Eq. (2) sizes that one.
         if (spec.layers > 1) std::tie(da, db) = rebalance_inner(grid, da, db);
         SummaOptions opts = spec.summa_options();
+        // A triangle count's operands are (L, U) and its product is masked
+        // by L (count_triangles_lu), so Eq. (2) sizes that product.
+        if (spec.op == JobOp::kTriangleCount) opts.mask = &a;
         est.symbolic[static_cast<std::size_t>(world.rank())] =
             symbolic3d(grid, da.local, db.local, /*total_memory=*/0, opts);
       },

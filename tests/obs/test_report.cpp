@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "grid/dist.hpp"
+#include "obs/job_report.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "summa/batched.hpp"
@@ -193,6 +194,32 @@ TEST(RunReport, DeterministicJsonBitIdenticalAcrossRuns) {
   ASSERT_NE(abcast, nullptr);
   EXPECT_FALSE(abcast->contains("seconds_sum"));
   EXPECT_FALSE(abcast->contains("seconds_max"));
+}
+
+TEST(JobReport, DeterministicViewDropsTheBillOfAJobThatLostARank) {
+  // A done job whose first attempt died on a permanent crash and re-ran at
+  // full width on spare ranks: no restart, no resume, no shrink, but the
+  // bill holds the failed attempt's schedule-dependent traffic.
+  obs::JobReport job;
+  job.job_id = "job-0";
+  job.state = "done";
+  job.billing.messages = 43;
+  job.run.emplace();
+  job.run->recovery.emplace();
+  job.run->recovery->dead_ranks = {2};
+  job.run->recovery->failure_kinds = {"permanent_crash"};
+  Json doc = Json::parse(job.deterministic_json().dump());
+  ASSERT_TRUE(doc.contains("billing"));
+  EXPECT_TRUE(doc.find("billing")->is_null());
+  EXPECT_TRUE(doc.find("run")->is_null());
+  ASSERT_TRUE(doc.contains("recovery"));
+  EXPECT_EQ(doc.find("recovery")->find("restarts")->dump(), "0");
+
+  // Without a dead rank the same job keeps its bill.
+  job.run->recovery->dead_ranks.clear();
+  doc = Json::parse(job.deterministic_json().dump());
+  EXPECT_FALSE(doc.find("billing")->is_null());
+  EXPECT_FALSE(doc.contains("recovery"));
 }
 
 TEST(RunReport, MaxCountersMergeByMaxOverRanks) {

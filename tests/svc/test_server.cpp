@@ -183,8 +183,9 @@ TEST(Server, AdmissionSizesTheRunsBatchesWhenMIsNotAMultipleOfP) {
 }
 
 TEST(Server, TriangleAdmissionSizesTheLUProductTheJobRuns) {
-  // A triangle count multiplies L*U, not A*A, so Eq. (2) must be applied
-  // to L*U's maxima: then admission's b is the b the run picks.
+  // A triangle count multiplies L*U masked by L, not A*A, so Eq. (2) must
+  // be applied to the masked L*U's maxima: then admission's b is the b the
+  // run picks.
   JobSpec spec;
   spec.tenant = "alice";
   spec.op = JobOp::kTriangleCount;
@@ -194,7 +195,7 @@ TEST(Server, TriangleAdmissionSizesTheLUProductTheJobRuns) {
   const TriangleOperands ops = triangle_operands(adjacency);
   const obs::JobAdmission lu =
       estimate_admission(spec, ops.lower, ops.upper).admission;
-  // A per-process share that holds L*U's inputs plus a third of its
+  // A per-process share that holds L*U's inputs plus a third of its masked
   // unmerged output: b = 3.
   const Bytes r = kBytesPerNonzero;
   const Bytes inputs = r * static_cast<Bytes>(lu.max_nnz_a + lu.max_nnz_b);
@@ -204,8 +205,9 @@ TEST(Server, TriangleAdmissionSizesTheLUProductTheJobRuns) {
       estimate_admission(spec, ops.lower, ops.upper);
   ASSERT_TRUE(est.fits()) << est.reason;
   ASSERT_EQ(est.admission.batches, 3);
-  // Sizing A*A instead gives another answer at this budget (A holds both
-  // triangles), so the check below tells the two apart.
+  // Sizing A*A (masked by A, as a triangle job's admission masks its
+  // first operand) instead gives another answer at this budget (A holds
+  // both triangles), so the check below tells the two apart.
   const obs::JobAdmission aa =
       estimate_admission(spec, adjacency, adjacency).admission;
   ASSERT_TRUE(!aa.fits || aa.batches != est.admission.batches);
@@ -218,7 +220,8 @@ TEST(Server, TriangleAdmissionSizesTheLUProductTheJobRuns) {
   ASSERT_EQ(counters.count("batches"), 1u);
   EXPECT_EQ(counters.at("batches"), job.admission.batches);
   EXPECT_EQ(job.triangles, count_triangles_serial(adjacency));
-  // The run reused admission's Symbolic3D of L*U instead of repeating it.
+  // The run reused admission's Symbolic3D of the masked L*U instead of
+  // repeating it.
   expect_symbolic_carried(job);
 }
 

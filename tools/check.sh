@@ -300,7 +300,10 @@ EOF
   # that the watchdog never fires); the supervised crash job recovers on
   # its own split. Drained twice at K=2 (byte-identical deterministic
   # reports) and once at K=1 — the same drain loop one job at a time must
-  # produce the K=2 reports byte-for-byte, billing included.
+  # produce the K=2 reports byte-for-byte, billing included. The last job
+  # loses a rank to a permanent crash mid-run and re-runs on spare ranks:
+  # its failed attempt's traffic is schedule-dependent, so its report must
+  # leave the bill out.
   cat > "$SERVE_DIR/jobs_edf.json" <<'EOF'
 [
   {"tenant": "alice", "op": "spgemm",
@@ -320,7 +323,10 @@ EOF
    "ranks": 4},
   {"tenant": "chaos", "op": "spgemm",
    "a": {"kind": "er", "er": {"nrows": 48, "ncols": 48, "nnz_per_col": 3.0, "seed": 401}},
-   "ranks": 4, "fault_spec": "seed=1;crash_rank=2;crash_op=15", "max_restarts": 2}
+   "ranks": 4, "fault_spec": "seed=1;crash_rank=2;crash_op=15", "max_restarts": 2},
+  {"tenant": "chaos", "op": "spgemm", "elastic": true, "max_restarts": 1,
+   "a": {"kind": "er", "er": {"nrows": 60, "ncols": 60, "nnz_per_col": 3.0, "seed": 402}},
+   "ranks": 4, "fault_spec": "seed=1;perm_crash_rank=2;perm_crash_op=5"}
 ]
 EOF
   for pass in 1 2; do
