@@ -8,6 +8,7 @@
 #include <type_traits>
 
 #include "ckpt/checkpoint.hpp"
+#include "ckpt/redistribute.hpp"
 #include "common/error.hpp"
 #include "common/math.hpp"
 #include "grid/dist.hpp"
@@ -166,7 +167,7 @@ ckpt::Snapshot make_mcl_snapshot(int next_iter, bool converged,
   ckpt::Snapshot snap;
   snap.set_u64("next_iter", static_cast<std::uint64_t>(next_iter));
   snap.set_u64("converged", converged ? 1 : 0);
-  snap.set_matrix("m", m);
+  snap.borrow_matrix("m", m);
   snap.set_array("stats", result.per_iteration);
   return snap;
 }
@@ -280,6 +281,8 @@ MclResult mcl_cluster_distributed(Grid3D& grid, const CscMat& similarity,
     }
   }
 
+  // Batch-checkpoint job ids of the iterations since the last save.
+  std::vector<std::string> unsaved_summa_jobs;
   for (int iter = start_iter;
        iter < params.max_iterations && !restored_converged; ++iter) {
     obs::ScopedTag iter_tag(rec, obs::ScopedTag::Kind::kIteration, iter);
@@ -293,6 +296,10 @@ MclResult mcl_cluster_distributed(Grid3D& grid, const CscMat& similarity,
           opts.ckpt_job_tag + "|mcl-iter-" + std::to_string(iter);
     const DistMat3D da = distribute_a_style(grid, m);
     const DistMat3D db = distribute_b_style(grid, m);
+    if (ckpt_on)
+      unsaved_summa_jobs.push_back(summa_ckpt_job_id(
+          da.global_rows, da.global_cols, db.global_cols, da.global_nnz,
+          db.global_nnz, iter_opts.ckpt_job_tag));
     // Expansion with batch-wise pruning: each finished batch piece is
     // inflated/pruned immediately, so the unpruned square never exists.
     //
@@ -360,9 +367,16 @@ MclResult mcl_cluster_distributed(Grid3D& grid, const CscMat& similarity,
     rec.set_counter("mcl.nnz_after", static_cast<std::int64_t>(stats.nnz_after));
     rec.sample("mcl.nnz_after", static_cast<std::int64_t>(stats.nnz_after));
     const bool converged = stats.chaos < params.chaos_threshold;
-    if (ckpt_on && (ck->due(static_cast<std::uint64_t>(iter) + 1) || converged))
+    if (ckpt_on &&
+        (ck->due(static_cast<std::uint64_t>(iter) + 1) || converged)) {
       ck->save(kMclScope, ckpt_job,
                make_mcl_snapshot(iter + 1, converged, m, result));
+      // The saved iterate supersedes the batch checkpoints of the
+      // iterations it covers; each is its own job, so drop them here.
+      for (const std::string& job : unsaved_summa_jobs)
+        ck->discard(ckpt::kSummaCkptScope, job);
+      unsaved_summa_jobs.clear();
+    }
     if (converged) break;
   }
   const MclResult interpreted = mcl_interpret(m);

@@ -1,19 +1,26 @@
 // Generation-numbered checkpoint store + save-cadence policy.
 //
-// Each rank owns its own files: `<dir>/<scope>-r<rank>-g<gen>.ckpt`, where
-// `scope` separates coexisting save points ("summa" batch boundaries vs
-// "mcl" iteration boundaries) and `gen` increases by one per save. Writes
-// are atomic — bytes go to `<final><kTmpSuffix>` and are renamed over the
-// final path only after a successful flush — and the previous generation
-// is retained until the new one exists, so a torn or corrupted newest
-// generation (detected by the Snapshot checksum on load) falls back to
-// generation N−1 instead of losing the job.
+// Each rank owns its own files, one set per job:
+// `<dir>/<scope>-<key>-r<rank>-g<gen>.ckpt`, where `scope` separates
+// coexisting save points ("summa" batch boundaries vs "mcl" iteration
+// boundaries), `key` is the 16-hex XXH64 of the job id, and `gen` increases
+// by one per save of that job. Listing, generation numbers and pruning are
+// per job, so jobs sharing a directory never touch each other's files.
+// Writes are atomic — bytes stream to `<final><kTmpSuffix>` and are renamed
+// over the final path only after a successful flush.
+//
+// A save may be a delta: it names its parent generation (by number and
+// checksum) and holds only the sections that changed since; the rest are
+// inherited. A generation is valid only if it and every generation it
+// inherits from verify (checksum intact, parent links strictly older and
+// matching) and carry the job id, so a torn or corrupted generation
+// invalidates exactly the generations built on it, and load_all falls back
+// to the newest one that still resolves. The newest two generations and
+// everything they inherit from are retained; the rest are pruned.
 //
 // A snapshot is only resumable for the job that wrote it: save() stamps a
 // caller-supplied job id (shapes, nnz, parameters, nesting tag) into the
-// reserved "__job" section and load_all() filters on it, so stale
-// checkpoints from a different job or iteration in the same directory are
-// ignored rather than mis-restored.
+// reserved "__job" section and load_all() filters on it.
 //
 // SPMD contract: whether checkpointing is enabled (and its cadence) must be
 // uniform across ranks — consumers run resume-consensus collectives only
@@ -21,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,8 +43,27 @@ namespace casp::ckpt {
 /// `kTmpSuffix` path, never a final checkpoint path.
 inline constexpr const char* kTmpSuffix = ".tmp";
 
+/// Reserved sections the store writes: the job-identity stamp and, in a
+/// delta generation, the ParentLink record.
+inline constexpr const char* kJobSection = "__job";
+inline constexpr const char* kParentSection = "__parent";
+
+/// save()'s `parent` for a self-contained generation.
+inline constexpr std::int64_t kNoParent = -1;
+
+/// A delta generation's "__parent" record: the generation it inherits from
+/// and that file's trailing checksum.
+struct ParentLink {
+  std::int64_t generation;
+  std::uint64_t checksum;
+};
+
+/// "<scope>-<16-hex XXH64 of job_id>": the start of the file names of one
+/// job's generations (followed by "-r<rank>-g<gen>.ckpt").
+std::string job_file_stem(const std::string& scope, const std::string& job_id);
+
 struct LoadedSnapshot {
-  Snapshot snap;
+  Snapshot snap;  ///< resolved: inherited sections included
   std::int64_t generation = -1;
 };
 
@@ -55,29 +82,58 @@ class Checkpointer {
     return enabled() && completed > 0 && completed % every_ == 0;
   }
 
-  /// Stamp `job_id`, serialize, and atomically write `snap` as the next
-  /// generation of `scope`; generations older than the immediately
-  /// previous one are pruned afterwards. Throws CkptError on I/O failure.
-  void save(const std::string& scope, const std::string& job_id,
-            Snapshot snap);
+  /// Stamp `job_id` and atomically write `snap` as the next generation of
+  /// (`scope`, `job_id`), streamed straight from its sections. With a
+  /// `parent`, the generation is a delta over it: `parent` must be a
+  /// generation this Checkpointer saved or loaded for the same job.
+  /// Returns the new generation. Throws CkptError on I/O failure.
+  std::int64_t save(const std::string& scope, const std::string& job_id,
+                    Snapshot snap, std::int64_t parent = kNoParent);
 
-  /// All generations of `scope` that deserialize cleanly (checksum intact)
-  /// and carry `job_id`, newest first. Torn, corrupted, or mismatched
-  /// files are skipped, which is exactly the generation-fallback path.
+  /// Every valid generation of (`scope`, `job_id`), resolved against its
+  /// parents, newest first. Torn, corrupted, or mismatched files — and
+  /// every generation inheriting from one — are skipped, which is exactly
+  /// the generation-fallback path.
   std::vector<LoadedSnapshot> load_all(const std::string& scope,
                                        const std::string& job_id);
+
+  /// Deletes every generation of (`scope`, `job_id`) this rank holds.
+  void discard(const std::string& scope, const std::string& job_id);
+
+  /// The file of generation `gen` of (`scope`, `job_id`) for this rank.
+  std::string generation_path(const std::string& scope,
+                              const std::string& job_id,
+                              std::int64_t gen) const;
 
   /// Record that this rank resumed from `generation` (counters
   /// `ckpt.resumes` / `ckpt.resumed_generation`).
   void note_resume(std::int64_t generation);
 
  private:
-  std::string file_prefix(const std::string& scope) const;
+  /// What the store knows of one generation file.
+  struct Generation {
+    bool read = false;   ///< inspected (saved here, or read and verified)
+    bool valid = false;  ///< checksum and job id held (not its chain)
+    std::optional<ParentLink> parent;
+    std::uint64_t checksum = 0;
+  };
+  /// One job's generations of one scope, listed from disk once.
+  struct Store {
+    std::string prefix;  ///< "<stem>-r<rank>-g"
+    std::map<std::int64_t, Generation> gens;
+  };
+
+  Store& store(const std::string& scope, const std::string& job_id);
+  std::optional<Snapshot> inspect(Store& s, std::int64_t gen,
+                                  const std::string& job_id);
+  void prune(Store& s, std::int64_t newest, const std::string& job_id);
 
   std::string dir_;
   int rank_ = 0;
   std::uint64_t every_ = 1;
   obs::Recorder* recorder_ = nullptr;
+  bool dir_made_ = false;
+  std::map<std::string, Store> stores_;
 };
 
 }  // namespace casp::ckpt

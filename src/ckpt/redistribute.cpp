@@ -84,10 +84,10 @@ ResumeCache redistribute_for_grid(const std::string& dir,
   std::error_code ec;
   if (dir.empty() || !fs::is_directory(dir, ec) || ec) return cache;
 
-  // Which old ranks ever saved here? The filenames carry the rank:
-  // summa-r<rank>-g<gen>.ckpt.
+  // Which old ranks ever saved this job here? The filenames carry the
+  // rank: <stem>-r<rank>-g<gen>.ckpt.
   std::set<int> ranks;
-  const std::string prefix = std::string(kSummaCkptScope) + "-r";
+  const std::string prefix = job_file_stem(kSummaCkptScope, job_id) + "-r";
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
     if (name.rfind(prefix, 0) != 0) continue;

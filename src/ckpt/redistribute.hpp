@@ -30,7 +30,7 @@
 namespace casp::ckpt {
 
 /// Scope under which batched_summa3d files its checkpoints
-/// (`<dir>/summa-r<rank>-g<gen>.ckpt`).
+/// (`<dir>/summa-<key>-r<rank>-g<gen>.ckpt`, checkpoint.hpp).
 inline constexpr const char* kSummaCkptScope = "summa";
 
 /// On-disk per-piece record of the "summa" snapshot's "piece_meta" array.
@@ -99,7 +99,8 @@ class ResumeCache {
 };
 
 /// Build a ResumeCache for `job_id` from every rank's newest valid "summa"
-/// snapshot under `dir`. Snapshots from any grid shape contribute; torn or
+/// generation under `dir`, resolved against the generations it inherits
+/// from. Snapshots from any grid shape contribute; torn or
 /// mismatched files are skipped exactly like the per-rank fallback path.
 /// Returns an empty cache when the directory holds nothing usable (the
 /// relaunch then recomputes from scratch).

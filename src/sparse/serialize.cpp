@@ -46,15 +46,22 @@ Bytes packed_size(const CscMat& mat) {
   return ImageLayout(mat.ncols(), mat.nnz()).size;
 }
 
+void put_csc_image(const CscMat& mat,
+                   const std::function<void(const void*, std::size_t)>& put) {
+  const Header h{mat.nrows(), mat.ncols(), mat.nnz()};
+  put(&h, sizeof(h));
+  put(mat.colptr().data(), mat.colptr().size() * sizeof(Index));
+  put(mat.rowids().data(), mat.rowids().size() * sizeof(Index));
+  put(mat.vals().data(), mat.vals().size() * sizeof(Value));
+}
+
 std::vector<std::byte> pack_csc(const CscMat& mat) {
   const ImageLayout at(mat.ncols(), mat.nnz());
   std::vector<std::byte> buf;
   buf.reserve(at.size);
-  const Header h{mat.nrows(), mat.ncols(), mat.nnz()};
-  append(buf, &h, 1);
-  append(buf, mat.colptr().data(), mat.colptr().size());
-  append(buf, mat.rowids().data(), mat.rowids().size());
-  append(buf, mat.vals().data(), mat.vals().size());
+  put_csc_image(mat, [&buf](const void* data, std::size_t size) {
+    append(buf, static_cast<const std::byte*>(data), size);
+  });
   CASP_CHECK(buf.size() == at.size);
   return buf;
 }

@@ -6,6 +6,7 @@
 // experiments.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -16,6 +17,13 @@
 namespace casp {
 
 std::vector<std::byte> pack_csc(const CscMat& mat);
+
+/// pack_csc's image handed to `put` as the byte ranges it concatenates, in
+/// order: the header, colptr, rowids, vals. Streaming writers (checkpoint
+/// files) emit a matrix this way without building the buffer.
+void put_csc_image(const CscMat& mat,
+                   const std::function<void(const void*, std::size_t)>& put);
+
 CscMat unpack_csc(const std::vector<std::byte>& buffer);
 
 /// Pack straight into a transport payload (one allocation, no intermediate

@@ -158,8 +158,7 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
   CASP_CHECK(static_cast<Index>(weights.size()) == psize);
   std::vector<Index> cut;  // the l * eff_batches + 1 block boundaries
 
-  // The kept output's pieces when checkpoints are off; with them on,
-  // emitted_mats below holds the same sequence and is used instead.
+  // The kept output's pieces, in emission order.
   std::vector<CscMat> kept_pieces;
   if (keep_output) kept_pieces.reserve(static_cast<std::size_t>(num_batches));
 
@@ -174,8 +173,22 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
   Index eff_batches = num_batches;
   Index bi = 0;
 
-  // Batch-boundary checkpointing. Every emitted piece (plus its PieceMeta
-  // coordinates) is retained and snapshotted at the save cadence; a
+  // A finished piece goes to the callback and, when output is kept, to
+  // kept_pieces; replayed pieces take the same path.
+  const auto deliver = [&](CscMat piece, const BatchInfo& at) {
+    if (on_batch) {
+      if (keep_output) kept_pieces.push_back(piece);
+      on_batch(std::move(piece), at);
+    } else if (keep_output) {
+      kept_pieces.push_back(std::move(piece));
+    }
+  };
+
+  // Batch-boundary checkpointing. Each save is a delta generation over the
+  // previous one: the pieces emitted since (plus every piece's PieceMeta
+  // coordinates), written once, so the job's saves write each piece once.
+  // A piece completing the cadence is saved before it is delivered; only
+  // the ckpt_every - 1 pieces before it wait in `unsaved` as copies. A
   // relaunched job replays the restored prefix through the callback — the
   // uniform contract whether the consumer streams to disk (the writer
   // re-truncates, so recovered streamed output is byte-identical) or
@@ -183,24 +196,34 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
   ckpt::Checkpointer* ck = opts.ckpt;
   const bool ckpt_on = ck != nullptr && ck->enabled();
   std::vector<PieceMeta> emitted_meta;
-  std::vector<CscMat> emitted_mats;
+  std::vector<CscMat> unsaved;
+  std::size_t saved = 0;  // pieces [0, saved) are in generation ckpt_parent
+  std::int64_t ckpt_parent = ckpt::kNoParent;
   std::string ckpt_job;
-  const auto save_ckpt = [&]() {
+  const auto save_ckpt = [&](const CscMat* last) {
     ckpt::Snapshot snap;
+    if (ckpt_parent == ckpt::kNoParent) {
+      // Grid facts guard the per-rank resume path: rank r of a *different*
+      // grid shape holds ranges that do not match rank r's old pieces, so
+      // a mismatch routes recovery through redistribute_for_grid instead.
+      // The global shape lets that reader rebuild coverage without the
+      // inputs. Deltas inherit them.
+      snap.set_u64("grid_ranks",
+                   static_cast<std::uint64_t>(grid.world().size()));
+      snap.set_u64("grid_layers", static_cast<std::uint64_t>(l));
+      snap.set_u64("global_rows", static_cast<std::uint64_t>(a.global_rows));
+      snap.set_u64("global_cols", static_cast<std::uint64_t>(b.global_cols));
+    }
     snap.set_u64("pieces", emitted_meta.size());
-    // Grid facts guard the per-rank resume path: rank r of a *different*
-    // grid shape holds ranges that do not match rank r's old pieces, so a
-    // mismatch routes recovery through redistribute_for_grid instead. The
-    // global shape lets that reader rebuild coverage without the inputs.
-    snap.set_u64("grid_ranks",
-                 static_cast<std::uint64_t>(grid.world().size()));
-    snap.set_u64("grid_layers", static_cast<std::uint64_t>(l));
-    snap.set_u64("global_rows", static_cast<std::uint64_t>(a.global_rows));
-    snap.set_u64("global_cols", static_cast<std::uint64_t>(b.global_cols));
     snap.set_array("piece_meta", emitted_meta);
-    for (std::size_t k = 0; k < emitted_mats.size(); ++k)
-      snap.set_matrix("piece" + std::to_string(k), emitted_mats[k]);
-    ck->save(ckpt::kSummaCkptScope, ckpt_job, std::move(snap));
+    for (std::size_t k = saved; k < emitted_meta.size(); ++k)
+      snap.borrow_matrix("piece" + std::to_string(k),
+                         k - saved < unsaved.size() ? unsaved[k - saved]
+                                                    : *last);
+    ckpt_parent = ck->save(ckpt::kSummaCkptScope, ckpt_job, std::move(snap),
+                           ckpt_parent);
+    saved = emitted_meta.size();
+    unsaved.clear();
   };
   if (ckpt_on) {
     // Job identity: deterministic and grid-independent, so a snapshot can
@@ -254,13 +277,13 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
         info.global_cols = {pm.col_start, pm.col_count};
         CASP_CHECK(piece.ncols() == info.global_cols.count);
         emitted_meta.push_back(pm);
-        if (on_batch) {
-          emitted_mats.push_back(piece);
-          on_batch(std::move(piece), info);
-        } else {
-          emitted_mats.push_back(std::move(piece));
-        }
+        deliver(std::move(piece), info);
       }
+      // The loaded generation's chain holds the agreed prefix, so later
+      // saves are deltas over it (the pieces a truncating rank recomputes
+      // are bit-identical, and their newer sections take precedence).
+      saved = emitted_meta.size();
+      ckpt_parent = loaded.front().generation;
       const PieceMeta& last = emitted_meta.back();
       bi = last.batch_index + 1;
       eff_batches = last.num_batches;
@@ -306,26 +329,20 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
     info.global_rows = a.rows;
     info.global_cols = {b.cols.start + block_low(my_block),
                         block_low(my_block + 1) - block_low(my_block)};
-    // Each piece is stored once: checkpoints keep it in emitted_mats,
-    // which then also serves as the kept output, and only a callback
-    // that takes the piece leaves the store with a copy.
     const auto emit = [&](CscMat piece) {
       CASP_CHECK(piece.ncols() == info.global_cols.count);
-      if (ckpt_on)
+      if (ckpt_on) {
         emitted_meta.push_back(PieceMeta{
             bi, eff_batches, result.rebatch_events, info.global_rows.start,
             info.global_rows.count, info.global_cols.start,
             info.global_cols.count});
-      std::vector<CscMat>* store =
-          ckpt_on ? &emitted_mats : keep_output ? &kept_pieces : nullptr;
-      if (on_batch) {
-        if (store != nullptr) store->push_back(piece);
-        on_batch(std::move(piece), info);
-      } else if (store != nullptr) {
-        store->push_back(std::move(piece));
+        if (ck->due(emitted_meta.size()))
+          save_ckpt(&piece);
+        else
+          unsaved.push_back(piece);
       }
+      deliver(std::move(piece), info);
       ++bi;
-      if (ckpt_on && ck->due(emitted_meta.size())) save_ckpt();
     };
 
     if (resume != nullptr) {
@@ -448,7 +465,7 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
       // Park at the boundary: a forced save makes the pause durable even
       // off the regular cadence, so the resumed attempt (possibly on a
       // different grid via redistribute_for_grid) loses nothing.
-      if (ckpt_on) save_ckpt();
+      if (ckpt_on && saved < emitted_meta.size()) save_ckpt(nullptr);
       result.paused = true;
       break;
     }
@@ -467,7 +484,7 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
     const auto k = static_cast<std::size_t>(grid.layer());
     result.c.cols = {b.cols.start + layer_cut[k],
                      layer_cut[k + 1] - layer_cut[k]};
-    result.c.local = CscMat::concat_cols(ckpt_on ? emitted_mats : kept_pieces);
+    result.c.local = CscMat::concat_cols(kept_pieces);
     CASP_CHECK(result.c.local.ncols() == result.c.cols.count);
     if (opts.memory != nullptr) {
       // The kept output is a deliberate *extra* cost on top of the batched

@@ -13,10 +13,10 @@ namespace {
 #ifdef CASP_VMPI_CHECK
 /// The frame checksum of a message: head, then each part in order.
 std::uint64_t frame_checksum(const detail::Message& msg) {
-  std::uint64_t hash = fnv1a64(msg.payload.data(), msg.payload.size());
-  for (const Payload& part : msg.parts)
-    hash = fnv1a64(part.data(), part.size(), hash);
-  return hash;
+  Xxh64 hash;
+  hash.update(msg.payload.data(), msg.payload.size());
+  for (const Payload& part : msg.parts) hash.update(part.data(), part.size());
+  return hash.digest();
 }
 #endif
 

@@ -89,7 +89,7 @@ struct Message {
   /// Fingerprint of the collective the sender was executing (op == kNone
   /// for plain point-to-point traffic).
   CollectiveStamp stamp;
-  /// End-to-end FNV-1a64 checksum over the head, then every part in
+  /// End-to-end XXH64 checksum over the head, then every part in
   /// order (one frame checksum per message). Stamped by post_message and
   /// re-verified on delivery *only when a fault plan is armed* — fault-free
   /// runs (and therefore the release perf gates) never hash a byte. A

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "vmpi/job_exec.hpp"
 
 namespace casp::vmpi {
@@ -18,15 +19,8 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-std::uint64_t fnv1a64(const std::vector<std::uint64_t>& words) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint64_t w : words) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (w >> (8 * byte)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  return h;
+std::uint64_t checksum_of(const std::vector<std::uint64_t>& words) {
+  return xxh64(words.data(), words.size() * sizeof(std::uint64_t));
 }
 
 /// The probation payload both sides regenerate independently: a splitmix64
@@ -204,7 +198,7 @@ std::vector<int> RankPool::admit_probationers(
     // 2-rank handshake job. Pool members must be ascending, so the
     // candidate's job-world rank depends on which side of the verifier it
     // sits; roles are keyed by local rank, not by a fixed slot. The
-    // candidate echoes the seeded payload plus its FNV-1a64 checksum; the
+    // candidate echoes the seeded payload plus its XXH64 checksum; the
     // verifier regenerates the stream independently and compares both.
     const int cand_local = candidate < verifier ? 0 : 1;
     const int ver_local = 1 - cand_local;
@@ -214,7 +208,7 @@ std::vector<int> RankPool::admit_probationers(
         std::vector<std::uint64_t> payload =
             handshake_payload(seed, candidate, attempt, words);
         if (corrupt && !payload.empty()) payload[0] ^= 1ULL;
-        const std::uint64_t checksum = fnv1a64(payload);
+        const std::uint64_t checksum = checksum_of(payload);
         comm.send_vec<std::uint64_t>(ver_local, kHandshakeTag, payload);
         comm.send_value<std::uint64_t>(ver_local, kHandshakeTag + 1,
                                        checksum);
@@ -227,7 +221,7 @@ std::vector<int> RankPool::admit_probationers(
         const std::vector<std::uint64_t> expected =
             handshake_payload(seed, candidate, attempt, words);
         const bool ok =
-            echoed == expected && checksum == fnv1a64(expected);
+            echoed == expected && checksum == checksum_of(expected);
         *passed = ok;
         comm.send_value<int>(cand_local, kHandshakeTag + 2, ok ? 1 : 0);
       }

@@ -49,7 +49,7 @@ const char* to_string(RankHealth health);
 /// handshake is a deterministic 2-rank job between the lowest free alive
 /// rank (verifier) and the candidate: the candidate regenerates a
 /// splitmix64-seeded payload from (handshake_seed, rank, attempt) and
-/// echoes it with its FNV-1a64 checksum; the verifier independently
+/// echoes it with its XXH64 checksum; the verifier independently
 /// regenerates the stream and compares both. Any mismatch fails probation.
 struct MembershipOptions {
   /// Base seed mixed with (rank, attempt) into the payload stream.

@@ -2,9 +2,13 @@
 // batched implementation agrees with the serial reference.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
+#include <string>
 
 #include "apps/mcl.hpp"
+#include "ckpt/checkpoint.hpp"
+#include "ckpt/redistribute.hpp"
 #include "gen/protein.hpp"
 #include "grid/dist.hpp"
 #include "summa/symbolic3d.hpp"
@@ -141,6 +145,33 @@ TEST(MclDistributed, MatchesSerialOnCliqueGraph) {
     EXPECT_EQ(dist.num_clusters, serial.num_clusters);
     EXPECT_NEAR(pair_agreement(dist.cluster_of, serial.cluster_of), 1.0, 1e-12);
   });
+}
+
+TEST(MclDistributed, SavedIterationsDropTheirBatchCheckpoints) {
+  // Each iteration's expansion checkpoints as its own SUMMA job; once the
+  // iteration's MCL save covers it, those files are dead and must go, or a
+  // long run would keep every iteration's batch pieces on disk.
+  const CscMat m = two_cliques_bridgeless(5);
+  const std::string dir = ::testing::TempDir() + "/casp_mcl_discard";
+  std::filesystem::remove_all(dir);
+  vmpi::run(4, [&](vmpi::Comm& world) {
+    ckpt::Checkpointer ck(dir, world.rank(), /*every=*/1, &world.recorder());
+    Grid3D grid(world, 1);
+    SummaOptions opts;
+    opts.ckpt = &ck;
+    opts.force_batches = 2;
+    const MclResult r = mcl_cluster_distributed(grid, m, MclParams{}, 0, opts);
+    // Two batch saves per iteration plus one MCL save.
+    EXPECT_EQ(world.recorder().counters().at("ckpt.saves"), 3 * r.iterations);
+  });
+  int mcl_files = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    const std::string name = e.path().filename().string();
+    EXPECT_NE(name.rfind(ckpt::kSummaCkptScope, 0), 0u) << name;
+    mcl_files += name.rfind("mcl-", 0) == 0 ? 1 : 0;
+  }
+  EXPECT_GT(mcl_files, 0);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MclDistributed, MatchesSerialOnProteinGraph) {

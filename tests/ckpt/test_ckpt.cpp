@@ -1,7 +1,8 @@
-// Checkpoint subsystem unit tests: the casp.ckpt.v1 snapshot container
-// (strict serialize/deserialize, checksum, torn-tail detection) and the
-// generation-numbered store (atomic writes, pruning, job-identity
-// filtering, fallback to generation N−1).
+// Checkpoint subsystem unit tests: the XXH64 checksum, the casp.ckpt.v2
+// snapshot container (strict serialize/deserialize, checksum, torn-tail
+// detection) and the generation-numbered store (atomic writes, pruning,
+// per-job file names, job-identity filtering, delta generations and their
+// parent links, fallback to generation N−1).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,8 +12,12 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
@@ -39,6 +44,40 @@ std::vector<fs::path> files_in(const std::string& dir) {
   return out;
 }
 
+void write_file(const std::string& path, const std::vector<std::byte>& buf) {
+  static_assert(std::is_trivially_copyable_v<std::byte> &&
+                sizeof(char) == sizeof(std::byte));
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(buf.data()),
+            static_cast<std::streamsize>(buf.size()));
+}
+
+// ---------------------------------------------------------------------------
+// Checksum.
+
+TEST(Checksum, Xxh64MatchesPublishedVectors) {
+  EXPECT_EQ(xxh64(nullptr, 0), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(xxh64("abc", 3), 0x44BC2CF5AD770999ull);
+}
+
+TEST(Checksum, StreamedDigestEqualsOneShotAtEverySplit) {
+  std::vector<unsigned char> buf(1024);
+  std::uint64_t state = 0xc0ffee;
+  for (unsigned char& c : buf)
+    c = static_cast<unsigned char>(splitmix64(state));
+  const std::uint64_t whole = xxh64(buf.data(), buf.size());
+  for (std::size_t cut = 0; cut <= buf.size(); ++cut) {
+    Xxh64 h;
+    h.update(buf.data(), cut);
+    h.update(buf.data() + cut, buf.size() - cut);
+    ASSERT_EQ(h.digest(), whole) << "split at " << cut;
+  }
+  // Byte at a time crosses every stripe and tail boundary.
+  Xxh64 bytewise;
+  for (const unsigned char c : buf) bytewise.update(&c, 1);
+  EXPECT_EQ(bytewise.digest(), whole);
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot container.
 
@@ -61,7 +100,7 @@ TEST(Snapshot, RoundTripsTypedSections) {
 TEST(Snapshot, MatrixSectionIsBitExact) {
   const CscMat m = testing::random_matrix(23, 17, 4.0, 99);
   Snapshot snap;
-  snap.set_matrix("m", m);
+  snap.borrow_matrix("m", m);
   const CscMat back =
       Snapshot::deserialize(snap.serialize()).matrix("m");
   // Recovery correctness demands bit-exactness (tolerance 0.0), not
@@ -128,7 +167,7 @@ TEST(Snapshot, RepeatedSectionIsRejectedUnderAValidChecksum) {
                buf.begin() + static_cast<long>(body));
   const std::uint64_t count = 2;
   std::memcpy(twice.data() + 8, &count, sizeof(count));
-  const std::uint64_t sum = fnv1a64(twice.data(), twice.size());
+  const std::uint64_t sum = xxh64(twice.data(), twice.size());
   twice.resize(twice.size() + sizeof(sum));
   std::memcpy(twice.data() + twice.size() - sizeof(sum), &sum, sizeof(sum));
   EXPECT_THROW(Snapshot::deserialize(twice), CkptError);
@@ -150,8 +189,10 @@ Snapshot mutation_seed() {
   snap.set_u64("pieces", 2);
   snap.set_array<std::int64_t>("piece_meta", {0, 2, 0, 0, 12, 0, 5,
                                               1, 2, 0, 0, 12, 5, 4});
-  snap.set_matrix("piece0", testing::random_matrix(12, 5, 2.0, 71));
-  snap.set_matrix("piece1", testing::random_matrix(12, 4, 2.0, 72));
+  static const CscMat piece0 = testing::random_matrix(12, 5, 2.0, 71);
+  static const CscMat piece1 = testing::random_matrix(12, 4, 2.0, 72);
+  snap.borrow_matrix("piece0", piece0);
+  snap.borrow_matrix("piece1", piece1);
   snap.set_string("__job", "batched_summa3d|12x12x9|tag=");
   return snap;
 }
@@ -198,7 +239,7 @@ std::vector<std::size_t> length_fields(const std::vector<std::byte>& buf) {
 void reseal(std::vector<std::byte>& buf) {
   if (buf.size() < 16) return;
   const std::size_t body = buf.size() - sizeof(std::uint64_t);
-  const std::uint64_t sum = fnv1a64(buf.data(), body);
+  const std::uint64_t sum = xxh64(buf.data(), body);
   std::memcpy(buf.data() + body, &sum, sizeof(sum));
 }
 
@@ -340,7 +381,7 @@ TEST(CheckpointStore, TornNewestGenerationFallsBackToPrevious) {
   // as if the machine died during the write (the atomic rename makes this
   // scenario require a torn *filesystem*, but the store must still treat
   // a short file as invalid rather than trusting the name).
-  const std::string newest = dir + "/mcl-r2-g3.ckpt";
+  const std::string newest = ck.generation_path("mcl", "job-t", 3);
   ASSERT_TRUE(fs::exists(newest));
   const auto size = fs::file_size(newest);
   fs::resize_file(newest, size / 2);
@@ -361,7 +402,7 @@ TEST(CheckpointStore, CorruptedNewestGenerationIsNeverLoaded) {
   }
   // Flip one byte in the middle of the newest file: the checksum must
   // catch it and load_all must serve generation 1 instead.
-  const std::string newest = dir + "/summa-r0-g2.ckpt";
+  const std::string newest = ck.generation_path("summa", "job-c", 2);
   std::fstream f(newest, std::ios::in | std::ios::out | std::ios::binary);
   ASSERT_TRUE(f.good());
   f.seekp(static_cast<std::streamoff>(fs::file_size(newest) / 2));
@@ -406,6 +447,199 @@ TEST(CheckpointStore, ScopesAndRanksAreIsolated) {
   EXPECT_EQ(r1.load_all("summa", "job")[0].snap.u64("iter"), 2u);
   ASSERT_EQ(r0.load_all("mcl", "job").size(), 1u);
   EXPECT_EQ(r0.load_all("mcl", "job")[0].snap.u64("iter"), 3u);
+}
+
+TEST(CheckpointStore, JobsSharingADirectoryKeepTheirOwnGenerations) {
+  const std::string dir = fresh_dir("shared");
+  Checkpointer ck(dir, /*rank=*/0);
+  for (std::uint64_t i = 1; i <= 4; ++i) {
+    Snapshot a;
+    a.set_u64("iter", i);
+    ck.save("summa", "job-a", std::move(a));
+    Snapshot b;
+    b.set_u64("iter", 10 * i);
+    ck.save("summa", "job-b", std::move(b));
+  }
+  // Each job numbers and prunes its own generations: both keep 4 and 3.
+  for (const auto& [job, scale] :
+       {std::pair<std::string, std::uint64_t>{"job-a", 1}, {"job-b", 10}}) {
+    const auto loaded = Checkpointer(dir, 0).load_all("summa", job);
+    ASSERT_EQ(loaded.size(), 2u) << job;
+    EXPECT_EQ(loaded[0].generation, 4) << job;
+    EXPECT_EQ(loaded[0].snap.u64("iter"), 4 * scale) << job;
+    EXPECT_EQ(loaded[1].generation, 3) << job;
+    EXPECT_TRUE(fs::exists(ck.generation_path("summa", job, 3))) << job;
+  }
+  EXPECT_EQ(files_in(dir).size(), 4u);
+}
+
+TEST(CheckpointStore, DeltaGenerationsResolveAgainstTheirParents) {
+  const std::string dir = fresh_dir("delta");
+  Checkpointer ck(dir, /*rank=*/0);
+  Snapshot root;
+  root.set_u64("a", 1);
+  root.set_u64("b", 2);
+  const std::int64_t g1 = ck.save("summa", "job-d", std::move(root));
+  Snapshot d2;
+  d2.set_u64("b", 3);
+  const std::int64_t g2 = ck.save("summa", "job-d", std::move(d2), g1);
+  Snapshot d3;
+  d3.set_u64("c", 4);
+  const std::int64_t g3 = ck.save("summa", "job-d", std::move(d3), g2);
+  ASSERT_EQ(g3, 3);
+  // Everything the newest two inherit from is retained.
+  for (std::int64_t g = 1; g <= 3; ++g)
+    EXPECT_TRUE(fs::exists(ck.generation_path("summa", "job-d", g))) << g;
+
+  auto loaded = Checkpointer(dir, 0).load_all("summa", "job-d");
+  ASSERT_EQ(loaded.size(), 3u);
+  EXPECT_EQ(loaded[0].generation, 3);
+  EXPECT_EQ(loaded[0].snap.u64("a"), 1u);
+  EXPECT_EQ(loaded[0].snap.u64("b"), 3u);
+  EXPECT_EQ(loaded[0].snap.u64("c"), 4u);
+  EXPECT_EQ(loaded[1].snap.u64("b"), 3u);
+  EXPECT_FALSE(loaded[1].snap.has("c"));
+  EXPECT_EQ(loaded[2].snap.u64("b"), 2u);
+
+  // A corrupted middle generation invalidates everything built on it.
+  {
+    const std::string mid = ck.generation_path("summa", "job-d", 2);
+    std::fstream f(mid, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(fs::file_size(mid) / 2));
+    f.put('\x33');
+  }
+  loaded = Checkpointer(dir, 0).load_all("summa", "job-d");
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded[0].generation, 1);
+  EXPECT_EQ(loaded[0].snap.u64("b"), 2u);
+}
+
+TEST(CheckpointStore, VersionOneFilesAreSkippedNotParsed) {
+  const std::string dir = fresh_dir("v1");
+  Checkpointer ck(dir, /*rank=*/0);
+  Snapshot snap;
+  snap.set_u64("iter", 1);
+  snap.set_string(kJobSection, "job-v");
+  // The v2 image with the v1 magic digit and a checksum that matches the
+  // body: only the version tells it apart.
+  std::vector<std::byte> v1 = snap.serialize();
+  v1[7] = static_cast<std::byte>('1');
+  const std::uint64_t sum = xxh64(v1.data(), v1.size() - sizeof(sum));
+  std::memcpy(v1.data() + v1.size() - sizeof(sum), &sum, sizeof(sum));
+  EXPECT_THROW(Snapshot::deserialize(v1), CkptError);
+  fs::create_directories(dir);
+  for (const std::string& path :
+       {ck.generation_path("mcl", "job-v", 1), dir + "/mcl-r0-g1.ckpt"})
+    write_file(path, v1);
+  EXPECT_TRUE(ck.load_all("mcl", "job-v").empty());
+  Snapshot next;
+  next.set_u64("iter", 2);
+  EXPECT_EQ(ck.save("mcl", "job-v", std::move(next)), 2);
+  const auto loaded = Checkpointer(dir, 0).load_all("mcl", "job-v");
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded[0].generation, 2);
+  EXPECT_EQ(loaded[0].snap.u64("iter"), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Parent-link mutants: generation files whose "__parent" record names a
+// missing generation, itself, a newer one, a cycle, a generation of another
+// job or the right generation with the wrong checksum. Every such
+// generation must be skipped by load_all (never looped on or over-read);
+// the valid ones around it still load.
+
+/// Writes a sealed generation file with the given job stamp and parent
+/// link; returns its checksum.
+std::uint64_t write_generation(const Checkpointer& ck, std::int64_t gen,
+                               const std::string& job,
+                               std::optional<ParentLink> parent,
+                               std::uint64_t value) {
+  Snapshot snap;
+  snap.set_u64("v", value);
+  snap.set_string(kJobSection, job);
+  if (parent) snap.set_array(kParentSection, std::vector<ParentLink>{*parent});
+  const std::vector<std::byte> buf = snap.serialize();
+  write_file(ck.generation_path("summa", "job-p", gen), buf);
+  return Snapshot::checksum_of(buf);
+}
+
+std::vector<std::int64_t> loaded_generations(const std::string& dir) {
+  std::vector<std::int64_t> gens;
+  for (const LoadedSnapshot& l :
+       Checkpointer(dir, 0).load_all("summa", "job-p"))
+    gens.push_back(l.generation);
+  return gens;
+}
+
+TEST(SnapshotMutation, ParentLinkMutantsAreSkipped) {
+  const std::string dir = fresh_dir("parent_links");
+  fs::create_directories(dir);
+  const Checkpointer ck(dir, /*rank=*/0);
+  const std::uint64_t root =
+      write_generation(ck, 1, "job-p", std::nullopt, 1);
+  const std::uint64_t child =
+      write_generation(ck, 2, "job-p", ParentLink{1, root}, 2);
+  ASSERT_EQ(loaded_generations(dir), (std::vector<std::int64_t>{2, 1}));
+
+  // Each mutant is generation 3, or a pair 3/4; gens 1 and 2 stay valid.
+  struct Case {
+    const char* what;
+    std::function<void()> write;
+  };
+  const std::vector<Case> cases = {
+      {"missing parent",
+       [&] { write_generation(ck, 3, "job-p", ParentLink{7, root}, 3); }},
+      {"itself",
+       [&] { write_generation(ck, 3, "job-p", ParentLink{3, 0}, 3); }},
+      {"newer generation",
+       [&] {
+         write_generation(ck, 3, "job-p", ParentLink{4, 0}, 3);
+         write_generation(ck, 4, "job-p", std::nullopt, 4);
+       }},
+      {"cycle",
+       [&] {
+         const std::uint64_t s4 =
+             write_generation(ck, 4, "job-p", ParentLink{3, 0}, 4);
+         write_generation(ck, 3, "job-p", ParentLink{4, s4}, 3);
+       }},
+      {"another job's generation",
+       [&] {
+         const std::uint64_t s4 =
+             write_generation(ck, 4, "job-other", std::nullopt, 4);
+         write_generation(ck, 3, "job-p", ParentLink{2, child}, 3);
+         write_generation(ck, 5, "job-p", ParentLink{4, s4}, 5);
+       }},
+      {"wrong checksum",
+       [&] { write_generation(ck, 3, "job-p", ParentLink{2, child ^ 1}, 3); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    for (std::int64_t g = 3; g <= 5; ++g)
+      fs::remove(ck.generation_path("summa", "job-p", g));
+    c.write();
+    std::vector<std::int64_t> gens = loaded_generations(dir);
+    // Only gens 1 and 2 — plus, in the foreign-job case, gen 3 on its own
+    // valid link — resolve.
+    if (std::string(c.what) == "another job's generation") {
+      EXPECT_EQ(gens, (std::vector<std::int64_t>{3, 2, 1}));
+    } else if (std::string(c.what) == "newer generation") {
+      EXPECT_EQ(gens, (std::vector<std::int64_t>{4, 2, 1}));
+    } else {
+      EXPECT_EQ(gens, (std::vector<std::int64_t>{2, 1}));
+    }
+  }
+
+  // A "__parent" section that is not exactly one record is malformed.
+  {
+    Snapshot snap;
+    snap.set_u64("v", 3);
+    snap.set_string(kJobSection, "job-p");
+    snap.set_array<std::uint64_t>(kParentSection, {2, child, 0});
+    write_file(ck.generation_path("summa", "job-p", 3), snap.serialize());
+  }
+  for (std::int64_t g = 4; g <= 5; ++g)
+    fs::remove(ck.generation_path("summa", "job-p", g));
+  EXPECT_EQ(loaded_generations(dir), (std::vector<std::int64_t>{2, 1}));
 }
 
 }  // namespace

@@ -21,8 +21,10 @@
 #include "apps/batch_io.hpp"
 #include "apps/mcl.hpp"
 #include "ckpt/checkpoint.hpp"
+#include "ckpt/redistribute.hpp"
 #include "grid/dist.hpp"
 #include "obs/report.hpp"
+#include "summa/batched.hpp"
 #include "test_util.hpp"
 #include "vmpi/runtime.hpp"
 
@@ -262,10 +264,13 @@ TEST(RecoveryDurability, TornAndCorruptNewestGenerationsFallBack) {
 
   // Damage the newest generation on two ranks: tear (truncate) rank 1's,
   // flip a byte in rank 2's. Both must fail the checksum and fall back.
-  const std::string torn = ck_dir + "/summa-r1-g5.ckpt";
+  const std::string job = summa_ckpt_job_id(n, n, n, a.nnz(), a.nnz(), "");
+  const std::string torn = ckpt::Checkpointer(ck_dir, 1).generation_path(
+      ckpt::kSummaCkptScope, job, 5);
   ASSERT_TRUE(fs::exists(torn)) << "expected 5 generations";
   fs::resize_file(torn, fs::file_size(torn) / 2);
-  const std::string corrupt = ck_dir + "/summa-r2-g5.ckpt";
+  const std::string corrupt = ckpt::Checkpointer(ck_dir, 2).generation_path(
+      ckpt::kSummaCkptScope, job, 5);
   ASSERT_TRUE(fs::exists(corrupt));
   {
     std::fstream f(corrupt, std::ios::in | std::ios::out | std::ios::binary);

@@ -5,16 +5,19 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
 
 #include "ckpt/checkpoint.hpp"
+#include "ckpt/redistribute.hpp"
 #include "common/block_pool.hpp"
 #include "common/payload.hpp"
 #include "gen/rmat.hpp"
 #include "grid/dist.hpp"
 #include "kernels/reference.hpp"
 #include "obs/report.hpp"
+#include "sparse/serialize.hpp"
 #include "summa/batched.hpp"
 #include "test_util.hpp"
 #include "vmpi/runtime.hpp"
@@ -185,6 +188,186 @@ TEST(BatchedCheckpoint, KeptOutputIsTheSameWithCheckpointsAndOnResume) {
   }
   std::filesystem::remove_all(dir);
 }
+
+// Batch checkpoints as delta generations at 2x2x1, b = 5: each save holds
+// only the pieces emitted since the last, every generation resumes
+// bit-identically, and a damaged generation falls back to the longest
+// prefix that still verifies.
+class BatchedCheckpointChain : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  static constexpr int kRanks = 4;
+  static constexpr Index kBatches = 5;
+  static constexpr Index kN = 160;
+
+  struct Run {
+    std::vector<CscMat> local;                  // each rank's kept C
+    std::vector<Bytes> piece_bytes;             // packed bytes of its pieces
+    std::vector<std::int64_t> bytes_saved;      // its ckpt.bytes counter
+    std::vector<std::int64_t> resumed_gen;      // -1 when it did not resume
+  };
+
+  static const CscMat& a() {
+    static const CscMat m = testing::random_matrix(kN, kN, 6.0, 281);
+    return m;
+  }
+  static std::string job() {
+    return summa_ckpt_job_id(kN, kN, kN, a().nnz(), a().nnz(), "");
+  }
+
+  /// One run; checkpoints to `dir` unless it is empty.
+  Run run(const std::string& dir) const {
+    Run out;
+    out.local.resize(kRanks);
+    out.piece_bytes.assign(kRanks, 0);
+    out.bytes_saved.assign(kRanks, 0);
+    out.resumed_gen.assign(kRanks, -1);
+    vmpi::run(kRanks, [&](vmpi::Comm& world) {
+      const auto rank = static_cast<std::size_t>(world.rank());
+      ckpt::Checkpointer ck;
+      if (!dir.empty())
+        ck = ckpt::Checkpointer(dir, world.rank(), GetParam(),
+                                &world.recorder());
+      Grid3D grid(world, 1);
+      SummaOptions opts;
+      opts.force_batches = kBatches;
+      opts.ckpt = &ck;
+      BatchedResult r = batched_summa3d<PlusTimes>(
+          grid, distribute_a_style(grid, a()), distribute_b_style(grid, a()),
+          0, opts,
+          [&](CscMat&& piece, const BatchInfo&) {
+            out.piece_bytes[rank] += packed_size(piece);
+          },
+          /*keep_output=*/true);
+      out.local[rank] = std::move(r.c.local);
+      const auto& counters = world.recorder().counters();
+      if (const auto it = counters.find("ckpt.bytes"); it != counters.end())
+        out.bytes_saved[rank] = it->second;
+      if (const auto it = counters.find("ckpt.resumed_generation");
+          it != counters.end())
+        out.resumed_gen[rank] = it->second;
+    });
+    return out;
+  }
+
+  /// Rank `rank`'s generation files of this job in `dir`, by generation.
+  static std::map<std::int64_t, std::filesystem::path> generations(
+      const std::string& dir, int rank) {
+    const std::string prefix = ckpt::job_file_stem(ckpt::kSummaCkptScope,
+                                                   job()) +
+                               "-r" + std::to_string(rank) + "-g";
+    std::map<std::int64_t, std::filesystem::path> gens;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+      const std::string name = e.path().filename().string();
+      if (name.rfind(prefix, 0) == 0)
+        gens[std::stoll(name.substr(prefix.size()))] = e.path();
+    }
+    return gens;
+  }
+
+  /// A per-test scratch directory under `name`, emptied first.
+  static std::string scratch(const std::string& name) {
+    const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string dir = ::testing::TempDir() + "/casp_chain_" + name + "_" +
+                      test->name();
+    std::replace(dir.begin() + static_cast<std::ptrdiff_t>(
+                                   ::testing::TempDir().size()),
+                 dir.end(), '/', '_');
+    std::filesystem::remove_all(dir);
+    return dir;
+  }
+
+  static std::string copy_of(const std::string& from, const std::string& name) {
+    const std::string to = scratch(name);
+    std::filesystem::copy(from, to, std::filesystem::copy_options::recursive);
+    return to;
+  }
+
+  static void expect_same_output(const Run& got, const Run& want) {
+    for (int r = 0; r < kRanks; ++r) {
+      SCOPED_TRACE("rank " + std::to_string(r));
+      testing::expect_same_arrays(got.local[static_cast<std::size_t>(r)],
+                                  want.local[static_cast<std::size_t>(r)]);
+    }
+  }
+
+};
+
+TEST_P(BatchedCheckpointChain, EachPieceIsWrittenOnce) {
+  const std::string dir = scratch("saved");
+  const Run saved = run(dir);
+  expect_same_output(saved, run(""));
+  // A generation's own overhead: magic, count, checksum, the job stamp,
+  // the parent link, the counters and at most kBatches piece records.
+  constexpr Bytes kHeaderBound = 1024;
+  for (int r = 0; r < kRanks; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const auto rank = static_cast<std::size_t>(r);
+    const auto gens = generations(dir, r);
+    EXPECT_EQ(static_cast<Index>(gens.size()),
+              kBatches / static_cast<Index>(GetParam()));
+    Bytes on_disk = 0;
+    for (const auto& [gen, path] : gens)
+      on_disk += std::filesystem::file_size(path);
+    const Bytes bound = saved.piece_bytes[rank] + kBatches * kHeaderBound;
+    EXPECT_GT(saved.piece_bytes[rank], kBatches * kHeaderBound)
+        << "pieces too small for the bound to tell";
+    EXPECT_LE(on_disk, bound);
+    EXPECT_EQ(static_cast<Bytes>(saved.bytes_saved[rank]), on_disk);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST_P(BatchedCheckpointChain, ResumingFromEachGenerationIsBitIdentical) {
+  const std::string dir = scratch("saved");
+  const Run clean = run(dir);
+  const std::int64_t newest = generations(dir, 0).rbegin()->first;
+  for (std::int64_t k = 1; k <= newest; ++k) {
+    SCOPED_TRACE("resume from generation " + std::to_string(k));
+    const std::string trial = copy_of(dir, "resume");
+    for (int r = 0; r < kRanks; ++r)
+      for (const auto& [gen, path] : generations(trial, r))
+        if (gen > k) std::filesystem::remove(path);
+    const Run resumed = run(trial);
+    expect_same_output(resumed, clean);
+    for (int r = 0; r < kRanks; ++r)
+      EXPECT_EQ(resumed.resumed_gen[static_cast<std::size_t>(r)], k);
+    std::filesystem::remove_all(trial);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST_P(BatchedCheckpointChain,
+       CorruptMiddleGenerationFallsBackToTheValidPrefix) {
+  const std::string dir = scratch("saved");
+  const Run clean = run(dir);
+  const std::int64_t newest = generations(dir, 0).rbegin()->first;
+  ASSERT_GE(newest, 2);
+  const std::int64_t middle = newest == 2 ? 1 : newest / 2 + 1;
+  const std::string trial = copy_of(dir, "corrupt");
+  // Rank 1's middle generation takes a flipped byte: it and every
+  // generation built on it fail, so rank 1 resumes from the one before
+  // (or recomputes) and the others truncate to its prefix.
+  const std::filesystem::path bad = generations(trial, 1).at(middle);
+  {
+    std::fstream f(bad, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(std::filesystem::file_size(bad) / 2));
+    f.put('\x5a');
+  }
+  const Run resumed = run(trial);
+  expect_same_output(resumed, clean);
+  EXPECT_EQ(resumed.resumed_gen[1], middle > 1 ? middle - 1 : -1);
+  for (int r : {0, 2, 3})
+    EXPECT_EQ(resumed.resumed_gen[static_cast<std::size_t>(r)],
+              middle > 1 ? newest : -1);
+  std::filesystem::remove_all(trial);
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cadence, BatchedCheckpointChain,
+                         ::testing::Values<std::uint64_t>(1, 2),
+                         [](const ::testing::TestParamInfo<std::uint64_t>& c) {
+                           return "every" + std::to_string(c.param);
+                         });
 
 TEST(BatchedSymbolic, TightMemoryForcesMultipleBatches) {
   const int p = 8, l = 2;

@@ -213,8 +213,8 @@ TEST(MaskedBatchedCheckpoint, MaskedAndUnmaskedProductsResumeOnlyTheirOwnPieces)
     return c;
   };
 
-  // The store keeps a rank's two newest generations of a scope, whatever
-  // job wrote them, so each run below finds the previous run's snapshots.
+  // The store keys file names, generation numbers and pruning by job, so
+  // each product keeps its own snapshots however the runs interleave.
   int resumes = -1;
   const CscMat full = run(nullptr, resumes);
   EXPECT_EQ(resumes, 0);
@@ -225,7 +225,7 @@ TEST(MaskedBatchedCheckpoint, MaskedAndUnmaskedProductsResumeOnlyTheirOwnPieces)
   EXPECT_EQ(resumes, p) << "the masked product did not resume its own";
   testing::expect_same_arrays(masked_again, masked);
   const CscMat full_again = run(nullptr, resumes);
-  EXPECT_EQ(resumes, 0) << "the unmasked product resumed the masked one's";
+  EXPECT_EQ(resumes, p) << "the unmasked product did not resume its own";
   testing::expect_same_arrays(full_again, full);
   const CscMat full_resumed = run(nullptr, resumes);
   EXPECT_EQ(resumes, p) << "the unmasked product did not resume its own";
