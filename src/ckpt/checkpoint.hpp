@@ -76,6 +76,7 @@ class Checkpointer {
                obs::Recorder* recorder = nullptr);
 
   bool enabled() const { return !dir_.empty(); }
+  const std::string& dir() const { return dir_; }
   /// True when a save is due after `completed` units of progress
   /// (batches emitted, iterations finished).
   bool due(std::uint64_t completed) const {

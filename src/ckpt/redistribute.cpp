@@ -11,52 +11,66 @@
 #include "sparse/triple_mat.hpp"
 
 namespace casp::ckpt {
+namespace {
 
-ResumeCache::ResumeCache(Index global_rows, Index global_cols)
-    : global_rows_(global_rows), global_cols_(global_cols) {
-  CASP_CHECK_MSG(global_rows >= 0 && global_cols >= 0,
-                 "ResumeCache: negative global shape");
-  covered_rows_.assign(static_cast<std::size_t>(global_cols), 0);
+/// True iff rows [r, r + nr) x cols [c, c + nc) meet `w`.
+bool meets(const Window& w, Index r, Index nr, Index c, Index nc) {
+  return r < w.row1 && r + nr > w.row0 && c < w.col1 && c + nc > w.col0;
 }
 
-void ResumeCache::add_piece(CachedPiece piece) {
-  CASP_CHECK_MSG(
-      piece.row_start >= 0 && piece.row_count >= 0 && piece.col_start >= 0 &&
-          piece.col_count >= 0 &&
-          piece.row_start + piece.row_count <= global_rows_ &&
-          piece.col_start + piece.col_count <= global_cols_,
-      "ResumeCache: piece outside the declared global shape");
+}  // namespace
+
+ResumeCache::ResumeCache(Window window) : window_(window) {
+  CASP_CHECK_MSG(0 <= window.row0 && window.row0 <= window.row1 &&
+                     0 <= window.col0 && window.col0 <= window.col1,
+                 "ResumeCache: malformed window");
+  covered_rows_.assign(static_cast<std::size_t>(window.col1 - window.col0),
+                       0);
+}
+
+void ResumeCache::add_piece(CachedPiece piece, std::int64_t generation) {
+  CASP_CHECK_MSG(piece.row_start >= 0 && piece.row_count >= 0 &&
+                     piece.col_start >= 0 && piece.col_count >= 0,
+                 "ResumeCache: piece with negative coordinates");
   CASP_CHECK_MSG(piece.piece.nrows() == piece.row_count &&
                      piece.piece.ncols() == piece.col_count,
                  "ResumeCache: piece matrix does not match its coordinates");
-  for (Index c = piece.col_start; c < piece.col_start + piece.col_count; ++c)
-    covered_rows_[static_cast<std::size_t>(c)] += piece.row_count;
+  if (!meets(window_, piece.row_start, piece.row_count, piece.col_start,
+             piece.col_count))
+    return;
+  const Index rows =
+      std::min(window_.row1, piece.row_start + piece.row_count) -
+      std::max(window_.row0, piece.row_start);
+  const Index c0 = std::max(window_.col0, piece.col_start);
+  const Index c1 = std::min(window_.col1, piece.col_start + piece.col_count);
+  for (Index c = c0; c < c1; ++c)
+    covered_rows_[static_cast<std::size_t>(c - window_.col0)] += rows;
+  generation_ = std::max(generation_, generation);
   pieces_.push_back(std::move(piece));
 }
 
 bool ResumeCache::cols_covered(Index c0, Index c1) const {
-  if (c0 < 0 || c1 > global_cols_) return false;
+  if (c0 < window_.col0 || c1 > window_.col1) return false;
   for (Index c = c0; c < c1; ++c) {
     // Exact equality, not >=: pieces of one job tile C disjointly, so a
-    // tally above global_rows means the directory mixes incompatible piece
-    // sets for this column — extraction would double entries. Refusing
-    // coverage degrades to recomputation, never to wrong values.
-    if (covered_rows_[static_cast<std::size_t>(c)] != global_rows_)
+    // tally above the window's rows means the directory mixes incompatible
+    // piece sets for this column — extraction would double entries.
+    // Refusing coverage degrades to recomputation, never to wrong values.
+    if (covered_rows_[static_cast<std::size_t>(c - window_.col0)] !=
+        window_.row1 - window_.row0)
       return false;
   }
   return true;
 }
 
-CscMat ResumeCache::extract(Index r0, Index r1, Index c0, Index c1) const {
-  CASP_CHECK_MSG(0 <= r0 && r0 <= r1 && r1 <= global_rows_ && 0 <= c0 &&
-                     c0 <= c1 && c1 <= global_cols_,
-                 "ResumeCache::extract: range outside the global shape");
+CscMat ResumeCache::extract(Index c0, Index c1) const {
+  CASP_CHECK_MSG(window_.col0 <= c0 && c0 <= c1 && c1 <= window_.col1,
+                 "ResumeCache::extract: columns outside the window");
+  const Index r0 = window_.row0, r1 = window_.row1;
   TripleMat triples(r1 - r0, c1 - c0);
   for (const CachedPiece& p : pieces_) {
-    const Index pr1 = p.row_start + p.row_count;
     const Index pc1 = p.col_start + p.col_count;
-    if (pr1 <= r0 || p.row_start >= r1 || pc1 <= c0 || p.col_start >= c1)
-      continue;
+    if (pc1 <= c0 || p.col_start >= c1) continue;
     const Index jlo = std::max(c0, p.col_start) - p.col_start;
     const Index jhi = std::min(c1, pc1) - p.col_start;
     for (Index j = jlo; j < jhi; ++j) {
@@ -78,13 +92,13 @@ CscMat ResumeCache::extract(Index r0, Index r1, Index c0, Index c1) const {
 }
 
 ResumeCache redistribute_for_grid(const std::string& dir,
-                                  const std::string& job_id) {
+                                  const std::string& job_id, Window window) {
   namespace fs = std::filesystem;
-  ResumeCache cache;
+  ResumeCache cache(window);
   std::error_code ec;
   if (dir.empty() || !fs::is_directory(dir, ec) || ec) return cache;
 
-  // Which old ranks ever saved this job here? The filenames carry the
+  // Which writer ranks ever saved this job here? The filenames carry the
   // rank: <stem>-r<rank>-g<gen>.ckpt.
   std::set<int> ranks;
   const std::string prefix = job_file_stem(kSummaCkptScope, job_id) + "-r";
@@ -99,28 +113,42 @@ ResumeCache redistribute_for_grid(const std::string& dir,
     ranks.insert(std::stoi(name.substr(prefix.size(), end - prefix.size())));
   }
 
-  // Newest valid snapshot per rank (load_all filters the job id and skips
-  // torn files — the same fallback discipline as the per-rank path).
+  // Each writer's newest valid snapshot (load_all filters the job id and
+  // skips torn files and every generation built on one), reduced to its
+  // grid facts and the pieces that meet the window: one writer's files are
+  // held at a time.
   struct Candidate {
-    LoadedSnapshot loaded;
+    std::int64_t generation = -1;
     std::uint64_t grid_ranks = 0;
     std::uint64_t grid_layers = 0;
+    std::vector<CachedPiece> pieces;
   };
   std::vector<Candidate> candidates;
   for (int r : ranks) {
     Checkpointer ck(dir, r, 1);
     std::vector<LoadedSnapshot> loaded = ck.load_all(kSummaCkptScope, job_id);
     if (loaded.empty()) continue;
-    Candidate cand{std::move(loaded.front()), 0, 0};
-    const Snapshot& snap = cand.loaded.snap;
-    // Snapshots without grid facts predate the redistributable format (or
-    // are from another writer) and carry no usable coordinates.
+    const Snapshot& snap = loaded.front().snap;
+    // Snapshots without grid facts are from another writer and carry no
+    // usable coordinates.
     if (!snap.has("grid_ranks") || !snap.has("grid_layers") ||
-        !snap.has("global_rows") || !snap.has("global_cols") ||
         !snap.has("piece_meta"))
       continue;
-    cand.grid_ranks = snap.u64("grid_ranks");
-    cand.grid_layers = snap.u64("grid_layers");
+    Candidate cand{loaded.front().generation, snap.u64("grid_ranks"),
+                   snap.u64("grid_layers"), {}};
+    const std::vector<SummaPieceMeta> metas =
+        snap.array<SummaPieceMeta>("piece_meta");
+    const std::uint64_t n =
+        std::min<std::uint64_t>(snap.u64("pieces"), metas.size());
+    for (std::uint64_t k = 0; k < n; ++k) {
+      const SummaPieceMeta& pm = metas[static_cast<std::size_t>(k)];
+      if (!meets(window, pm.row_start, pm.row_count, pm.col_start,
+                 pm.col_count))
+        continue;
+      cand.pieces.push_back(CachedPiece{
+          pm.row_start, pm.row_count, pm.col_start, pm.col_count,
+          snap.matrix("piece" + std::to_string(k))});
+    }
     candidates.push_back(std::move(cand));
   }
   if (candidates.empty()) return cache;
@@ -128,31 +156,19 @@ ResumeCache redistribute_for_grid(const std::string& dir,
   // A directory can hold snapshots from several grid epochs of the same job
   // (a job shrunk twice leaves the first degraded grid's saves next to the
   // original's). Mixing epochs could overlap pieces, so keep only the epoch
-  // of the globally newest generation — the latest writer re-checkpointed
-  // all recovered progress under its own grid, so nothing is lost.
+  // of the globally newest generation — a resumed run saves what it
+  // recovered under its own grid before it computes, so the newest epoch
+  // holds every batch an older one gave it.
   const Candidate* newest = &candidates.front();
   for (const Candidate& c : candidates)
-    if (c.loaded.generation > newest->loaded.generation) newest = &c;
+    if (c.generation > newest->generation) newest = &c;
   const std::uint64_t epoch_ranks = newest->grid_ranks;
   const std::uint64_t epoch_layers = newest->grid_layers;
-
-  cache = ResumeCache(
-      static_cast<Index>(newest->loaded.snap.u64("global_rows")),
-      static_cast<Index>(newest->loaded.snap.u64("global_cols")));
-  for (const Candidate& c : candidates) {
+  for (Candidate& c : candidates) {
     if (c.grid_ranks != epoch_ranks || c.grid_layers != epoch_layers)
       continue;
-    const Snapshot& snap = c.loaded.snap;
-    const std::vector<SummaPieceMeta> metas =
-        snap.array<SummaPieceMeta>("piece_meta");
-    const std::uint64_t n =
-        std::min<std::uint64_t>(snap.u64("pieces"), metas.size());
-    for (std::uint64_t k = 0; k < n; ++k) {
-      const SummaPieceMeta& pm = metas[static_cast<std::size_t>(k)];
-      cache.add_piece(CachedPiece{pm.row_start, pm.row_count, pm.col_start,
-                                  pm.col_count,
-                                  snap.matrix("piece" + std::to_string(k))});
-    }
+    for (CachedPiece& piece : c.pieces)
+      cache.add_piece(std::move(piece), c.generation);
   }
   return cache;
 }

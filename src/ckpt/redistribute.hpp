@@ -1,26 +1,27 @@
-// Checkpoint redistribution: resume a batched SUMMA job on a DIFFERENT
-// grid shape than the one that wrote the snapshots.
+// Checkpoint resume: rebuild one rank's block of C from the saved pieces'
+// global coordinates, whatever grid wrote them.
 //
 // The per-rank "summa" snapshots written by batched_summa3d carry, for each
 // emitted batch piece, its grid-independent global coordinates (rows x
-// cols of C it covers) alongside the piece matrix. When a rank dies for
-// good, the survivors cannot use the per-rank resume path — rank r's new
-// local ranges no longer match rank r's old pieces — but the union of ALL
-// saved pieces is still a valid partial C in global coordinates.
+// cols of C it covers) alongside the piece matrix. The union of every
+// writer rank's saved pieces is a valid partial C in global coordinates,
+// so a relaunch on the same grid, a shrunk one or a regrown one resumes
+// the same way.
 //
-// redistribute_for_grid() scans a checkpoint directory, takes every old
-// rank's newest valid snapshot for the job, and builds a ResumeCache: the
-// saved pieces plus a per-global-column covered-row tally. Because the
-// pieces of one job tile C disjointly (each (row, col) of C lives in
-// exactly one rank's piece of one batch), a column is fully recovered iff
-// its covered-row tally equals C's row count — an exact, grid-independent
-// test. The relaunched job (any q'×q'×l' grid) then asks the cache batch
-// by batch: a batch whose output columns are all fully covered is emitted
-// from cached values (bit-exact — every value is copied, never recomputed)
-// and a batch that is not falls through to normal compute. See DESIGN.md
-// §5j.
+// redistribute_for_grid() scans a checkpoint directory, takes every writer
+// rank's newest valid snapshot for the job, and builds one rank's
+// ResumeCache: the saved pieces that intersect the rank's window of C plus
+// a per-column covered-row tally over that window. Because the pieces of
+// one job tile C disjointly (each (row, col) of C lives in exactly one
+// writer's piece of one batch), a column is fully recovered iff its tally
+// equals the window's row count — an exact, grid-independent test. The
+// relaunched job then asks its cache batch by batch: a batch whose columns
+// every rank has covered is emitted from cached values (bit-exact — every
+// value is copied, never recomputed) and a batch that is not is computed.
+// See DESIGN.md §5j.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -33,20 +34,23 @@ namespace casp::ckpt {
 /// (`<dir>/summa-<key>-r<rank>-g<gen>.ckpt`, checkpoint.hpp).
 inline constexpr const char* kSummaCkptScope = "summa";
 
-/// On-disk per-piece record of the "summa" snapshot's "piece_meta" array.
-/// Defined here — next to the reader — so the writer in batched_summa3d and
-/// redistribute_for_grid share one layout. The global coordinates are the
-/// grid-independent half: they let a different grid shape re-shard the
-/// pieces; batch_index/num_batches are only meaningful to a same-grid
-/// resume.
+/// On-disk per-piece record of the "summa" snapshot's "piece_meta" array:
+/// the piece's global coordinates. Defined here — next to the reader — so
+/// the writer in batched_summa3d and redistribute_for_grid share one
+/// layout.
 struct SummaPieceMeta {
-  Index batch_index;
-  Index num_batches;
-  Index rebatch_events;  ///< cumulative re-batch count at emission time
-  Index row_start;       ///< global rows covered: [row_start, row_start+count)
+  Index row_start;  ///< global rows covered: [row_start, row_start+count)
   Index row_count;
-  Index col_start;       ///< global cols covered: [col_start, col_start+count)
+  Index col_start;  ///< global cols covered: [col_start, col_start+count)
   Index col_count;
+};
+
+/// A block [row0, row1) x [col0, col1) of C in global coordinates.
+struct Window {
+  Index row0 = 0;
+  Index row1 = 0;
+  Index col0 = 0;
+  Index col1 = 0;
 };
 
 /// One saved batch piece in global coordinates. `piece` uses local indices
@@ -59,52 +63,50 @@ struct CachedPiece {
   CscMat piece;
 };
 
-/// Grid-independent view of a job's recovered output prefix. Built once on
-/// the launcher thread and shared read-only by every rank of the relaunch
-/// (SummaOptions::resume): coverage verdicts must be identical across
-/// ranks, which sharing one cache object guarantees.
+/// One rank's view of a job's recovered output: the saved pieces that
+/// intersect its window of C. Built by each rank from the checkpoint
+/// directory (redistribute_for_grid); ranks agree on each batch's
+/// coverage by consensus before acting on it.
 class ResumeCache {
  public:
   ResumeCache() = default;
-  /// Declare C's global shape. Must be called before add_piece/finalize.
-  ResumeCache(Index global_rows, Index global_cols);
+  explicit ResumeCache(Window window);
 
   bool empty() const { return pieces_.empty(); }
-  std::size_t piece_count() const { return pieces_.size(); }
-  Index global_rows() const { return global_rows_; }
-  Index global_cols() const { return global_cols_; }
+  /// The newest generation a kept piece came from; -1 while empty.
+  std::int64_t generation() const { return generation_; }
 
-  /// Register one saved piece. Pieces must tile C disjointly (the
-  /// batched_summa3d emission invariant); out-of-range pieces throw.
-  void add_piece(CachedPiece piece);
+  /// Keep `piece`, saved in `generation`, if it intersects the window;
+  /// a piece outside it is dropped. Pieces must tile C disjointly (the
+  /// batched_summa3d emission invariant); malformed pieces throw.
+  void add_piece(CachedPiece piece, std::int64_t generation = -1);
 
-  /// True iff every global column in [c0, c1) is fully covered (all
-  /// global_rows rows recovered). Identical on every rank sharing the
-  /// cache, so it is safe to branch collectives on the verdict.
+  /// True iff every global column in [c0, c1) lies in the window and is
+  /// fully covered there (all of the window's rows recovered).
   bool cols_covered(Index c0, Index c1) const;
 
-  /// Assemble the [r0, r1) x [c0, c1) block of C from the cached pieces,
-  /// reindexed to local coordinates with sorted columns. Values are copied
-  /// bit-exactly from the saved pieces. The caller is responsible for only
-  /// extracting covered regions (cols_covered); uncovered entries are
-  /// simply absent from the result.
-  CscMat extract(Index r0, Index r1, Index c0, Index c1) const;
+  /// Assemble the window's rows x [c0, c1) block of C from the kept
+  /// pieces, reindexed to local coordinates with sorted columns. Values
+  /// are copied bit-exactly from the saved pieces. The caller is
+  /// responsible for only extracting covered columns (cols_covered);
+  /// uncovered entries are simply absent from the result.
+  CscMat extract(Index c0, Index c1) const;
 
  private:
-  Index global_rows_ = 0;
-  Index global_cols_ = 0;
+  Window window_;
+  std::int64_t generation_ = -1;
   std::vector<CachedPiece> pieces_;
-  /// covered_rows_[c] == global_rows_ iff column c is fully recovered.
+  /// covered_rows_[c - col0] == row1 - row0 iff column c is recovered.
   std::vector<Index> covered_rows_;
 };
 
-/// Build a ResumeCache for `job_id` from every rank's newest valid "summa"
-/// generation under `dir`, resolved against the generations it inherits
-/// from. Snapshots from any grid shape contribute; torn or
-/// mismatched files are skipped exactly like the per-rank fallback path.
-/// Returns an empty cache when the directory holds nothing usable (the
-/// relaunch then recomputes from scratch).
+/// Build the ResumeCache of `window` for `job_id` from every writer rank's
+/// newest valid "summa" generation under `dir`, resolved against the
+/// generations it inherits from. Snapshots from any grid shape contribute,
+/// but only those of the grid that wrote the globally newest generation;
+/// torn or mismatched files are skipped. Returns an empty cache when the
+/// directory holds nothing usable (the job then computes every batch).
 ResumeCache redistribute_for_grid(const std::string& dir,
-                                  const std::string& job_id);
+                                  const std::string& job_id, Window window);
 
 }  // namespace casp::ckpt

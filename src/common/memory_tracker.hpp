@@ -40,7 +40,6 @@ class MemoryTracker {
   Bytes live() const { return live_.load(std::memory_order_relaxed); }
   Bytes peak() const { return peak_.load(std::memory_order_relaxed); }
   Bytes budget() const { return budget_; }
-  void set_budget(Bytes budget) { budget_ = budget; }
   void reset_peak() { peak_.store(live()); }
 
   // -- Probe window (BatchedSUMMA3D's re-batch protocol) -------------------

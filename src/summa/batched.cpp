@@ -22,8 +22,7 @@
 namespace casp {
 
 // The on-disk layout lives with its reader: ckpt::SummaPieceMeta in
-// ckpt/redistribute.hpp carries batch coordinates (same-grid resume) plus
-// global piece coordinates (cross-grid redistribution).
+// ckpt/redistribute.hpp carries a piece's global coordinates.
 using PieceMeta = ckpt::SummaPieceMeta;
 static_assert(std::is_trivially_copyable_v<PieceMeta>);
 
@@ -188,11 +187,7 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
   // previous one: the pieces emitted since (plus every piece's PieceMeta
   // coordinates), written once, so the job's saves write each piece once.
   // A piece completing the cadence is saved before it is delivered; only
-  // the ckpt_every - 1 pieces before it wait in `unsaved` as copies. A
-  // relaunched job replays the restored prefix through the callback — the
-  // uniform contract whether the consumer streams to disk (the writer
-  // re-truncates, so recovered streamed output is byte-identical) or
-  // gathers pieces in memory — then continues the loop from the next batch.
+  // the ckpt_every - 1 pieces before it wait in `unsaved` as copies.
   ckpt::Checkpointer* ck = opts.ckpt;
   const bool ckpt_on = ck != nullptr && ck->enabled();
   std::vector<PieceMeta> emitted_meta;
@@ -203,16 +198,11 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
   const auto save_ckpt = [&](const CscMat* last) {
     ckpt::Snapshot snap;
     if (ckpt_parent == ckpt::kNoParent) {
-      // Grid facts guard the per-rank resume path: rank r of a *different*
-      // grid shape holds ranges that do not match rank r's old pieces, so
-      // a mismatch routes recovery through redistribute_for_grid instead.
-      // The global shape lets that reader rebuild coverage without the
-      // inputs. Deltas inherit them.
+      // The writer's grid lets a reader keep one grid epoch of a directory
+      // (redistribute_for_grid). Deltas inherit it.
       snap.set_u64("grid_ranks",
                    static_cast<std::uint64_t>(grid.world().size()));
       snap.set_u64("grid_layers", static_cast<std::uint64_t>(l));
-      snap.set_u64("global_rows", static_cast<std::uint64_t>(a.global_rows));
-      snap.set_u64("global_cols", static_cast<std::uint64_t>(b.global_cols));
     }
     snap.set_u64("pieces", emitted_meta.size());
     snap.set_array("piece_meta", emitted_meta);
@@ -225,87 +215,48 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
     saved = emitted_meta.size();
     unsaved.clear();
   };
+
+  // My layer's slice of my B part: by nesting, the columns of all my
+  // batches at any granularity (and of the kept output).
+  const std::vector<Index> layer_cut = equal_flops_cut(weights, l);
+  const LocalRange my_cols = {
+      b.cols.start + layer_cut[static_cast<std::size_t>(grid.layer())],
+      layer_cut[static_cast<std::size_t>(grid.layer()) + 1] -
+          layer_cut[static_cast<std::size_t>(grid.layer())]};
+
+  // Resume, one path whatever grid wrote the checkpoints: each rank
+  // rebuilds its own block of C from the saved pieces' global coordinates,
+  // and every batch all ranks have recovered is emitted from that cache
+  // instead of computed. Recovered pieces reach the callback like computed
+  // ones — the uniform contract whether the consumer streams to disk (the
+  // writer re-truncates, so recovered streamed output is byte-identical)
+  // or gathers pieces in memory.
+  ckpt::ResumeCache resume;
+  bool resuming = false;
   if (ckpt_on) {
     // Job identity: deterministic and grid-independent, so a snapshot can
     // resume the run (and, via ckpt_job_tag, the outer-loop iteration) that
-    // wrote it even when the relaunch uses a different grid shape. Stale
-    // snapshots in the same directory are skipped by load_all.
+    // wrote it on any grid shape. Stale snapshots in the same directory are
+    // skipped by load_all.
     ckpt_job = summa_ckpt_job_id(
         a.global_rows, a.global_cols, b.global_cols, a.global_nnz,
         b.global_nnz, opts.ckpt_job_tag,
         opts.mask != nullptr ? std::optional<Index>(opts.mask->nnz())
                              : std::nullopt);
-    auto loaded = ck->load_all(ckpt::kSummaCkptScope, ckpt_job);
-    // A snapshot written by a different grid shape is useless to the
-    // per-rank fast-forward (this rank's ranges changed); contribute 0 to
-    // the consensus and let the caller's ResumeCache recover the pieces.
-    const bool same_grid =
-        !loaded.empty() && loaded.front().snap.has("grid_ranks") &&
-        loaded.front().snap.u64("grid_ranks") ==
-            static_cast<std::uint64_t>(grid.world().size()) &&
-        loaded.front().snap.u64("grid_layers") ==
-            static_cast<std::uint64_t>(l);
-    const std::int64_t mine =
-        same_grid ? static_cast<std::int64_t>(loaded.front().snap.u64("pieces"))
-                  : 0;
-    // Resume consensus: a crash is not a barrier, so ranks may hold
-    // snapshots a save apart. Every rank's pieces are a prefix of the same
-    // deterministic emission sequence, so the job-wide minimum available
-    // progress is a state every rank can reconstruct (ranks that saved
-    // further truncate their prefix).
-    std::int64_t agreed = 0;
-    {
-      vmpi::ScopedPhase resume_phase(grid.world().traffic(),
-                                     steps::kCkptResume);
-      agreed = grid.world().allreduce_min<std::int64_t>(mine);
-    }
-    if (agreed > 0) {
-      const ckpt::Snapshot& snap = loaded.front().snap;
-      const std::vector<PieceMeta> metas = snap.array<PieceMeta>("piece_meta");
-      CASP_CHECK(static_cast<std::int64_t>(metas.size()) >= agreed);
-      for (std::int64_t k = 0; k < agreed; ++k) {
-        const PieceMeta& pm = metas[static_cast<std::size_t>(k)];
-        obs::ScopedTag replay_tag(rec, obs::ScopedTag::Kind::kBatch,
-                                  static_cast<int>(pm.batch_index));
-        CscMat piece = snap.matrix("piece" + std::to_string(k));
-        BatchInfo info;
-        info.batch_index = pm.batch_index;
-        info.num_batches = pm.num_batches;
-        info.global_nrows = a.global_rows;
-        info.global_ncols = b.global_cols;
-        info.global_rows = {pm.row_start, pm.row_count};
-        info.global_cols = {pm.col_start, pm.col_count};
-        CASP_CHECK(piece.ncols() == info.global_cols.count);
-        emitted_meta.push_back(pm);
-        deliver(std::move(piece), info);
-      }
-      // The loaded generation's chain holds the agreed prefix, so later
-      // saves are deltas over it (the pieces a truncating rank recomputes
-      // are bit-identical, and their newer sections take precedence).
-      saved = emitted_meta.size();
-      ckpt_parent = loaded.front().generation;
-      const PieceMeta& last = emitted_meta.back();
-      bi = last.batch_index + 1;
-      eff_batches = last.num_batches;
-      result.rebatch_events = last.rebatch_events;
-      if (result.rebatch_events > 0)
-        rec.add_counter("summa.rebatch_events", result.rebatch_events);
-      ck->note_resume(loaded.front().generation);
-    }
+    resume = ckpt::redistribute_for_grid(
+        ck->dir(), ckpt_job,
+        {a.rows.start, a.rows.start + a.rows.count, my_cols.start,
+         my_cols.start + my_cols.count});
+    // Does any rank hold pieces? The one round a fresh job pays.
+    vmpi::ScopedPhase resume_phase(grid.world().traffic(),
+                                   steps::kCkptResume);
+    resuming = grid.world().allreduce_max<std::int64_t>(
+                   resume.empty() ? 0 : 1) != 0;
   }
-
-  // Degraded-grid resume: a shared ResumeCache built from another grid's
-  // snapshots. Armed only when its global shape matches this product (the
-  // cache is job-keyed upstream; the shape check makes a mis-wired cache
-  // inert instead of fatal).
-  const ckpt::ResumeCache* resume = opts.resume;
-  if (resume != nullptr &&
-      (resume->empty() || resume->global_rows() != a.global_rows ||
-       resume->global_cols() != b.global_cols))
-    resume = nullptr;
+  Index recovered = 0;
 
   // Cooperative pause (regrow support): counts freshly computed batches —
-  // cache-recovered ones are free and don't consume the allowance. Every
+  // recovered ones are free and don't consume the allowance. Every
   // input to the decision is SPMD-consistent, so all ranks pause together.
   const Index pause_after = opts.pause_after_batches;
   Index fresh_batches = 0;
@@ -329,14 +280,15 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
     info.global_rows = a.rows;
     info.global_cols = {b.cols.start + block_low(my_block),
                         block_low(my_block + 1) - block_low(my_block)};
-    const auto emit = [&](CscMat piece) {
+    // A recovered piece waits in `unsaved`: the recovered prefix is saved
+    // as one generation before the first computed batch.
+    const auto emit = [&](CscMat piece, bool computed) {
       CASP_CHECK(piece.ncols() == info.global_cols.count);
       if (ckpt_on) {
         emitted_meta.push_back(PieceMeta{
-            bi, eff_batches, result.rebatch_events, info.global_rows.start,
-            info.global_rows.count, info.global_cols.start,
-            info.global_cols.count});
-        if (ck->due(emitted_meta.size()))
+            info.global_rows.start, info.global_rows.count,
+            info.global_cols.start, info.global_cols.count});
+        if (computed && ck->due(emitted_meta.size()))
           save_ckpt(&piece);
         else
           unsaved.push_back(piece);
@@ -345,33 +297,32 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
       ++bi;
     };
 
-    if (resume != nullptr) {
-      // Per-batch coverage consensus. Verdicts could skew across ranks when
-      // the old grid's ranks saved a generation apart (my columns recovered,
-      // a peer's not), and summa3d is collective — every rank must take the
-      // same branch, so the job-wide minimum decides.
-      const int mine_covered =
-          resume->cols_covered(info.global_cols.start,
-                               info.global_cols.start +
-                                   info.global_cols.count)
-              ? 1
-              : 0;
+    if (resuming) {
+      // Per-batch coverage consensus. Verdicts skew across ranks when the
+      // writers saved a generation apart (my columns recovered, a peer's
+      // not), and summa3d is collective — every rank must take the same
+      // branch, so the job-wide minimum decides.
+      const Index c0 = info.global_cols.start;
+      const Index c1 = c0 + info.global_cols.count;
       int all_covered = 0;
       {
         vmpi::ScopedPhase resume_phase(grid.world().traffic(),
                                        steps::kCkptResume);
-        all_covered = grid.world().allreduce_min<int>(mine_covered);
+        all_covered =
+            grid.world().allreduce_min<int>(resume.cols_covered(c0, c1));
       }
       if (all_covered != 0) {
         // Every value is copied from the saved pieces, never recomputed —
-        // the redistributed batch is bit-exact regardless of grid shape.
+        // the recovered batch is bit-exact whatever grid wrote it.
+        if (recovered++ == 0 && !resume.empty())
+          ck->note_resume(resume.generation());
         rec.add_counter("summa.cached_batches", 1);
-        emit(resume->extract(a.rows.start, a.rows.start + a.rows.count,
-                             info.global_cols.start,
-                             info.global_cols.start +
-                                 info.global_cols.count));
+        emit(resume.extract(c0, c1), /*computed=*/false);
         continue;
       }
+      // Keep what was recovered before computing: a second crash then
+      // never finds less progress than this resume did.
+      if (saved < emitted_meta.size()) save_ckpt(nullptr);
     }
 
     // Line 4, Alg. 4 + Fig. 1(i): batch bi = blocks {bi + m*b : m < l} of
@@ -459,12 +410,12 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
       }
     }
 
-    emit(std::move(c_piece));
+    emit(std::move(c_piece), /*computed=*/true);
     if (pause_after > 0 && ++fresh_batches >= pause_after &&
         bi < eff_batches) {
       // Park at the boundary: a forced save makes the pause durable even
-      // off the regular cadence, so the resumed attempt (possibly on a
-      // different grid via redistribute_for_grid) loses nothing.
+      // off the regular cadence, so the resumed attempt (on this grid or
+      // another) loses nothing.
       if (ckpt_on && saved < emitted_meta.size()) save_ckpt(nullptr);
       result.paused = true;
       break;
@@ -480,10 +431,7 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a_in,
     result.c.global_rows = a.global_rows;
     result.c.global_cols = b.global_cols;
     result.c.rows = a.rows;
-    const std::vector<Index> layer_cut = equal_flops_cut(weights, l);
-    const auto k = static_cast<std::size_t>(grid.layer());
-    result.c.cols = {b.cols.start + layer_cut[k],
-                     layer_cut[k + 1] - layer_cut[k]};
+    result.c.cols = my_cols;
     result.c.local = CscMat::concat_cols(kept_pieces);
     CASP_CHECK(result.c.local.ncols() == result.c.cols.count);
     if (opts.memory != nullptr) {

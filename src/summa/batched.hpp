@@ -22,6 +22,15 @@
 // == blocks 2t, 2t+1 of 2*l*b, for equal_flops_cut as for part_low) makes
 // the recovered output bit-identical to the unconstrained run no matter
 // where splits happen.
+//
+// With opts.ckpt, finished batches are saved at a cadence, and a job
+// relaunched on the same directory resumes through one path whatever grid
+// wrote the checkpoints: each rank rebuilds its own block of C from the
+// saved pieces' global coordinates (ckpt/redistribute.hpp), and every
+// batch all ranks recovered is emitted from it, bit-exactly, instead of
+// computed. Nothing about the batch granularity is restored: a recovered
+// batch is one whose columns the pieces cover, at whatever granularity the
+// relaunch runs.
 #pragma once
 
 #include <functional>
@@ -84,9 +93,7 @@ struct BatchedResult {
 /// (ckpt scope "summa", see ckpt/redistribute.hpp). Built from global facts
 /// only — dimensions, *global* nonzero counts, and the caller's tag — never
 /// from the grid shape or local partitions, so a job relaunched on a shrunk
-/// survivor grid still matches the snapshots the full grid wrote. The
-/// service's degraded-resume path rebuilds the id from the replicated
-/// inputs to locate a job's checkpoints without its DistMat3D views. A
+/// survivor grid still matches the snapshots the full grid wrote. A
 /// masked product (SummaOptions::mask) folds in a "masked" tag and the
 /// mask's nnz, so its snapshots never meet those of the unmasked product
 /// of the same operands; an unmasked id is unchanged by the parameter.

@@ -17,7 +17,6 @@ namespace casp {
 
 namespace ckpt {
 class Checkpointer;
-class ResumeCache;
 }  // namespace ckpt
 
 struct SymbolicResult;  // summa/symbolic3d.hpp
@@ -41,10 +40,11 @@ inline constexpr const char* kAll[] = {
 /// present when a memory tracker enforces the budget.
 inline constexpr const char* kRebatchConsensus = "Rebatch-Consensus";
 
-/// Also outside the paper's seven steps: the resume-consensus collective
-/// run once at job start when checkpointing is enabled, where ranks agree
-/// on the common restore point (ranks may hold generations one save apart,
-/// since a crash is not a barrier).
+/// Also outside the paper's seven steps: the resume consensus when
+/// checkpointing is enabled — one round at job start where ranks agree
+/// whether any of them recovered pieces, and, only if one did, one round
+/// per batch where they agree whether every rank recovered it (ranks may
+/// hold generations one save apart, since a crash is not a barrier).
 inline constexpr const char* kCkptResume = "Ckpt-Resume";
 
 /// Also outside the seven steps: rebalance_inner's equal-flops layer cut
@@ -121,22 +121,19 @@ struct SummaOptions {
   /// Batch-boundary checkpointing (batched_summa3d only). Not owned; null
   /// or a disabled Checkpointer turns the feature off with zero hot-path
   /// cost. Must be configured uniformly across ranks (enabled-ness and
-  /// cadence), because resuming runs a consensus collective.
+  /// cadence), because resuming runs a consensus collective. A job whose
+  /// directory holds this job's pieces, from this grid or another,
+  /// resumes from them: each rank rebuilds its block of C from the saved
+  /// pieces and emits every batch all ranks recovered instead of
+  /// computing it.
   ckpt::Checkpointer* ckpt = nullptr;
   /// Extra disambiguator mixed into the checkpoint job identity — callers
   /// nesting batched SUMMA inside an outer loop (MCL sets
   /// "mcl-iter-<k>") use it so a stale snapshot from another iteration
   /// can never be resumed.
   std::string ckpt_job_tag;
-  /// Redistributed checkpoint state from a *previous grid shape*
-  /// (ckpt::redistribute_for_grid). When set, every batch whose output
-  /// columns the cache fully covers is emitted from the cached pieces
-  /// instead of recomputed — the degraded-grid resume path. Must be set
-  /// uniformly across ranks (coverage is agreed by consensus per batch).
-  /// Borrowed, not owned.
-  const ckpt::ResumeCache* resume = nullptr;
   /// Batched algorithm only: when > 0, stop after this many freshly
-  /// *computed* batches (cache-recovered batches don't count) at the next
+  /// *computed* batches (recovered batches don't count) at the next
   /// batch boundary — force a checkpoint of everything emitted so far, set
   /// BatchedResult::paused, and return without assembling the kept output.
   /// The service's regrow path uses this to park an elastic job so the grid

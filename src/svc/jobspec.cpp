@@ -318,7 +318,6 @@ SummaOptions JobSpec::summa_options() const {
   opts.sparse_comm = sparse_comm;
   opts.threads = threads;
   opts.force_batches = force_batches;
-  opts.ckpt_job_tag = ckpt_job_tag;
   return opts;
 }
 
@@ -388,7 +387,6 @@ obs::Json JobSpec::to_json() const {
   j.set("force_batches", static_cast<std::int64_t>(force_batches));
   j.set("ckpt_dir", ckpt_dir);
   j.set("ckpt_every", ckpt_every);
-  j.set("ckpt_job_tag", ckpt_job_tag);
   j.set("mcl", mcl_json(mcl));
   j.set("fault_spec", fault_spec);
   j.set("max_restarts", max_restarts);
@@ -420,7 +418,6 @@ JobSpec JobSpec::from_json(const obs::Json& j) {
     else if (key == "ckpt_dir") spec.ckpt_dir = string_of(v, key);
     else if (key == "ckpt_every")
       spec.ckpt_every = static_cast<std::uint64_t>(int_of(v, key));
-    else if (key == "ckpt_job_tag") spec.ckpt_job_tag = string_of(v, key);
     else if (key == "mcl") spec.mcl = mcl_from_json(v);
     else if (key == "fault_spec") spec.fault_spec = string_of(v, key);
     else if (key == "max_restarts")

@@ -105,7 +105,6 @@ struct JobSpec {
   // -- Checkpoint knobs ----------------------------------------------------
   std::string ckpt_dir;          ///< empty = checkpointing off
   std::uint64_t ckpt_every = 1;  ///< save cadence in batches/iterations
-  std::string ckpt_job_tag;      ///< extra disambiguator for the snapshot id
 
   // -- MCL parameters (JobOp::kMcl only) -----------------------------------
   MclParams mcl;
@@ -130,9 +129,8 @@ struct JobSpec {
   std::int64_t deadline_ms = 0;
   /// Permit degraded-grid recovery: when a rank dies for good
   /// (permanent_crash, or restarts exhausted), the service re-runs Eq. (2)
-  /// admission for the largest survivor grid, redistributes the job's
-  /// checkpoints onto it (ckpt/redistribute.hpp), and finishes there —
-  /// bit-identically. Off = a permanent loss fails the job.
+  /// admission for the largest survivor grid and finishes there from the
+  /// job's checkpoints (ckpt/redistribute.hpp) — bit-identically. Off = a permanent loss fails the job.
   bool elastic = false;
 
   // -- Option structs derived from the spec --------------------------------

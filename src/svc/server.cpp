@@ -222,8 +222,8 @@ void fold_billing(obs::JobBilling& total, const obs::JobBilling& attempt) {
 }  // namespace
 
 /// Per-job execution state of the drain loop. One Exec spans all rounds of
-/// one job: the grid the next attempt runs on, the redistributed-resume
-/// cache, the cumulative bill and recovery evidence, and — while a ticket
+/// one job: the grid the next attempt runs on, the cumulative bill and
+/// recovery evidence, and — while a ticket
 /// is in flight — the round's supervision chain, stepped one attempt at a
 /// time so an attempt can be collected and relaunched without blocking the
 /// launcher between whole chains.
@@ -233,10 +233,6 @@ struct Server::Exec {
   /// regrows after probationers are admitted.
   int run_ranks = 0;
   int run_layers = 0;
-  /// Degraded/regrown resume state: the redistributed checkpoint cache
-  /// (owned here, borrowed by the attempt through SummaOptions::resume).
-  ckpt::ResumeCache cache;
-  const ckpt::ResumeCache* resume = nullptr;
   /// Fault kinds that already fired a shrink are disarmed on relaunch — a
   /// permanent crash is one event, not a property of every future attempt.
   std::vector<std::string> disarm;
@@ -285,20 +281,10 @@ bool Server::reshape(Exec& e, int ranks, int layers, std::string* why) {
   e.run_layers = layers;
   rec.symbolic = std::move(est.symbolic);
   rec.symbolic_grid = {ranks, layers};
-  // Re-shard the checkpoints by global coordinates onto the new grid (in
-  // either direction). MCL resumes natively: its snapshot holds the
-  // re-replicated global iterate under a grid-independent id. The epoch
-  // filter in redistribute_for_grid keeps only the newest writer's grid,
-  // so a mixed-shape directory resumes exactly from the latest progress.
-  const JobSpec& spec = rec.spec;
-  if (spec.op == JobOp::kSpGemm && !spec.ckpt_dir.empty()) {
-    e.cache = ckpt::redistribute_for_grid(
-        spec.ckpt_dir,
-        summa_ckpt_job_id(rec.in_a.nrows(), rec.in_a.ncols(),
-                          rec.in_b.ncols(), rec.in_a.nnz(), rec.in_b.nnz(),
-                          spec.ckpt_job_tag));
-    e.resume = e.cache.empty() ? nullptr : &e.cache;
-  }
+  // The attempt resumes from the job's checkpoints on the new grid by
+  // itself: each rank rebuilds its block of C from the saved pieces'
+  // global coordinates (batched_summa3d). MCL's snapshot holds the
+  // re-replicated global iterate under a grid-independent id.
   return true;
 }
 
@@ -472,7 +458,7 @@ void Server::complete_attempt(Exec& e) {
       return;
     }
     // A job boundary is a membership absorb point too: when the attempt ran
-    // to completion without hitting a pause boundary (e.g. its resume cache
+    // to completion without hitting a pause boundary (e.g. its checkpoints
     // already covered every batch), waiting probationers still get their
     // handshake here, so a flapper keeps accruing strikes toward quarantine
     // and a healthy replacement is whole again for the next job.
@@ -510,10 +496,9 @@ void Server::complete_attempt(Exec& e) {
   e.recovery.failure_kinds.push_back(kind);
   e.disarm.push_back(kind);
   // Next round: if enough of this job's ranks remain, it re-runs at full
-  // width (same-grid checkpoints resume natively — snapshot ranks are
-  // job-world ranks). Only when the survivors cannot fill the requested
-  // width does the round-top shrink path re-run admission and
-  // redistribute the checkpoints.
+  // width. Only when the survivors cannot fill the requested width does
+  // the round-top shrink path re-run admission for a smaller grid. Either
+  // way the attempt resumes from the job's checkpoints.
   begin_round(e);
 }
 
@@ -666,7 +651,6 @@ void Server::run_body(Exec& e, vmpi::Comm& world) {
   switch (spec.op) {
     case JobOp::kSpGemm: {
       opts.symbolic = sized;
-      opts.resume = e.resume;
       opts.pause_after_batches = e.attempt_pause;
       const DistMat3D da = distribute_a_style(grid, rec.in_a);
       const DistMat3D db = distribute_b_style(grid, rec.in_b);

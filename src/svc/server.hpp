@@ -15,9 +15,10 @@
 //     survives and the next job runs on the same resident threads)
 //     ├─ permanent_crash: the rank is marked dead in the pool's health map.
 //     │  Elastic jobs re-run Eq. (2) admission for the largest survivor
-//     │  grid, redistribute their checkpoints onto it
-//     │  (ckpt/redistribute.hpp) and finish there — bit-identically;
-//     │  non-elastic jobs fail with the classified reason.
+//     │  grid and finish there — bit-identically: each rank of the new
+//     │  grid rebuilds its block of C from the checkpoints' global
+//     │  coordinates (ckpt/redistribute.hpp); non-elastic jobs fail with
+//     │  the classified reason.
 //     └─ deadline_exceeded: the watchdog cancelled the job at its
 //        JobSpec::deadline_ms budget; the reservation is released and the
 //        next job runs immediately.
@@ -35,7 +36,9 @@
 // permanent crash marks only ranks of the owning job's split dead, and that
 // job shrinks onto its own survivors while its neighbours run untouched.
 // Shrink and regrow are one transition (reshape): re-run Eq. (2) admission
-// for the new grid, then redistribute the checkpoints onto it. Supervised
+// for the new grid; the attempt then resumes from the checkpoints there,
+// exactly as a same-grid restart does. The server holds no checkpoint
+// state of its own. Supervised
 // jobs restart through vmpi::SupervisionChain, the same restart policy as
 // vmpi::run_supervised.
 //
@@ -43,8 +46,8 @@
 // a crashed rank's replacement enters probation immediately, elastic
 // SpGEMM jobs that shrank pause at a batch boundary so the probationers
 // can handshake back in, and the next round regrows the grid — re-running
-// Eq. (2) admission for the larger shape and redistributing checkpoints
-// onto it — recording regrown_from/to evidence in the recovery report.
+// Eq. (2) admission for the larger shape, whose attempt resumes from the
+// checkpoints — recording regrown_from/to evidence in the recovery report.
 //
 // std::thread ownership stays inside src/vmpi (the repo's threading lint
 // boundary); the server only launches and collects pool tickets.
@@ -58,7 +61,6 @@
 #include <vector>
 
 #include "apps/mcl.hpp"
-#include "ckpt/redistribute.hpp"
 #include "obs/job_report.hpp"
 #include "sparse/csc_mat.hpp"
 #include "summa/symbolic3d.hpp"
@@ -185,7 +187,7 @@ class Server {
 
  private:
   /// Per-job execution state: the grid the next round runs on, the
-  /// redistributed-resume cache, the cumulative bill/recovery evidence, and
+  /// cumulative bill/recovery evidence, and
   /// the in-flight attempt's ticket + supervision chain. Defined in
   /// server.cpp; every job runs through one on the drain loop, K = 1
   /// included.
@@ -203,8 +205,7 @@ class Server {
   /// Top-of-round grid decision (shrink / regrow / fail) + dispatch.
   RoundStart begin_round(Exec& e);
   /// Move the job onto a ranks x layers grid: re-run Eq. (2) admission for
-  /// that shape (its Symbolic3D results replace the record's) and
-  /// redistribute the job's checkpoints onto it. False (with
+  /// that shape (its Symbolic3D results replace the record's). False (with
   /// the estimate's reason in *why) when the shape cannot hold the job;
   /// the grid is then unchanged.
   bool reshape(Exec& e, int ranks, int layers, std::string* why);
@@ -225,9 +226,7 @@ class Server {
   bool throttle_if_exhausted(JobRecord& rec);
   int effective_concurrency() const;
   /// One attempt's rank-local body. The Exec's grid shape overrides the
-  /// spec's, its resume cache injects redistributed checkpoint state on
-  /// degraded relaunches (null on the normal path), and its pause fields
-  /// park the attempt at a batch boundary.
+  /// spec's, and its pause fields park the attempt at a batch boundary.
   void run_body(Exec& e, vmpi::Comm& world);
   void finish(JobRecord& rec, JobState state, std::string reason);
   void release_reservation(JobRecord& rec);

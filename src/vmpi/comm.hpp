@@ -388,19 +388,6 @@ class Comm {
   std::vector<Payload> sparse_wait(PendingSparse& pending,
                                    const SparseServeFn& serve);
 
-  template <typename T>
-  T bcast_value(int root, T v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    Payload p;
-    if (rank_ == root)
-      p = Payload::copy_of(reinterpret_cast<const std::byte*>(&v), sizeof(T));
-    p = bcast_payload(root, std::move(p));
-    CASP_CHECK(p.size() == sizeof(T));
-    T out;
-    std::memcpy(&out, p.data(), sizeof(T));
-    return out;
-  }
-
   /// Binomial-tree reduce to root followed by broadcast. `op` must be
   /// associative and commutative; applied elementwise on equal-length
   /// vectors.

@@ -141,10 +141,10 @@ TEST(RecoverySpGemm, CrashMidBatchRecoversBitIdentically) {
       sup_opts);
 
   // The crash fired and the supervisor relaunched to completion. (No
-  // assertion on ckpt.resumes here: the min-consensus resume only
-  // fast-forwards if every rank banked a generation before the abort
-  // reached it, which is a thread-scheduling question — the deterministic
-  // resume proof is RecoveryDurability below.)
+  // assertion on ckpt.resumes here: the resume only recovers a batch if
+  // every rank banked it before the abort reached it, which is a
+  // thread-scheduling question — the deterministic resume proof is
+  // RecoveryDurability below.)
   ASSERT_FALSE(sup.result.failed())
       << sup.result.failure->describe();
   EXPECT_GE(sup.restarts, 1);
@@ -235,7 +235,7 @@ TEST(RecoveryMcl, CrashMidIterationRecoversIdentically) {
 // ---------------------------------------------------------------------------
 // Durability end-to-end: a torn newest generation (and a corrupted one on
 // another rank) must fall back to generation N−1 and still recover
-// bit-identically via the min-consensus resume.
+// bit-identically via the per-batch coverage consensus.
 
 TEST(RecoveryDurability, TornAndCorruptNewestGenerationsFallBack) {
   const int p = 4, layers = 1;
@@ -279,9 +279,9 @@ TEST(RecoveryDurability, TornAndCorruptNewestGenerationsFallBack) {
   }
 
   // A fresh run over the same job resumes from what survives: damaged
-  // ranks fall back to generation 4, and the piece-count min-consensus
-  // truncates the healthy ranks to match. Output must still be
-  // bit-identical — including the streamed files, which replay re-writes.
+  // ranks fall back to generation 4, so the last batch is recovered on no
+  // rank and every rank computes it. Output must still be bit-identical —
+  // including the streamed files, which the recovered batches re-write.
   const std::string dir_resume = fresh_dir("torn_resume");
   CscMat resumed_c;
   vmpi::RunResult resumed = vmpi::run(p, [&](vmpi::Comm& world) {
@@ -302,7 +302,7 @@ TEST(RecoveryDurability, TornAndCorruptNewestGenerationsFallBack) {
 
   EXPECT_EQ(counter_sum(resumed, "ckpt.resumes"), p);
   // The damaged ranks' newest valid generation is 4; healthy ranks still
-  // load 5 but the consensus replays only the common prefix.
+  // load 5 but the consensus recovers only the common prefix.
   EXPECT_EQ(counter_max(resumed, "ckpt.resumed_generation"), 5);
   testing::expect_mat_near(resumed_c, base_c, 0.0);
   for (int r = 0; r < p; ++r) {

@@ -1,11 +1,11 @@
 // Degraded-grid recovery: checkpoints written by one grid shape, consumed
 // by another (DESIGN.md §5j shrink, §5k regrow). The ResumeCache unit
-// tests pin the exact-coverage and reindexing contracts; the regrid
-// matrices prove the headline guarantee in both directions — a job
-// relaunched on a survivor OR regrown grid with redistributed checkpoints
-// produces C bit-identically (tolerance 0.0), whether every batch comes
-// from the cache (fault-free full coverage) or only a prefix does
-// (permanent crash mid-run).
+// tests pin the window, exact-coverage and reindexing contracts; the
+// regrid matrices prove the headline guarantee in both directions — a job
+// relaunched on a survivor OR regrown grid against the writer's checkpoint
+// directory produces C bit-identically (tolerance 0.0), whether every
+// batch comes from the saved pieces (fault-free full coverage) or only a
+// prefix does (permanent crash mid-run).
 //
 // Cross-grid bit-identity of *computed* batches only holds when summation
 // order cannot matter, so these tests use integer-valued inputs (exact in
@@ -89,12 +89,12 @@ struct GridRun {
   Index final_batches = 0;
 };
 
-// One batched SpGEMM a*a on a p-rank grid. ckpt_dir non-empty => write
-// batch-boundary checkpoints there (every=1); resume non-null => consume
-// redistributed state from a previous grid shape.
+// One batched SpGEMM a*a on a p-rank grid. ckpt_dir non-empty => resume
+// from the job's pieces there, whatever grid wrote them, and write
+// batch-boundary checkpoints there (every=1). A paused run leaves c empty.
 GridRun run_spgemm(int p, int layers, const CscMat& a,
-                   const SummaOptions& base_opts, const std::string& ckpt_dir,
-                   const ckpt::ResumeCache* resume) {
+                   const SummaOptions& base_opts,
+                   const std::string& ckpt_dir) {
   GridRun out;
   out.result = vmpi::run(p, [&](vmpi::Comm& world) {
     SummaOptions opts = base_opts;
@@ -104,12 +104,12 @@ GridRun run_spgemm(int p, int layers, const CscMat& a,
                               &world.recorder());
       opts.ckpt = &ck;
     }
-    opts.resume = resume;
     Grid3D grid(world, layers);
     const DistMat3D da = distribute_a_style(grid, a);
     const DistMat3D db = distribute_b_style(grid, a);
     BatchedResult r = batched_summa3d<PlusTimes>(grid, da, db, 0, opts,
                                                  nullptr, /*keep_output=*/true);
+    if (r.paused) return;
     CscMat full = gather_dist(grid, r.c);
     if (world.rank() == 0) {
       out.c = std::move(full);
@@ -123,10 +123,9 @@ GridRun run_spgemm(int p, int layers, const CscMat& a,
 // ResumeCache unit contracts.
 
 TEST(RedistributeCache, CoverageIsExactNotAtLeast) {
-  ckpt::ResumeCache cache(4, 4);
+  ckpt::ResumeCache cache({0, 4, 0, 4});
   EXPECT_TRUE(cache.empty());
-  EXPECT_EQ(cache.global_rows(), 4);
-  EXPECT_EQ(cache.global_cols(), 4);
+  EXPECT_EQ(cache.generation(), -1);
   EXPECT_FALSE(cache.cols_covered(0, 1));
 
   // Top half of columns [0, 4).
@@ -135,7 +134,8 @@ TEST(RedistributeCache, CoverageIsExactNotAtLeast) {
     t.push_back(0, 0, 5.0);
     t.push_back(1, 2, 7.0);
     cache.add_piece(
-        ckpt::CachedPiece{0, 2, 0, 4, CscMat::from_triples(std::move(t))});
+        ckpt::CachedPiece{0, 2, 0, 4, CscMat::from_triples(std::move(t))},
+        3);
   }
   EXPECT_FALSE(cache.cols_covered(0, 4)) << "half-covered must not count";
 
@@ -144,18 +144,21 @@ TEST(RedistributeCache, CoverageIsExactNotAtLeast) {
     TripleMat t(2, 2);
     t.push_back(0, 1, 9.0);
     cache.add_piece(
-        ckpt::CachedPiece{2, 2, 0, 2, CscMat::from_triples(std::move(t))});
+        ckpt::CachedPiece{2, 2, 0, 2, CscMat::from_triples(std::move(t))},
+        2);
   }
+  EXPECT_EQ(cache.generation(), 3);
   EXPECT_TRUE(cache.cols_covered(0, 2));
   EXPECT_FALSE(cache.cols_covered(0, 3));
   EXPECT_FALSE(cache.cols_covered(2, 4));
-  // Out-of-range queries refuse rather than throw (callers branch on it).
+  // Queries outside the window refuse rather than throw (callers branch
+  // on it).
   EXPECT_FALSE(cache.cols_covered(-1, 2));
   EXPECT_FALSE(cache.cols_covered(0, 5));
 
-  // An overlapping duplicate piece pushes the tally PAST global_rows: the
-  // exact-equality test must refuse coverage (extraction would double
-  // entries), degrading to recomputation instead of wrong values.
+  // An overlapping duplicate piece pushes the tally PAST the window's
+  // rows: the exact-equality test must refuse coverage (extraction would
+  // double entries), degrading to recomputation instead of wrong values.
   {
     TripleMat t(2, 1);
     cache.add_piece(
@@ -166,25 +169,24 @@ TEST(RedistributeCache, CoverageIsExactNotAtLeast) {
 }
 
 TEST(RedistributeCache, ExtractReindexesBitExactly) {
-  ckpt::ResumeCache cache(4, 3);
-  {
-    TripleMat t(2, 3);
-    t.push_back(0, 0, 1.5);
-    t.push_back(1, 1, 2.5);
+  const auto add_halves = [](ckpt::ResumeCache& cache) {
+    TripleMat top(2, 3);
+    top.push_back(0, 0, 1.5);
+    top.push_back(1, 1, 2.5);
     cache.add_piece(
-        ckpt::CachedPiece{0, 2, 0, 3, CscMat::from_triples(std::move(t))});
-  }
-  {
-    TripleMat t(2, 3);
-    t.push_back(1, 0, 3.5);
-    t.push_back(0, 2, 4.5);
-    cache.add_piece(
-        ckpt::CachedPiece{2, 2, 0, 3, CscMat::from_triples(std::move(t))});
-  }
+        ckpt::CachedPiece{0, 2, 0, 3, CscMat::from_triples(std::move(top))});
+    TripleMat bottom(2, 3);
+    bottom.push_back(1, 0, 3.5);
+    bottom.push_back(0, 2, 4.5);
+    cache.add_piece(ckpt::CachedPiece{2, 2, 0, 3,
+                                      CscMat::from_triples(std::move(bottom))});
+  };
+  ckpt::ResumeCache cache({0, 4, 0, 3});
+  add_halves(cache);
   ASSERT_TRUE(cache.cols_covered(0, 3));
 
   // Whole shape: global coordinates restored from piece-local ones.
-  const CscMat whole = cache.extract(0, 4, 0, 3);
+  const CscMat whole = cache.extract(0, 3);
   ASSERT_EQ(whole.nrows(), 4);
   ASSERT_EQ(whole.ncols(), 3);
   ASSERT_EQ(whole.nnz(), 4);
@@ -197,9 +199,13 @@ TEST(RedistributeCache, ExtractReindexesBitExactly) {
   EXPECT_EQ(whole.col_rowids(2)[0], 2);
   EXPECT_EQ(whole.col_vals(2)[0], 4.5);
 
-  // A sub-block reindexes to ITS origin: global row 3 becomes local row 2
-  // of an extract starting at row 1.
-  const CscMat block = cache.extract(1, 4, 0, 1);
+  // A window reindexes to ITS origin: global row 3 becomes local row 2 of
+  // a window starting at row 1, and the window's rows alone decide
+  // coverage.
+  ckpt::ResumeCache lower({1, 4, 0, 3});
+  add_halves(lower);
+  ASSERT_TRUE(lower.cols_covered(0, 1));
+  const CscMat block = lower.extract(0, 1);
   ASSERT_EQ(block.nrows(), 3);
   ASSERT_EQ(block.ncols(), 1);
   ASSERT_EQ(block.nnz(), 1);
@@ -208,31 +214,41 @@ TEST(RedistributeCache, ExtractReindexesBitExactly) {
 }
 
 TEST(RedistributeCache, RejectsOutOfShapePieces) {
-  ckpt::ResumeCache cache(4, 4);
-  TripleMat t(2, 2);
+  ckpt::ResumeCache cache({0, 4, 0, 4});
+  TripleMat t(2, 2);  // matrix dims disagree with declared row_count
   EXPECT_THROW(cache.add_piece(ckpt::CachedPiece{
-                   3, 2, 0, 2, CscMat::from_triples(std::move(t))}),
+                   0, 3, 0, 2, CscMat::from_triples(std::move(t))}),
                std::logic_error);
-  TripleMat t2(3, 2);  // matrix dims disagree with declared row_count
+  TripleMat t2(2, 2);
   EXPECT_THROW(cache.add_piece(ckpt::CachedPiece{
-                   0, 2, 0, 2, CscMat::from_triples(std::move(t2))}),
+                   -1, 2, 0, 2, CscMat::from_triples(std::move(t2))}),
                std::logic_error);
+  // A well-formed piece outside the window is not this rank's: dropped.
+  TripleMat t3(2, 2);
+  t3.push_back(0, 0, 1.0);
+  cache.add_piece(
+      ckpt::CachedPiece{4, 2, 0, 2, CscMat::from_triples(std::move(t3))});
+  EXPECT_TRUE(cache.empty());
+  EXPECT_FALSE(cache.cols_covered(0, 2));
 }
 
 TEST(RedistributeScan, MissingOrForeignDirectoryYieldsEmptyCache) {
-  EXPECT_TRUE(ckpt::redistribute_for_grid("", "job").empty());
+  const ckpt::Window all{0, 4, 0, 4};
+  EXPECT_TRUE(ckpt::redistribute_for_grid("", "job", all).empty());
   EXPECT_TRUE(
-      ckpt::redistribute_for_grid("/nonexistent/casp/dir", "job").empty());
+      ckpt::redistribute_for_grid("/nonexistent/casp/dir", "job", all)
+          .empty());
   const std::string dir = fresh_dir("foreign");
   fs::create_directories(dir);
-  EXPECT_TRUE(ckpt::redistribute_for_grid(dir, "job").empty());
+  EXPECT_TRUE(ckpt::redistribute_for_grid(dir, "job", all).empty());
 }
 
 // ---------------------------------------------------------------------------
 // Fault-free regrid matrix: full coverage => every batch served from the
-// cache, zero recomputation, bit-identical output on every target shape.
-// The cache stores global coordinates, so the same helper proves both
-// directions — shrink onto a survivor grid and regrow onto a larger one.
+// saved pieces, zero recomputation, bit-identical output on every target
+// shape. The pieces carry global coordinates, so the same helper proves
+// both directions — shrink onto a survivor grid and regrow onto a larger
+// one.
 
 void expect_full_coverage_regrid(int p_from, int p_to,
                                  const SummaOptions& base_opts,
@@ -241,15 +257,15 @@ void expect_full_coverage_regrid(int p_from, int p_to,
   const CscMat a = integer_matrix(n, n, 3.0, 160);
   const std::string ck_dir = fresh_dir("shrink_" + tag);
 
-  const GridRun full = run_spgemm(p_from, 1, a, base_opts, ck_dir, nullptr);
+  const GridRun full = run_spgemm(p_from, 1, a, base_opts, ck_dir);
   ASSERT_GE(full.final_batches, base_opts.force_batches);
 
   const ckpt::ResumeCache cache = ckpt::redistribute_for_grid(
-      ck_dir, summa_ckpt_job_id(n, n, n, a.nnz(), a.nnz(), ""));
+      ck_dir, summa_ckpt_job_id(n, n, n, a.nnz(), a.nnz(), ""), {0, n, 0, n});
   ASSERT_FALSE(cache.empty());
   ASSERT_TRUE(cache.cols_covered(0, n)) << "fault-free run must cover all C";
 
-  const GridRun shrunk = run_spgemm(p_to, 1, a, base_opts, "", &cache);
+  const GridRun shrunk = run_spgemm(p_to, 1, a, base_opts, ck_dir);
   testing::expect_mat_near(shrunk.c, full.c, 0.0);
   // Every batch on every survivor rank came from the cache.
   EXPECT_EQ(counter_sum(shrunk.result, "summa.cached_batches"),
@@ -290,41 +306,21 @@ TEST(RedistributeShrink, LayeredWriterGrid) {
   const CscMat a = integer_matrix(n, n, 3.0, 161);
   const std::string ck_dir = fresh_dir("shrink_layered");
 
-  const GridRun full = run_spgemm(8, 2, a, opts, ck_dir, nullptr);
+  const GridRun full = run_spgemm(8, 2, a, opts, ck_dir);
   const ckpt::ResumeCache cache = ckpt::redistribute_for_grid(
-      ck_dir, summa_ckpt_job_id(n, n, n, a.nnz(), a.nnz(), ""));
+      ck_dir, summa_ckpt_job_id(n, n, n, a.nnz(), a.nnz(), ""), {0, n, 0, n});
   ASSERT_TRUE(cache.cols_covered(0, n));
-  const GridRun shrunk = run_spgemm(4, 1, a, opts, "", &cache);
+  const GridRun shrunk = run_spgemm(4, 1, a, opts, ck_dir);
   testing::expect_mat_near(shrunk.c, full.c, 0.0);
-}
-
-TEST(RedistributeShrink, MismatchedShapeCacheIsIgnored) {
-  // A cache built for a different product shape must be disarmed by the
-  // consumer, not trip its collectives: the run recomputes everything.
-  SummaOptions opts;
-  opts.force_batches = 2;
-  const Index n = 24;
-  const CscMat a = integer_matrix(n, n, 3.0, 162);
-  const CscMat other = integer_matrix(n + 2, n + 2, 3.0, 163);
-  const std::string ck_dir = fresh_dir("shrink_mismatch");
-
-  (void)run_spgemm(4, 1, other, opts, ck_dir, nullptr);
-  const ckpt::ResumeCache cache = ckpt::redistribute_for_grid(
-      ck_dir,
-      summa_ckpt_job_id(n + 2, n + 2, n + 2, other.nnz(), other.nnz(), ""));
-  ASSERT_FALSE(cache.empty());
-
-  const GridRun plain = run_spgemm(4, 1, a, opts, "", nullptr);
-  const GridRun with_cache = run_spgemm(4, 1, a, opts, "", &cache);
-  testing::expect_mat_near(with_cache.c, plain.c, 0.0);
-  EXPECT_EQ(counter_sum(with_cache.result, "summa.cached_batches"), 0);
+  EXPECT_EQ(counter_sum(shrunk.result, "summa.cached_batches"),
+            4 * shrunk.final_batches);
 }
 
 // ---------------------------------------------------------------------------
 // The fiber split (DESIGN.md §5o) cuts C's columns by Symbolic3D's counts,
 // which depend on the grid shape. A layered run paused on one grid resumes
-// on another whose blocks fall elsewhere: the cache serves the batches it
-// covers, the rest recompute, and C stays exact.
+// on another whose blocks fall elsewhere: the saved pieces serve the
+// batches they cover, the rest recompute, and C stays exact.
 
 TEST(RedistributeFiberCut, PausedLayeredRunResumesOnAGridWithAnotherCut) {
   RmatParams rp;
@@ -354,16 +350,13 @@ TEST(RedistributeFiberCut, PausedLayeredRunResumesOnAGridWithAnotherCut) {
   };
 
   const auto run = [&](int l, Index batches, const SummaOptions& opts,
-                       bool checkpoint, CscMat* c_out) {
+                       CscMat* c_out) {
     const Bytes budget = budget_for(l, batches);
     return vmpi::run(l, [&](vmpi::Comm& world) {
       SummaOptions o = opts;
-      ckpt::Checkpointer ck;
-      if (checkpoint) {
-        ck = ckpt::Checkpointer(ck_dir, world.rank(), /*every=*/1,
-                                &world.recorder());
-        o.ckpt = &ck;
-      }
+      ckpt::Checkpointer ck(ck_dir, world.rank(), /*every=*/1,
+                            &world.recorder());
+      o.ckpt = &ck;
       Grid3D grid(world, l);
       const DistMat3D da = distribute_a_style(grid, a);
       const DistMat3D db = distribute_b_style(grid, a);
@@ -382,20 +375,18 @@ TEST(RedistributeFiberCut, PausedLayeredRunResumesOnAGridWithAnotherCut) {
   // forced checkpoint.
   SummaOptions writer_opts;
   writer_opts.pause_after_batches = 3;
-  const vmpi::RunResult writer = run(4, 4, writer_opts, true, nullptr);
+  const vmpi::RunResult writer = run(4, 4, writer_opts, nullptr);
   EXPECT_GT(counter_sum(writer, "summa.fiber_nnz_max_in"),
             counter_sum(writer, "summa.fiber_nnz_max"));
 
   // Reader: 1x1x2 at b = 8, with its own counts and cut. Its finer blocks
   // let some batches fall wholly inside the writer's covered columns.
   const ckpt::ResumeCache cache = ckpt::redistribute_for_grid(
-      ck_dir, summa_ckpt_job_id(n, n, n, a.nnz(), a.nnz(), ""));
+      ck_dir, summa_ckpt_job_id(n, n, n, a.nnz(), a.nnz(), ""), {0, n, 0, n});
   ASSERT_FALSE(cache.empty());
   ASSERT_FALSE(cache.cols_covered(0, n)) << "the writer must stop midway";
-  SummaOptions reader_opts;
-  reader_opts.resume = &cache;
   CscMat resumed;
-  const vmpi::RunResult reader = run(2, 8, reader_opts, false, &resumed);
+  const vmpi::RunResult reader = run(2, 8, SummaOptions{}, &resumed);
   const std::int64_t cached = counter_sum(reader, "summa.cached_batches");
   EXPECT_GT(cached, 0);
   EXPECT_LT(cached, 2 * 8) << "some batches must recompute";
@@ -404,7 +395,7 @@ TEST(RedistributeFiberCut, PausedLayeredRunResumesOnAGridWithAnotherCut) {
 
 // ---------------------------------------------------------------------------
 // Expand direction: the regrow path (DESIGN.md §5k) replays a degraded
-// grid's banked batches onto a LARGER grid — the cache coordinates are
+// grid's banked batches onto a LARGER grid — the pieces' coordinates are
 // global, so nothing in redistribute is direction-aware. Full coverage
 // still means zero recomputation on the bigger shape.
 
@@ -427,32 +418,29 @@ TEST(RedistributeExpand, NineToSixteen) {
 }
 
 TEST(RedistributeExpand, SixteenToFourToSixteenRoundTrip) {
-  // Shrink-then-regrow round trip: 16 banks the run, 4 consumes it while
-  // re-banking every (cached) batch into its own directory, and 16 consumes
-  // THAT. Cached batches flow through the same emit path as computed ones,
-  // so the second directory is a complete bank in the 4-grid's shape and
-  // the regrown run is fully cache-served and bit-identical.
+  // Shrink-then-regrow round trip in one directory: 16 parks after two of
+  // its three batches, 4 recovers the batch those pieces cover, saves it
+  // under its own grid before computing the rest, and 16 then reads only
+  // the 4-grid's epoch (the newest generation's) — fully recovered and
+  // bit-identical.
   SummaOptions opts;
   opts.force_batches = 3;
   const Index n = 24;
   const CscMat a = integer_matrix(n, n, 3.0, 165);
-  const std::string job = summa_ckpt_job_id(n, n, n, a.nnz(), a.nnz(), "");
-  const std::string dir16 = fresh_dir("roundtrip_16");
-  const std::string dir4 = fresh_dir("roundtrip_4");
+  const std::string dir = fresh_dir("roundtrip");
+  const GridRun reference = run_spgemm(16, 1, a, opts, "");
 
-  const GridRun full = run_spgemm(16, 1, a, opts, dir16, nullptr);
-  const ckpt::ResumeCache cache16 = ckpt::redistribute_for_grid(dir16, job);
-  ASSERT_TRUE(cache16.cols_covered(0, n));
+  SummaOptions parked = opts;
+  parked.pause_after_batches = 2;
+  const GridRun first = run_spgemm(16, 1, a, parked, dir);
+  EXPECT_EQ(first.c.nnz(), 0) << "the writer must park";
 
-  const GridRun mid = run_spgemm(4, 1, a, opts, dir4, &cache16);
-  testing::expect_mat_near(mid.c, full.c, 0.0);
-  EXPECT_EQ(counter_sum(mid.result, "summa.cached_batches"),
-            static_cast<std::int64_t>(4) * mid.final_batches);
+  const GridRun mid = run_spgemm(4, 1, a, opts, dir);
+  testing::expect_mat_near(mid.c, reference.c, 0.0);
+  EXPECT_EQ(counter_sum(mid.result, "summa.cached_batches"), 4);
 
-  const ckpt::ResumeCache cache4 = ckpt::redistribute_for_grid(dir4, job);
-  ASSERT_TRUE(cache4.cols_covered(0, n));
-  const GridRun regrown = run_spgemm(16, 1, a, opts, "", &cache4);
-  testing::expect_mat_near(regrown.c, full.c, 0.0);
+  const GridRun regrown = run_spgemm(16, 1, a, opts, dir);
+  testing::expect_mat_near(regrown.c, reference.c, 0.0);
   EXPECT_EQ(counter_sum(regrown.result, "summa.cached_batches"),
             static_cast<std::int64_t>(16) * regrown.final_batches);
 }
@@ -470,7 +458,7 @@ TEST(RecoveryRedistribute, PermCrashThenShrinkIsBitIdentical) {
 
   // Fault-free reference on the ORIGINAL grid (the output the user was
   // promised before the hardware died).
-  const GridRun reference = run_spgemm(p_from, 1, a, opts, "", nullptr);
+  const GridRun reference = run_spgemm(p_from, 1, a, opts, "");
 
   // Perm-kill one rank mid-run; each sweep seed picks a different victim
   // and op. The run must fail classified — permanent crashes are not
@@ -506,14 +494,10 @@ TEST(RecoveryRedistribute, PermCrashThenShrinkIsBitIdentical) {
   EXPECT_EQ(crashed.failure->kind, "permanent_crash");
   EXPECT_EQ(crashed.failure->rank, plan.perm_crash_rank);
 
-  // Redistribute whatever the dead grid banked onto the survivor grid and
-  // finish there. Partial coverage is fine — uncovered batches recompute —
-  // and the result must equal the original grid's fault-free output
-  // exactly.
-  const ckpt::ResumeCache cache = ckpt::redistribute_for_grid(
-      ck_dir, summa_ckpt_job_id(n, n, n, a.nnz(), a.nnz(), ""));
-  const GridRun shrunk =
-      run_spgemm(p_to, 1, a, opts, "", cache.empty() ? nullptr : &cache);
+  // Resume whatever the dead grid banked on the survivor grid and finish
+  // there. Partial coverage is fine — uncovered batches recompute — and
+  // the result must equal the original grid's fault-free output exactly.
+  const GridRun shrunk = run_spgemm(p_to, 1, a, opts, ck_dir);
   testing::expect_mat_near(shrunk.c, reference.c, 0.0);
 }
 
@@ -528,7 +512,7 @@ TEST(RecoveryRedistribute, PermCrashThenRegrowIsBitIdentical) {
   SummaOptions opts;
   opts.force_batches = 4;
 
-  const GridRun reference = run_spgemm(p_from, 1, a, opts, "", nullptr);
+  const GridRun reference = run_spgemm(p_from, 1, a, opts, "");
 
   const std::string ck_dir = fresh_dir("perm_regrow");
   vmpi::FaultPlan plan;
@@ -556,10 +540,7 @@ TEST(RecoveryRedistribute, PermCrashThenRegrowIsBitIdentical) {
   ASSERT_TRUE(crashed.failed());
   EXPECT_EQ(crashed.failure->kind, "permanent_crash");
 
-  const ckpt::ResumeCache cache = ckpt::redistribute_for_grid(
-      ck_dir, summa_ckpt_job_id(n, n, n, a.nnz(), a.nnz(), ""));
-  const GridRun regrown =
-      run_spgemm(p_to, 1, a, opts, "", cache.empty() ? nullptr : &cache);
+  const GridRun regrown = run_spgemm(p_to, 1, a, opts, ck_dir);
   testing::expect_mat_near(regrown.c, reference.c, 0.0);
 }
 

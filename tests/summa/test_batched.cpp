@@ -189,21 +189,59 @@ TEST(BatchedCheckpoint, KeptOutputIsTheSameWithCheckpointsAndOnResume) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(BatchedCheckpoint, AFreshJobPaysOneResumeRound) {
+  // A checkpointed 2x2x1 run with nothing to resume learns so in one
+  // 8-byte allreduce (a binomial reduce and broadcast over 4 ranks).
+  const CscMat a = testing::random_matrix(40, 40, 3.0, 171);
+  const std::string dir = ::testing::TempDir() + "/casp_batched_fresh_round";
+  std::filesystem::remove_all(dir);
+  const vmpi::RunResult result = vmpi::run(4, [&](vmpi::Comm& world) {
+    ckpt::Checkpointer ck(dir, world.rank(), /*every=*/1, &world.recorder());
+    Grid3D grid(world, 1);
+    SummaOptions opts;
+    opts.force_batches = 3;
+    opts.ckpt = &ck;
+    (void)batched_summa3d<PlusTimes>(grid, distribute_a_style(grid, a),
+                                     distribute_b_style(grid, a), 0, opts);
+  });
+  const auto traffic = result.traffic_summary().total_per_phase;
+  const auto it = traffic.find(steps::kCkptResume);
+  ASSERT_NE(it, traffic.end());
+  EXPECT_EQ(it->second.messages, 6u);
+  EXPECT_EQ(it->second.bytes, 48u);
+  std::filesystem::remove_all(dir);
+}
+
 // Batch checkpoints as delta generations at 2x2x1, b = 5: each save holds
 // only the pieces emitted since the last, every generation resumes
 // bit-identically, and a damaged generation falls back to the longest
-// prefix that still verifies.
-class BatchedCheckpointChain : public ::testing::TestWithParam<std::uint64_t> {
+// prefix that still verifies. The budgeted case re-batches adaptively, so
+// its pieces come at several granularities; a resume restores none of
+// them and recovers whatever batches the saved pieces cover.
+struct ChainCase {
+  std::uint64_t every;  // checkpoint cadence
+  bool budgeted;        // a per-rank budget that forces re-batching
+};
+
+void PrintTo(const ChainCase& c, std::ostream* os) {
+  *os << c.every << (c.budgeted ? ", budgeted" : "");
+}
+
+class BatchedCheckpointChain : public ::testing::TestWithParam<ChainCase> {
  protected:
   static constexpr int kRanks = 4;
   static constexpr Index kBatches = 5;
   static constexpr Index kN = 160;
 
   struct Run {
-    std::vector<CscMat> local;                  // each rank's kept C
+    std::vector<CscMat> local;                  // each rank's C
+    std::vector<Index> pieces;                  // pieces it emitted
     std::vector<Bytes> piece_bytes;             // packed bytes of its pieces
     std::vector<std::int64_t> bytes_saved;      // its ckpt.bytes counter
     std::vector<std::int64_t> resumed_gen;      // -1 when it did not resume
+    std::vector<std::int64_t> cached;           // its summa.cached_batches
+    Index final_batches = 0;
+    bool paused = false;
   };
 
   static const CscMat& a() {
@@ -214,37 +252,83 @@ class BatchedCheckpointChain : public ::testing::TestWithParam<std::uint64_t> {
     return summa_ckpt_job_id(kN, kN, kN, a().nnz(), a().nnz(), "");
   }
 
-  /// One run; checkpoints to `dir` unless it is empty.
-  Run run(const std::string& dir) const {
+  /// Per-rank budgets strictly between the inputs and the unconstrained
+  /// peak at b = kBatches, so that granularity overruns and a finer one
+  /// fits.
+  static const std::vector<Bytes>& budgets() {
+    static const std::vector<Bytes> per_rank = [] {
+      std::vector<Bytes> out(kRanks);
+      vmpi::run(kRanks, [&](vmpi::Comm& world) {
+        Grid3D grid(world, 1);
+        const DistMat3D da = distribute_a_style(grid, a());
+        const DistMat3D db = distribute_b_style(grid, a());
+        MemoryTracker tracker(0);
+        SummaOptions opts;
+        opts.force_batches = kBatches;
+        opts.memory = &tracker;
+        (void)batched_summa3d<PlusTimes>(grid, da, db, 0, opts, {},
+                                         /*keep_output=*/false);
+        const Bytes inputs =
+            static_cast<Bytes>(da.local.nnz() + db.local.nnz()) *
+            kBytesPerNonzero;
+        out[static_cast<std::size_t>(world.rank())] =
+            inputs + (tracker.peak() - inputs) * 3 / 5;
+      });
+      return out;
+    }();
+    return per_rank;
+  }
+
+  /// One run; checkpoints to `dir` unless it is empty, and parks after
+  /// `pause_after` computed batches when it is positive. A budgeted run
+  /// assembles C from its pieces: the kept output's charge would not fit.
+  Run run(const std::string& dir, Index pause_after = 0) const {
+    const bool budgeted = GetParam().budgeted;
     Run out;
     out.local.resize(kRanks);
+    out.pieces.assign(kRanks, 0);
     out.piece_bytes.assign(kRanks, 0);
     out.bytes_saved.assign(kRanks, 0);
     out.resumed_gen.assign(kRanks, -1);
+    out.cached.assign(kRanks, 0);
     vmpi::run(kRanks, [&](vmpi::Comm& world) {
       const auto rank = static_cast<std::size_t>(world.rank());
       ckpt::Checkpointer ck;
       if (!dir.empty())
-        ck = ckpt::Checkpointer(dir, world.rank(), GetParam(),
+        ck = ckpt::Checkpointer(dir, world.rank(), GetParam().every,
                                 &world.recorder());
+      MemoryTracker tracker(budgeted ? budgets()[rank] : 0);
       Grid3D grid(world, 1);
       SummaOptions opts;
       opts.force_batches = kBatches;
       opts.ckpt = &ck;
+      opts.pause_after_batches = pause_after;
+      if (budgeted) opts.memory = &tracker;
+      std::vector<CscMat> pieces;
       BatchedResult r = batched_summa3d<PlusTimes>(
           grid, distribute_a_style(grid, a()), distribute_b_style(grid, a()),
           0, opts,
           [&](CscMat&& piece, const BatchInfo&) {
+            ++out.pieces[rank];
             out.piece_bytes[rank] += packed_size(piece);
+            if (budgeted) pieces.push_back(std::move(piece));
           },
-          /*keep_output=*/true);
-      out.local[rank] = std::move(r.c.local);
+          /*keep_output=*/!budgeted);
+      out.local[rank] =
+          budgeted ? CscMat::concat_cols(pieces) : std::move(r.c.local);
       const auto& counters = world.recorder().counters();
       if (const auto it = counters.find("ckpt.bytes"); it != counters.end())
         out.bytes_saved[rank] = it->second;
       if (const auto it = counters.find("ckpt.resumed_generation");
           it != counters.end())
         out.resumed_gen[rank] = it->second;
+      if (const auto it = counters.find("summa.cached_batches");
+          it != counters.end())
+        out.cached[rank] = it->second;
+      if (world.rank() == 0) {
+        out.final_batches = r.final_batches;
+        out.paused = r.paused;
+      }
     });
     return out;
   }
@@ -296,20 +380,24 @@ TEST_P(BatchedCheckpointChain, EachPieceIsWrittenOnce) {
   const std::string dir = scratch("saved");
   const Run saved = run(dir);
   expect_same_output(saved, run(""));
+  if (GetParam().budgeted) {
+    EXPECT_GT(saved.final_batches, kBatches);
+  }
   // A generation's own overhead: magic, count, checksum, the job stamp,
-  // the parent link, the counters and at most kBatches piece records.
+  // the parent link, the counters and at most `pieces` piece records.
   constexpr Bytes kHeaderBound = 1024;
   for (int r = 0; r < kRanks; ++r) {
     SCOPED_TRACE("rank " + std::to_string(r));
     const auto rank = static_cast<std::size_t>(r);
+    const Index pieces = saved.pieces[rank];
     const auto gens = generations(dir, r);
     EXPECT_EQ(static_cast<Index>(gens.size()),
-              kBatches / static_cast<Index>(GetParam()));
+              pieces / static_cast<Index>(GetParam().every));
     Bytes on_disk = 0;
     for (const auto& [gen, path] : gens)
       on_disk += std::filesystem::file_size(path);
-    const Bytes bound = saved.piece_bytes[rank] + kBatches * kHeaderBound;
-    EXPECT_GT(saved.piece_bytes[rank], kBatches * kHeaderBound)
+    const Bytes bound = saved.piece_bytes[rank] + pieces * kHeaderBound;
+    EXPECT_GT(saved.piece_bytes[rank], pieces * kHeaderBound)
         << "pieces too small for the bound to tell";
     EXPECT_LE(on_disk, bound);
     EXPECT_EQ(static_cast<Bytes>(saved.bytes_saved[rank]), on_disk);
@@ -363,10 +451,65 @@ TEST_P(BatchedCheckpointChain,
   std::filesystem::remove_all(dir);
 }
 
+TEST_P(BatchedCheckpointChain, ASecondResumeKeepsTheFirstOnesProgress) {
+  const std::string dir = scratch("saved");
+  const Run clean = run(dir);
+  const std::int64_t newest = generations(dir, 0).rbegin()->first;
+  for (std::int64_t k = 1; k <= newest; ++k) {
+    SCOPED_TRACE("resume from generation " + std::to_string(k));
+    const std::string trial = copy_of(dir, "twice");
+    for (int r = 0; r < kRanks; ++r)
+      for (const auto& [gen, path] : generations(trial, r))
+        if (gen > k) std::filesystem::remove(path);
+    // Park after one computed batch: the recovered prefix and that batch
+    // are on disk, and the next resume recovers at least the prefix.
+    const Run first = run(trial, /*pause_after=*/1);
+    const Run second = run(trial);
+    expect_same_output(second, clean);
+    for (int r = 0; r < kRanks; ++r) {
+      SCOPED_TRACE("rank " + std::to_string(r));
+      const auto rank = static_cast<std::size_t>(r);
+      EXPECT_GE(first.cached[rank], 1);
+      EXPECT_GE(second.cached[rank], first.paused ? 1 : first.cached[rank]);
+      if (!GetParam().budgeted) {
+        // One granularity throughout: generation k holds k * every
+        // batches, and the parked run added the one it computed.
+        EXPECT_GE(second.cached[rank], k);
+        if (first.paused) {
+          EXPECT_GE(second.cached[rank], first.cached[rank] + 1);
+        }
+      }
+    }
+    std::filesystem::remove_all(trial);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST_P(BatchedCheckpointChain, AWriterRanksLostFilesAreRecomputed) {
+  const std::string dir = scratch("saved");
+  const Run clean = run(dir);
+  const std::string trial = copy_of(dir, "lost");
+  for (const auto& [gen, path] : generations(trial, 2))
+    std::filesystem::remove(path);
+  // Rank 2's block has no pieces, so no batch is recovered on every rank
+  // and the job computes them all — bit-identically.
+  const Run resumed = run(trial);
+  expect_same_output(resumed, clean);
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(resumed.cached[static_cast<std::size_t>(r)], 0);
+    EXPECT_EQ(resumed.resumed_gen[static_cast<std::size_t>(r)], -1);
+  }
+  std::filesystem::remove_all(trial);
+  std::filesystem::remove_all(dir);
+}
+
 INSTANTIATE_TEST_SUITE_P(Cadence, BatchedCheckpointChain,
-                         ::testing::Values<std::uint64_t>(1, 2),
-                         [](const ::testing::TestParamInfo<std::uint64_t>& c) {
-                           return "every" + std::to_string(c.param);
+                         ::testing::Values(ChainCase{1, false},
+                                           ChainCase{2, false},
+                                           ChainCase{1, true}),
+                         [](const ::testing::TestParamInfo<ChainCase>& c) {
+                           return "every" + std::to_string(c.param.every) +
+                                  (c.param.budgeted ? "_rebatch" : "");
                          });
 
 TEST(BatchedSymbolic, TightMemoryForcesMultipleBatches) {

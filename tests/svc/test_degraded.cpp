@@ -1,7 +1,7 @@
 // Service-level elastic degraded-grid recovery (DESIGN.md §5j): a
 // permanent rank loss marks the pool's health map, elastic jobs re-run
-// Eq. (2) admission for the survivor grid, redistribute their checkpoints
-// onto it and finish bit-identically; non-elastic jobs fail classified.
+// Eq. (2) admission for the survivor grid, resume their checkpoints there
+// and finish bit-identically; non-elastic jobs fail classified.
 // Plus the deadline path: an over-budget job is cancelled by the watchdog,
 // fails with kind "deadline_exceeded", and releases its reservation so the
 // tenant's next job runs immediately.

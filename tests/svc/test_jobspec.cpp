@@ -32,7 +32,6 @@ JobSpec full_spec() {
   s.force_batches = 2;
   s.ckpt_dir = "/tmp/ckpt";
   s.ckpt_every = 2;
-  s.ckpt_job_tag = "tag";
   s.mcl.inflation = 2.5;
   s.mcl.prune_threshold = 1e-5;
   s.mcl.keep_per_col = 40;
@@ -68,7 +67,6 @@ TEST(JobSpec, RoundTripPreservesEveryField) {
   EXPECT_EQ(r.force_batches, 2);
   EXPECT_EQ(r.ckpt_dir, "/tmp/ckpt");
   EXPECT_EQ(r.ckpt_every, 2u);
-  EXPECT_EQ(r.ckpt_job_tag, "tag");
   EXPECT_DOUBLE_EQ(r.mcl.inflation, 2.5);
   EXPECT_EQ(r.mcl.keep_per_col, 40);
   EXPECT_EQ(r.fault_spec, "seed=2;crash_rank=1;crash_op=9");
@@ -172,7 +170,6 @@ TEST(JobSpec, SummaOptionsViewMapsKernelAndKnobs) {
   EXPECT_EQ(hybrid.threads, 2);
   EXPECT_EQ(hybrid.force_batches, 2);
   EXPECT_TRUE(hybrid.adaptive_rebatch);
-  EXPECT_EQ(hybrid.ckpt_job_tag, "tag");
   // Non-owning pointers are wired by the executor, never by the view.
   EXPECT_EQ(hybrid.memory, nullptr);
   EXPECT_EQ(hybrid.ckpt, nullptr);

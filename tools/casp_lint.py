@@ -137,6 +137,16 @@ test (see tests/CMakeLists.txt). Rules:
                   more bytes and an O(nnz log nnz) sort on every rank.
                   Building a matrix from triples that are not blocks of
                   a distributed one (an input file) is waived in place.
+  resume-cache-in-summa
+                  In src/, `ResumeCache` and `redistribute_for_grid` are
+                  named only in src/ckpt/ and src/summa/batched.cpp. A
+                  checkpointed batched_summa3d resumes through one path:
+                  each rank builds its own cache of its own block of C
+                  from the checkpoint directory. A cache built elsewhere
+                  (a launcher holding every rank's pieces and lending it
+                  to the rank threads) is a second resume path, keeps C's
+                  whole recovered prefix in one place, and is cross-rank
+                  shared state the vmpi checker cannot see.
   library-has-caller
                   Every src/**/*.hpp is #included by some C++ file under
                   src/, tools/, bench/, examples/ or e2ebench/ other than
@@ -220,6 +230,10 @@ TRIPLE_GATHER_DIRS = ("src/grid/", "src/summa/", "src/svc/")
 TRIPLE_GATHER_FILES = ("src/apps/mcl.cpp",)
 TRIPLE_GATHER_RE = re.compile(
     r"\ballgather_vec\s*<\s*Triple\s*>|\bfrom_triples\s*\(")
+
+# The per-rank resume cache and its builder, and where they may be named.
+RESUME_CACHE_RE = re.compile(r"\b(ResumeCache|redistribute_for_grid)\b")
+RESUME_CACHE_HOMES = ("src/ckpt/", "src/summa/batched.cpp")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+([<"][^>"]+[>"])')
 
@@ -454,6 +468,8 @@ class Linter:
             self.check_c_layout_from_batchinfo(rel, code_lines, waived)
         if rel.startswith(TRIPLE_GATHER_DIRS) or rel in TRIPLE_GATHER_FILES:
             self.check_no_triple_gather(rel, code_lines, waived)
+        if in_src and not rel.startswith(RESUME_CACHE_HOMES):
+            self.check_resume_cache_in_summa(rel, code_lines, waived)
         self.check_cast_pairing(rel, code_lines, waived)
         self.check_empty_catch(rel, code_text, waived)
         self.check_payload_ownership(rel, code_lines, waived)
@@ -716,6 +732,17 @@ class Linter:
                     f"{m.group(0).strip()} assembles distributed blocks by "
                     "sorting triples — allgather the blocks' CSC images "
                     "and place them with assemble_blocks (grid/dist.hpp)")
+
+    def check_resume_cache_in_summa(self, rel, code_lines, waived):
+        for idx, line in enumerate(code_lines):
+            m = RESUME_CACHE_RE.search(line)
+            if m and not waived("resume-cache-in-summa", idx):
+                self.error(
+                    rel, idx + 1, "resume-cache-in-summa",
+                    f"{m.group(1)} outside src/ckpt/ and "
+                    "src/summa/batched.cpp — each rank of a checkpointed "
+                    "batched_summa3d builds its own resume cache; give the "
+                    "job its Checkpointer (SummaOptions::ckpt) instead")
 
     def check_cast_pairing(self, rel, code_lines, waived):
         for idx, line in enumerate(code_lines):

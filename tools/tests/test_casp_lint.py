@@ -1,7 +1,7 @@
 """Self-tests for tools/casp_lint.py: the whole-tree library-has-caller
 rule on a temporary tree with one orphan header and one included header,
-the directories the no-triple-gather rule covers, and where a
-jobspec-field-has-caller reader may live."""
+the directories the no-triple-gather and resume-cache-in-summa rules
+cover, and where a jobspec-field-has-caller reader may live."""
 
 import sys
 import tempfile
@@ -78,6 +78,30 @@ class NoTripleGatherScopeTest(unittest.TestCase):
     def test_silent_elsewhere(self):
         for rel in ("src/apps/triangle.cpp", "src/ckpt/redistribute.cpp",
                     "src/sparse/csc_mat.cpp", "tests/grid/test_dist.cpp"):
+            self.assertEqual(self.rule_lines(rel), [], rel)
+
+
+class ResumeCacheInSummaScopeTest(unittest.TestCase):
+    CODE = ("void f(const std::string& dir, const std::string& job) {\n"
+            "  const ckpt::ResumeCache cache =\n"
+            "      ckpt::redistribute_for_grid(dir, job, {});\n"
+            "}\n")
+
+    def rule_lines(self, rel):
+        linter = casp_lint.Linter(Path("."))
+        linter.lint_text(rel, self.CODE)
+        return [int(e.split(":")[1]) for e in linter.errors
+                if "[resume-cache-in-summa]" in e]
+
+    def test_fires_in_src_outside_its_homes(self):
+        for rel in ("src/svc/server.cpp", "src/summa/steps.hpp",
+                    "src/summa/summa3d.cpp", "src/apps/mcl.cpp"):
+            self.assertEqual(self.rule_lines(rel), [2, 3], rel)
+
+    def test_silent_in_its_homes_and_outside_src(self):
+        for rel in ("src/ckpt/redistribute.cpp", "src/ckpt/checkpoint.hpp",
+                    "src/summa/batched.cpp", "tests/ckpt/test_redistribute.cpp",
+                    "tools/casp_chaos.cpp", "bench/bench_ckpt.cpp"):
             self.assertEqual(self.rule_lines(rel), [], rel)
 
 
